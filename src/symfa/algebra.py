@@ -398,6 +398,14 @@ def sem_union(alg, a, b):
     return a | b
 
 
+def sem_union_all(alg, sems):
+    """Union of any number of semantic sets, in one pass: O(m log m) for m
+    interval pieces."""
+    if alg.is_interval:
+        return ivl_union([piece for s in sems for piece in s], ())
+    return frozenset().union(*sems)
+
+
 def sem_complement(alg, a):
     if alg.is_interval:
         return ivl_complement(a, alg)

@@ -3,11 +3,7 @@ test suite."""
 
 from __future__ import annotations
 
-import random
-
-from .algebra import (
-    And, Bot, INF, Interval, Lit, Not, Or, TOP, BOT, or_all,
-)
+from .algebra import And, INF, Interval, Not, Or, TOP, BOT, or_all
 from .dfa_learn import Dfa, minimize_dfa
 from .ops import minimize
 from .sfa import Sfa, accepts

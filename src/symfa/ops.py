@@ -4,25 +4,25 @@ equivalence)."""
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 from .algebra import (
-    And, Interval, Not, INF, SUP, and_all, denote, interval_piece_pred,
-    intervals_to_pred, is_sat,
-    or_all, sem_complement, sem_contains, sem_intersect, sem_is_empty,
-    sem_min, sem_union, to_canonical_intervals,
+    And, Not, SUP, and_all, denote, interval_piece_pred, or_all,
+    sem_complement, sem_contains, sem_full, sem_intersect, sem_is_empty,
+    sem_min, sem_union,
 )
-from .sfa import Sfa, accepts, basic_disjuncts, classify, complete_sfa
+from .sfa import Sfa, _adopt_edges, basic_disjuncts, classify, complete_sfa
 
 MINTERM_CAP = 2 ** 20
+
+_ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
 
 def product(m1, m2, mode="intersect"):
     """Reachable product automaton; transition predicates are pairwise
     conjunctions, infeasible ones dropped."""
-    if m1.algebra != m2.algebra:
-        raise ValueError("algebra mismatch")
-    if mode not in ("intersect", "union"):
+    if mode not in _ACCEPT:
         raise ValueError("mode must be intersect or union")
     if mode == "union":
         f1, f2 = classify(m1), classify(m2)
@@ -30,9 +30,17 @@ def product(m1, m2, mode="intersect"):
                 and f2.deterministic and f2.complete):
             raise ValueError("union product needs deterministic complete "
                              "inputs")
+    return _product(m1, m2, _ACCEPT[mode])
+
+
+def _product(m1, m2, accept):
+    """Reachable product; a pair state accepts iff accept(a1, a2) for the
+    two sides' acceptance.  The output gets the pairwise intersections as
+    its edge table."""
+    if m1.algebra != m2.algebra:
+        raise ValueError("algebra mismatch")
     alg = m1.algebra
-    out1 = {q: m1.out(q) for q in m1.states}
-    out2 = {q: m2.out(q) for q in m2.states}
+    e1, e2 = m1.edges, m2.edges
 
     def name(q1, q2):
         return "(%s,%s)" % (q1, q2)
@@ -42,29 +50,31 @@ def product(m1, m2, mode="intersect"):
     order = [start]
     queue = deque([start])
     trans = []
+    edges = {}
     while queue:
         q1, q2 = queue.popleft()
-        for p1, d1 in out1[q1]:
-            s1 = denote(alg, p1)
+        src = name(q1, q2)
+        row = []
+        for p1, s1, d1 in e1[q1]:
             if sem_is_empty(s1):
                 continue
-            for p2, d2 in out2[q2]:
-                if sem_is_empty(sem_intersect(alg, s1, denote(alg, p2))):
+            for p2, s2, d2 in e2[q2]:
+                sem = sem_intersect(alg, s1, s2)
+                if sem_is_empty(sem):
                     continue
-                trans.append((name(q1, q2), And(p1, p2), name(d1, d2)))
-                dst = (d1, d2)
-                if dst not in seen:
-                    seen.add(dst)
-                    order.append(dst)
-                    queue.append(dst)
-    if mode == "intersect":
-        accepting = [name(a, b) for a, b in order
-                     if a in m1.accepting and b in m2.accepting]
-    else:
-        accepting = [name(a, b) for a, b in order
-                     if a in m1.accepting or b in m2.accepting]
-    return Sfa(alg, [name(a, b) for a, b in order], name(*start),
-               accepting, trans)
+                pred = And(p1, p2)
+                dst = name(d1, d2)
+                trans.append((src, pred, dst))
+                row.append((pred, sem, dst))
+                if (d1, d2) not in seen:
+                    seen.add((d1, d2))
+                    order.append((d1, d2))
+                    queue.append((d1, d2))
+        edges[src] = tuple(row)
+    accepting = [name(a, b) for a, b in order
+                 if accept(a in m1.accepting, b in m2.accepting)]
+    return _adopt_edges(Sfa(alg, [name(a, b) for a, b in order], name(*start),
+                            accepting, trans), edges)
 
 
 def complement(m):
@@ -72,8 +82,9 @@ def complement(m):
     if not classify(m).deterministic:
         raise ValueError("complement needs a deterministic input")
     c = complete_sfa(m)
-    return Sfa(c.algebra, c.states, c.initial,
-               frozenset(c.states) - c.accepting, c.transitions)
+    return _adopt_edges(Sfa(c.algebra, c.states, c.initial,
+                            frozenset(c.states) - c.accepting, c.transitions),
+                        c.edges)
 
 
 def _minterms(alg, sems):
@@ -94,16 +105,16 @@ def _minterms(alg, sems):
         walk(i + 1, sem_intersect(alg, region, sem_complement(alg, sems[i])),
              pos)
 
-    from .algebra import sem_full
     walk(0, sem_full(alg), [])
     return out
 
 
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
-    minterm of the outgoing predicates."""
+    minterm of the outgoing predicates.  The output gets the minterm
+    regions as its edge table."""
     alg = m.algebra
-    outgoing = {q: m.out(q) for q in m.states}
+    table = m.edges
 
     def name(subset):
         return "{%s}" % ",".join(sorted(subset))
@@ -113,30 +124,37 @@ def determinize(m):
     order = [start]
     queue = deque([start])
     trans = []
+    edges = {}
     while queue:
         subset = queue.popleft()
-        edges = [(p, d) for q in sorted(subset) for p, d in outgoing[q]]
+        src = name(subset)
         preds = []
+        sems = []
         dst_map = []
-        for p, d in edges:
-            if p not in preds:
-                preds.append(p)
-                dst_map.append(set())
-            dst_map[preds.index(p)].add(d)
-        sems = [denote(alg, p) for p in preds]
-        for pos, _region in _minterms(alg, sems):
+        for q in sorted(subset):
+            for p, sem, d in table[q]:
+                if p not in preds:
+                    preds.append(p)
+                    sems.append(sem)
+                    dst_map.append(set())
+                dst_map[preds.index(p)].add(d)
+        row = []
+        for pos, region in _minterms(alg, sems):
             if not pos:
                 continue
             target = frozenset().union(*(dst_map[i] for i in pos))
             label = and_all([preds[i] if i in pos else Not(preds[i])
                              for i in range(len(preds))])
-            trans.append((name(subset), label, name(target)))
+            trans.append((src, label, name(target)))
+            row.append((label, region, name(target)))
             if target not in seen:
                 seen.add(target)
                 order.append(target)
                 queue.append(target)
+        edges[src] = tuple(row)
     accepting = [name(s) for s in order if s & m.accepting]
-    return Sfa(alg, [name(s) for s in order], name(start), accepting, trans)
+    return _adopt_edges(Sfa(alg, [name(s) for s in order], name(start),
+                            accepting, trans), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +164,19 @@ def determinize(m):
 def _representative_letters(alg, preds):
     """Finite letter set hitting every region distinguishable by the given
     predicates; each region's least letter is included."""
+    return _region_letters(alg, [denote(alg, p) for p in preds])
+
+
+def _region_letters(alg, sems):
+    """_representative_letters over semantic sets."""
     if alg.is_interval:
         letters = {alg.dmin}
-        for p in preds:
-            for lo, hi in to_canonical_intervals(alg, p):
+        for sem in sems:
+            for lo, hi in sem:
                 letters.add(lo)
                 if hi is not SUP:
                     letters.add(hi)
         return sorted(letters)
-    sems = [denote(alg, p) for p in preds]
     by_sig = {}
     for d in alg.letters():
         sig = tuple(sem_contains(alg, s, d) for s in sems)
@@ -174,11 +196,12 @@ def minimize(m, form="neat"):
     if not flags.deterministic or not flags.complete:
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
-    letters = _representative_letters(alg, [p for _, p, _ in m.transitions])
-    out_sem = {q: [(denote(alg, p), d) for p, d in m.out(q)] for q in m.states}
+    edges = m.edges
+    letters = _region_letters(alg, [sem for row in edges.values()
+                                    for _, sem, _ in row])
 
     def step(q, a):
-        for sem, dst in out_sem[q]:
+        for _, sem, dst in edges[q]:
             if sem_contains(alg, sem, a):
                 return dst
         raise AssertionError("incomplete state %r at %r" % (q, a))
@@ -212,33 +235,35 @@ def minimize(m, form="neat"):
             break
         block = new_block
 
-    # canonical state order: ascending-letter DFS from the initial block
+    # canonical state order: ascending-letter DFS from the initial block,
+    # iterative (marked on pop, letters pushed in reverse) so that long
+    # chains cannot exhaust the call stack
     rep = {}
     for q in reach:
         rep.setdefault(block[q], q)
     order = []
     placed = set()
-
-    def visit(b):
+    stack = [block[m.initial]]
+    while stack:
+        b = stack.pop()
         if b in placed:
-            return
+            continue
         placed.add(b)
         order.append(b)
-        for a in letters:
-            visit(block[table[rep[b], a]])
-
-    visit(block[m.initial])
+        for a in reversed(letters):
+            stack.append(block[table[rep[b], a]])
+    position = {b: i for i, b in enumerate(order)}
     name = {b: "s%d" % i for i, b in enumerate(order)}
 
     trans = []
     for b in order:
         q = rep[b]
         groups = {}
-        for sem, dst in out_sem[q]:
+        for _, sem, dst in edges[q]:
             db = block[dst]
             groups[db] = sem_union(alg, groups.get(db, () if alg.is_interval
                                                    else frozenset()), sem)
-        for db in sorted(groups, key=lambda x: order.index(x)):
+        for db in sorted(groups, key=position.__getitem__):
             sem = groups[db]
             if sem_is_empty(sem):
                 continue
@@ -250,7 +275,7 @@ def minimize(m, form="neat"):
                 else:
                     trans.append((name[b], or_all(atoms), name[db]))
             else:
-                preds = [p for p, d in m.out(q) if block[d] == db]
+                preds = [p for p, _, d in edges[q] if block[d] == db]
                 label = or_all(preds)
                 if form == "neat":
                     for basic in basic_disjuncts(alg, label):
@@ -273,8 +298,8 @@ def is_empty(m):
         q = queue.popleft()
         if q in m.accepting:
             return False
-        for p, dst in m.out(q):
-            if dst not in seen and is_sat(m.algebra, p):
+        for _, sem, dst in m.edges[q]:
+            if dst not in seen and not sem_is_empty(sem):
                 seen.add(dst)
                 queue.append(dst)
     return True
@@ -291,8 +316,8 @@ def _shortest_accepted(m):
     while queue:
         q, w = queue.popleft()
         edges = []
-        for p, dst in m.out(q):
-            d = sem_min(alg, denote(alg, p))
+        for _, sem, dst in m.edges[q]:
+            d = sem_min(alg, sem)
             if d is not None:
                 edges.append((d, dst))
         for d, dst in sorted(edges, key=lambda e: e[0]):
@@ -307,19 +332,19 @@ def _shortest_accepted(m):
 
 def includes(m1, m2, mode="subset"):
     """mode=subset: True iff L(m1) <= L(m2); mode=equiv: True iff equal.
-    On failure returns a shortest witness word."""
+    On failure returns a shortest witness word: for equiv, a shortest word
+    of the symmetric difference, found by one search over the product of
+    the two completed machines."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
     if not classify(m1).deterministic or not classify(m2).deterministic:
         raise ValueError("includes needs deterministic inputs")
-    w = _shortest_accepted(product(m1, complement(m2), "intersect"))
-    if w is not None:
-        return w
-    if mode == "equiv":
-        w = _shortest_accepted(product(m2, complement(m1), "intersect"))
-        if w is not None:
-            return w
-    return True
+    if mode == "subset":
+        diff = product(m1, complement(m2), "intersect")
+    else:
+        diff = _product(complete_sfa(m1), complete_sfa(m2), operator.ne)
+    w = _shortest_accepted(diff)
+    return True if w is None else w
 
 
 def equiv(m1, m2):

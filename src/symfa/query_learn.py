@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import BOT, Lit, Not, TOP, and_all, contains, or_all, pred_equiv
-from .ops import complement, includes
+from .algebra import BOT, Lit, Not, TOP, and_all, contains, or_all
+from .ops import includes
 from .sfa import Sfa, accepts, classify
 
 
@@ -151,15 +151,6 @@ def enumerating_predicate_learner(k, oracle):
         if v in classified and classified[v] != b:
             raise ValueError("oracle contradicted an earlier answer")
         classified[v] = b
-
-
-def _is_length_one_language(hypothesis, sample_letters):
-    if accepts(hypothesis, ()):
-        return False
-    for w in itertools.product(sample_letters, repeat=2):
-        if accepts(hypothesis, w):
-            return False
-    return True
 
 
 def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,

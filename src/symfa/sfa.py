@@ -3,14 +3,14 @@ transformations to special forms, and the text file formats."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
-    Algebra, And, Bot, Interval, Lit, Not, Or, Pred, Top, TOP, INF,
-    and_all, contains, denote, format_letter, format_pred,
-    interval_piece_pred, intervals_to_pred, is_sat, ivl_complement,
-    ivl_union, or_all, parse_letter, parse_pred,
-    pred_equiv, pred_size, to_canonical_intervals,
+    Algebra, And, Bot, Interval, Lit, Not, Or, Pred, Top, TOP, INF, SUP,
+    and_all, denote, format_letter, format_pred, interval_piece_pred,
+    is_sat, or_all, parse_letter, parse_pred, pred_size, sem_complement,
+    sem_contains, sem_full, sem_union_all, to_canonical_intervals,
 )
 
 NEAT_TRANSITION_CAP = 10 ** 5
@@ -48,8 +48,47 @@ class Sfa:
             if not isinstance(pred, Pred):
                 raise ValueError("transition label is not a predicate")
 
+    @cached_property
+    def edges(self):
+        """State -> tuple of (guard, denotation, dst), in transition order.
+        Every guard is denoted once per machine, on first use; keeping the
+        table is safe because the machine is frozen."""
+        rows = {q: [] for q in self.states}
+        for src, pred, dst in self.transitions:
+            rows[src].append((pred, denote(self.algebra, pred), dst))
+        return {q: tuple(row) for q, row in rows.items()}
+
+    @cached_property
+    def flags(self):
+        """SfaFlags, computed on first use (see classify)."""
+        alg = self.algebra
+        deterministic = complete = True
+        for row in self.edges.values():
+            disjoint, covering = _partition_flags(alg, [s for _, s, _ in row])
+            deterministic = deterministic and disjoint
+            complete = complete and covering
+        trans = self.transitions
+        return SfaFlags(
+            deterministic=deterministic,
+            complete=complete,
+            neat=all(_is_basic(p) for _, p, _ in trans),
+            normalized=len({(s, d) for s, _, d in trans}) == len(trans),
+            feasible=all(s for row in self.edges.values()
+                         for _, s, _ in row),
+        )
+
     def out(self, q):
-        return [(p, dst) for src, p, dst in self.transitions if src == q]
+        return [(p, dst) for p, _, dst in self.edges[q]]
+
+
+def _adopt_edges(m, edges):
+    """Hand m the edge table its builder already computed, so that m never
+    denotes those guards again.  Skipped when Sfa's deduplication dropped a
+    transition, since the table would still list it; m then builds its own
+    table on first use."""
+    if sum(map(len, edges.values())) == len(m.transitions):
+        m.__dict__["edges"] = edges
+    return m
 
 
 @dataclass(frozen=True)
@@ -70,14 +109,13 @@ class SfaFlags:
 
 def accepts(m, w):
     """True iff some run of m over w ends in an accepting state."""
+    alg = m.algebra
+    edges = m.edges
     frontier = {m.initial}
     for d in w:
-        m.algebra.check_letter(d)
-        nxt = set()
-        for src, pred, dst in m.transitions:
-            if src in frontier and contains(m.algebra, pred, d):
-                nxt.add(dst)
-        frontier = nxt
+        alg.check_letter(d)
+        frontier = {dst for q in frontier for _, sem, dst in edges[q]
+                    if sem_contains(alg, sem, d)}
         if not frontier:
             return False
     return bool(frontier & m.accepting)
@@ -95,22 +133,30 @@ def _is_basic(pred):
     return False
 
 
+def _partition_flags(alg, sems):
+    """(pairwise disjoint, covering the domain) for one state's guard
+    denotations.  Intervals: one sweep over the pieces sorted by lower
+    end, O(m log m) for m pieces.  Prop: the union, whose size is the sum
+    of the sizes exactly when no two sets meet."""
+    if alg.is_interval:
+        disjoint = gapless = True
+        reach = alg.dmin  # every letter below reach is covered
+        for lo, hi in sorted(piece for s in sems for piece in s):
+            if lo < reach:
+                disjoint = False
+            elif lo > reach:
+                gapless = False
+            if hi > reach:
+                reach = hi
+        return disjoint, gapless and reach is SUP
+    union = sem_union_all(alg, sems)
+    return sum(map(len, sems)) == len(union), len(union) == 2 ** alg.k
+
+
 def classify(m):
-    alg = m.algebra
-    deterministic = True
-    complete = True
-    for q in m.states:
-        preds = [p for p, _ in m.out(q)]
-        for i in range(len(preds)):
-            for j in range(i + 1, len(preds)):
-                if is_sat(alg, And(preds[i], preds[j])):
-                    deterministic = False
-        if not pred_equiv(alg, or_all(preds), TOP):
-            complete = False
-    neat = all(_is_basic(p) for _, p, _ in m.transitions)
-    normalized = len({(s, d) for s, _, d in m.transitions}) == len(m.transitions)
-    feasible = all(is_sat(alg, p) for _, p, _ in m.transitions)
-    return SfaFlags(deterministic, complete, neat, normalized, feasible)
+    """Deterministic, complete, neat, normalized and feasible flags of m,
+    computed once per machine from its edge table."""
+    return m.flags
 
 
 def size_metrics(m):
@@ -221,25 +267,29 @@ def complete_sfa(m):
     gap intervals, at most one more than the state's out-degree."""
     alg = m.algebra
     sink = _fresh_state(m.states)
+    edges = dict(m.edges)
     extra = []
     for q in m.states:
-        preds = [p for p, _ in m.out(q)]
+        row = edges[q]
+        gap = sem_complement(alg, sem_union_all(alg, [s for _, s, _ in row]))
+        if not gap:
+            continue
         if alg.is_interval:
-            covered = ()
-            for p in preds:
-                covered = ivl_union(covered, to_canonical_intervals(alg, p))
-            for lo, hi in ivl_complement(covered, alg):
-                extra.append((q, interval_piece_pred(lo, hi), sink))
+            added = [(interval_piece_pred(lo, hi), ((lo, hi),), sink)
+                     for lo, hi in gap]
         else:
-            residual = Not(or_all(preds)) if preds else TOP
-            if is_sat(alg, residual):
-                extra.append((q, residual, sink))
+            residual = Not(or_all(p for p, _, _ in row)) if row else TOP
+            added = [(residual, gap, sink)]
+        edges[q] = row + tuple(added)
+        extra.extend((q, p, dst) for p, _, dst in added)
     if not extra:
         return m
     loop = Interval(alg.dmin, INF) if alg.is_interval else TOP
     extra.append((sink, loop, sink))
-    return Sfa(alg, tuple(m.states) + (sink,), m.initial, m.accepting,
-               tuple(m.transitions) + tuple(extra))
+    edges[sink] = ((loop, sem_full(alg), sink),)
+    return _adopt_edges(Sfa(alg, tuple(m.states) + (sink,), m.initial,
+                            m.accepting, tuple(m.transitions) + tuple(extra)),
+                        edges)
 
 
 # ---------------------------------------------------------------------------

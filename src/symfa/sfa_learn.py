@@ -5,8 +5,8 @@ generalizing, sample decontamination, and the char_sfa / infer_sfa pair."""
 from __future__ import annotations
 
 from .algebra import (
-    BOT, INF, SUP, Interval, contains, interval_piece_pred, min_model,
-    or_all,
+    BOT, INF, SUP, Interval, interval_piece_pred, min_model, or_all,
+    sem_contains, sem_min,
 )
 from .dfa_learn import Dfa, SampleIndex, char_dfa, infer_dfa, prefix_tree_dfa
 from .sfa import Sfa, accepts, classify, sample_dict
@@ -72,19 +72,19 @@ def concretize_sfa(m):
     if not flags.feasible:
         raise ValueError("concretize_sfa needs a feasible input")
     alg = m.algebra
-    alphabet = set()
-    for _, pred, _ in m.transitions:
-        alphabet.add(min_model(alg, pred))
+    alphabet = sorted({sem_min(alg, sem) for row in m.edges.values()
+                       for _, sem, _ in row})
     delta = {}
     for q in m.states:
-        edges = m.out(q)
-        for a in sorted(alphabet):
-            targets = [dst for pred, dst in edges if contains(alg, pred, a)]
+        edges = m.edges[q]
+        for a in alphabet:
+            targets = [dst for _, sem, dst in edges
+                       if sem_contains(alg, sem, a)]
             if len(targets) != 1:
                 raise ValueError("state %r has %d transitions on %r"
                                  % (q, len(targets), a))
             delta[q, a] = targets[0]
-    return Dfa(alg, sorted(alphabet), m.states, m.initial, m.accepting,
+    return Dfa(alg, alphabet, m.states, m.initial, m.accepting,
                delta)
 
 

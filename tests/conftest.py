@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings, strategies as st
 
-from symfa import INF, Interval, Or, Sfa
-from symfa.algebra import INTERVAL_NAT
+from symfa import And, BOT, INF, Interval, Lit, NEG_INF, Not, Or, Sfa, TOP
+from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra
+
+# Property tests run from a fixed seed and without a per-example deadline:
+# on a shared host whose speed drifts, a deadline fails slow examples at
+# random, and a random seed would make a failure hard to reproduce.
+settings.register_profile("symfa", deadline=None, derandomize=True)
+settings.load_profile("symfa")
 
 
 @pytest.fixture
@@ -59,3 +66,50 @@ def two_state_target():
 @pytest.fixture
 def four_state_target():
     return build_four_state_target()
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies: small machines over every algebra family, with
+# arbitrary guard trees, so that overlapping, gapped, empty and duplicated
+# guards all occur.
+
+ALGEBRAS = [INTERVAL_NAT, INTERVAL_INT] + [prop_algebra(k) for k in (1, 2, 3, 4)]
+
+
+def sample_letters(alg):
+    """Letters hitting every region the guards of `guards(alg)` can tell
+    apart."""
+    if not alg.is_interval:
+        return alg.letters()
+    low = [NEG_INF, -2] if alg == INTERVAL_INT else []
+    return low + [0, 1, 2, 3, 4, 5, 6, INF]
+
+
+def guards(alg):
+    if alg.is_interval:
+        ends = [0, 1, 3, 5, INF] + ([NEG_INF, -2] if alg == INTERVAL_INT
+                                    else [])
+        atoms = st.builds(Interval, st.sampled_from(ends),
+                          st.sampled_from(ends))
+    else:
+        atoms = st.builds(Lit, st.integers(0, alg.k - 1), st.booleans())
+    return st.recursive(
+        atoms | st.sampled_from([TOP, BOT]),
+        lambda sub: (st.builds(Not, sub) | st.builds(And, sub, sub)
+                     | st.builds(Or, sub, sub)),
+        max_leaves=4)
+
+
+@st.composite
+def machines(draw, alg):
+    names = ["q%d" % i for i in range(draw(st.integers(1, 4)))]
+    state = st.sampled_from(names)
+    trans = draw(st.lists(st.tuples(state, guards(alg), state), max_size=8))
+    accepting = draw(st.lists(state, unique=True))
+    return Sfa(alg, names, "q0", accepting, trans)
+
+
+def machine_pairs():
+    """Two machines over one algebra."""
+    return st.sampled_from(ALGEBRAS).flatmap(
+        lambda alg: st.tuples(machines(alg), machines(alg)))

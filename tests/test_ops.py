@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from symfa import (
     INF, Interval, Not, Or, Sfa, TOP, accepts, classify, complement,
-    complete_sfa, determinize, equiv, includes, is_empty, minimize, product,
+    complete_sfa, denote, determinize, equiv, includes, is_empty, minimize,
+    product,
 )
 from symfa.algebra import INTERVAL_NAT, prop_algebra, Lit
 from symfa.generate import random_sfa, rename_and_rebracket
+from symfa.sfa import _adopt_edges
+
+from conftest import machine_pairs
 
 
 def one_letter_machine(lo, hi):
@@ -133,6 +138,86 @@ def test_equiv_witness_is_shortest():
     )))
     witness = includes(m1, m2, "equiv")
     assert witness == (300,)
+
+
+def test_equiv_witness_is_shortest_on_either_side():
+    # L(m1)\L(m2) holds only words of length >= 3, L(m2)\L(m1) the
+    # one-letter words: the shortest witness comes from the second side
+    at_least_3 = Sfa(INTERVAL_NAT, ("l0", "l1", "l2", "l3"), "l0", ("l3",), (
+        ("l0", TOP, "l1"), ("l1", TOP, "l2"), ("l2", TOP, "l3"),
+        ("l3", TOP, "l3"),
+    ))
+    exactly_1 = complete_sfa(Sfa(INTERVAL_NAT, ("e0", "e1"), "e0", ("e1",), (
+        ("e0", TOP, "e1"),
+    )))
+    assert includes(at_least_3, exactly_1, "equiv") == (0,)
+    assert includes(exactly_1, at_least_3, "equiv") == (0,)
+
+
+def test_minimize_names_states_in_dfs_preorder():
+    # ascending-letter depth-first order: a, then b (on 0) and its
+    # successor d, and only then c (on 10)
+    m = Sfa(INTERVAL_NAT, ("a", "b", "c", "d"), "a", ("d",), (
+        ("a", Interval(0, 10), "b"), ("a", Interval(10, INF), "c"),
+        ("b", TOP, "d"), ("c", TOP, "c"), ("d", TOP, "d"),
+    ))
+    small = minimize(m, "neat")
+    assert small.accepting == {"s2"}
+    assert small.transitions == (
+        ("s0", Interval(0, 10), "s1"), ("s0", Interval(10, INF), "s3"),
+        ("s1", Interval(0, INF), "s2"), ("s2", Interval(0, INF), "s2"),
+        ("s3", Interval(0, INF), "s3"),
+    )
+
+
+def test_minimize_long_chain():
+    # a chain deeper than the interpreter's recursion limit
+    n = 1500
+    names = ["c%d" % i for i in range(n)]
+    m = Sfa(INTERVAL_NAT, names, "c0", (names[-1],),
+            [(names[i], TOP, names[min(i + 1, n - 1)]) for i in range(n)])
+    small = minimize(m, "neat")
+    assert small.states == tuple("s%d" % i for i in range(n))
+    assert small.accepting == {"s%d" % (n - 1)}
+    assert accepts(small, (0,) * (n - 1))
+    assert not accepts(small, (0,) * (n - 2))
+
+
+def assert_edges_are_denotations(m):
+    """m's edge table lists its transitions by state, each with the
+    denotation of its guard."""
+    rank = {q: i for i, q in enumerate(m.states)}
+    by_state = sorted(m.transitions, key=lambda t: rank[t[0]])
+    assert [(q, p, d) for q in m.states for p, _, d in m.edges[q]] \
+        == by_state
+    for row in m.edges.values():
+        for p, sem, _ in row:
+            assert sem == denote(m.algebra, p)
+
+
+@given(machine_pairs())
+def test_stored_denotations_equal_denote(pair):
+    m1, m2 = pair
+    det1, det2 = determinize(m1), determinize(m2)
+    done1, done2 = complete_sfa(det1), complete_sfa(det2)
+    outputs = [product(m1, m2), product(done1, done2, "union"), det1,
+               complement(det1)]
+    if done1 is not det1:
+        outputs.append(done1)
+    for out in outputs:
+        # handed over by the operation, not rebuilt from the guards
+        assert "edges" in vars(out)
+        assert_edges_are_denotations(out)
+
+
+def test_adopted_edges_skipped_after_deduplication():
+    edge = ("a", Interval(0, 5), "a")
+    m = Sfa(INTERVAL_NAT, ("a",), "a", (), (edge, edge))
+    assert len(m.transitions) == 1
+    out = _adopt_edges(m, {"a": ((edge[1], ((0, 5),), "a"),) * 2})
+    assert "edges" not in vars(out)
+    assert out.edges == {"a": ((edge[1], ((0, 5),), "a"),)}
+    assert_edges_are_denotations(out)
 
 
 def test_ops_against_concrete_walk():

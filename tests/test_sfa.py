@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from symfa import (
     And, INF, Interval, Not, Or, Sfa, TOP, accepts, classify, complete_sfa,
-    format_sample, format_sfa, make_feasible, parse_sample, parse_sfa,
-    pred_equiv, sample_dict, size_metrics, to_neat, to_normalized,
+    contains, determinize, format_sample, format_sfa, is_sat, make_feasible,
+    or_all, parse_sample, parse_sfa, pred_equiv, sample_dict, size_metrics,
+    to_neat, to_normalized,
 )
 from symfa.algebra import INTERVAL_NAT
 from symfa.ops import equiv
 
-from conftest import TWO_STATE_SAMPLE, build_two_state_target
+from conftest import (
+    ALGEBRAS, TWO_STATE_SAMPLE, build_two_state_target, machines,
+    sample_letters,
+)
 
 
 def test_classify_two_state_target(two_state_target):
@@ -157,3 +162,53 @@ def test_transition_validation():
         Sfa(INTERVAL_NAT, ("a",), "a", ("b",), ())
     with pytest.raises(ValueError):
         Sfa(INTERVAL_NAT, ("a",), "a", (), (("a", TOP, "b"),))
+
+
+def reference_flags(m):
+    """classify's pairwise definition on guard trees: a satisfiability
+    query per pair of guards at a state, an equivalence query per state,
+    and a satisfiability query per transition."""
+    alg = m.algebra
+    deterministic = complete = True
+    for q in m.states:
+        preds = [p for src, p, _ in m.transitions if src == q]
+        for i in range(len(preds)):
+            for j in range(i + 1, len(preds)):
+                if is_sat(alg, And(preds[i], preds[j])):
+                    deterministic = False
+        if not pred_equiv(alg, or_all(preds), TOP):
+            complete = False
+    feasible = all(is_sat(alg, p) for _, p, _ in m.transitions)
+    return deterministic, complete, feasible
+
+
+def reference_accepts(m, w):
+    """Acceptance by evaluating every transition's guard tree."""
+    frontier = {m.initial}
+    for d in w:
+        frontier = {dst for src, p, dst in m.transitions
+                    if src in frontier and contains(m.algebra, p, d)}
+    return bool(frontier & m.accepting)
+
+
+any_machine = st.sampled_from(ALGEBRAS).flatmap(machines)
+
+
+@given(any_machine)
+def test_classify_matches_pairwise_reference(m):
+    # the completed and determinized forms reach the deterministic and
+    # complete cases that random transitions seldom hit
+    det = determinize(m)
+    for x in (m, complete_sfa(m), det, complete_sfa(det)):
+        flags = classify(x)
+        got = (flags.deterministic, flags.complete, flags.feasible)
+        assert got == reference_flags(x)
+
+
+@given(any_machine, st.data())
+def test_accepts_matches_transition_walk(m, data):
+    letters = sample_letters(m.algebra)
+    words = data.draw(st.lists(st.lists(st.sampled_from(letters),
+                                        max_size=4), max_size=12))
+    for w in words:
+        assert accepts(m, w) == reference_accepts(m, w)

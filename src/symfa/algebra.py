@@ -93,13 +93,16 @@ class Algebra:
                     and set(d) <= {"0", "1"}):
                 raise ValueError("bad prop letter: %r" % (d,))
         else:
-            if d == INF or d == NEG_INF:
+            # the exact type: bool is a subclass of int, but not a letter
+            if type(d) is int:
+                if self.kind == "interval-nat" and d < 0:
+                    raise ValueError("negative letter over interval-nat: %r"
+                                     % (d,))
+            elif d == INF or d == NEG_INF:
                 if self.kind == "interval-nat" and d == NEG_INF:
                     raise ValueError("-inf is not a natural letter")
-            elif not isinstance(d, int):
+            else:
                 raise ValueError("bad interval letter: %r" % (d,))
-            elif self.kind == "interval-nat" and d < 0:
-                raise ValueError("negative letter over interval-nat: %r" % (d,))
         return d
 
 
@@ -392,12 +395,6 @@ def sem_intersect(alg, a, b):
     return a & b
 
 
-def sem_union(alg, a, b):
-    if alg.is_interval:
-        return ivl_union(a, b)
-    return a | b
-
-
 def sem_union_all(alg, sems):
     """Union of any number of semantic sets, in one pass: O(m log m) for m
     interval pieces."""
@@ -428,6 +425,46 @@ def sem_contains(alg, a, d):
     if alg.is_interval:
         return ivl_contains(a, d)
     return _letter_to_int(d) in a
+
+
+def sem_regions(alg, sems):
+    """The common refinement of the given semantic sets: non-empty,
+    pairwise disjoint regions covering the domain, on each of which every
+    set is constant, ordered by least letter.  Intervals: one region per
+    segment between consecutive endpoints.  Prop: one region per
+    membership signature."""
+    if alg.is_interval:
+        ends = sorted({alg.dmin} | {x for s in sems for piece in s
+                                    for x in piece if x is not SUP})
+        return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
+    by_sig = {}
+    for v in range(2 ** alg.k):
+        by_sig.setdefault(tuple(v in s for s in sems), []).append(v)
+    return [frozenset(vs) for vs in by_sig.values()]
+
+
+def sem_pieces(alg, a):
+    """Basic predicates for a non-empty semantic set, as (predicate,
+    denotation) pairs: pairwise disjoint, ascending, and determined by the
+    set alone.  Intervals: one per canonical piece.  Prop: the largest
+    cubes that fix the leading propositions, p0 first."""
+    if alg.is_interval:
+        return [(interval_piece_pred(lo, hi), ((lo, hi),)) for lo, hi in a]
+    vals = sorted(a)
+    out = []
+    i = 0
+    while i < len(vals):
+        v, size = vals[i], 1
+        # grow the aligned block [v, v + size) while the set fills it
+        while (v % (2 * size) == 0 and i + 2 * size <= len(vals)
+               and vals[i + 2 * size - 1] == v + 2 * size - 1):
+            size *= 2
+        fixed = alg.k - (size.bit_length() - 1)
+        cube = and_all(Lit(j, bool(v >> (alg.k - 1 - j) & 1))
+                       for j in range(fixed))
+        out.append((cube, frozenset(range(v, v + size))))
+        i += size
+    return out
 
 
 # ---------------------------------------------------------------------------

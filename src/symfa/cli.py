@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: decision subcommands use 0 for a true verdict, 1 for false,
-2 for usage or input errors.  Everything else uses 0 on success and 2 on
-error.
+2 for usage or input errors and for any other failure, which is reported
+as one "error:" line on stderr.  Everything else uses 0 on success and 2
+on error.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import random
 import sys
 
 from .algebra import Algebra
+from .generate import random_sfa
 from .ops import complement, determinize, equiv, includes, is_empty, \
     minimize, product
 from .sfa import (
-    accepts, complete_sfa, format_sample, format_sfa, make_feasible,
-    parse_sample, parse_sfa, parse_word, to_neat, to_normalized,
+    accepts, complete_sfa, format_sample, format_sfa, format_word,
+    make_feasible, parse_sample, parse_sfa, parse_word, to_neat,
+    to_normalized,
 )
 from .sfa_learn import char_sfa, decontaminate, infer_sfa
 from .query_learn import adversarial_prop_teacher, \
@@ -162,7 +165,6 @@ def _cmd_decide(args):
     if result is True:
         print("yes")
         return 0
-    from .sfa import format_word
     print("no")
     print("counterexample: %s" % (format_word(result) or "(empty word)"))
     return 1
@@ -195,7 +197,6 @@ def _cmd_qlearn(args):
 
 
 def _cmd_bench(args):
-    from .generate import random_sfa
     rng = random.Random(args.seed)
     passed = 0
     for _ in range(args.count):
@@ -226,7 +227,9 @@ def main(argv=None):
             return _cmd_qlearn(args)
         if args.command == "bench":
             return _cmd_bench(args)
-    except (ValueError, OSError) as exc:
+    except Exception as exc:
+        # bad input (ValueError, OSError) or a failure inside the library:
+        # one line, and exit 2 so that no failure reads as a verdict of 1
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 2

@@ -281,12 +281,15 @@ def infer_dfa(sample, algebra, alphabet=None):
 
 
 # ---------------------------------------------------------------------------
-# Concrete minimization (used to build minimal inputs for char_dfa)
+# Concrete minimization: the partition-refinement core, also behind
+# ops.minimize
 
 
 def minimize_dfa(d):
     """Minimal complete DFA for d's language, states renamed s0, s1, ...
-    in ascending-letter depth-first order."""
+    in ascending-letter depth-first order (iterative, so long chains
+    cannot exhaust the call stack).  Moore refinement over the states
+    reachable from the initial one."""
     reach = [d.initial]
     seen = {d.initial}
     i = 0

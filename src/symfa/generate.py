@@ -3,7 +3,10 @@ test suite."""
 
 from __future__ import annotations
 
-from .algebra import And, INF, Interval, Not, Or, TOP, BOT, or_all
+from .algebra import (
+    And, BOT, INF, INTERVAL_NAT, Interval, Not, Or, TOP, interval_piece_pred,
+    or_all, to_canonical_intervals,
+)
 from .dfa_learn import Dfa, minimize_dfa
 from .ops import minimize
 from .sfa import Sfa, accepts
@@ -14,7 +17,6 @@ def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
     """Random minimal deterministic complete feasible neat SFA over an
     interval algebra.  Each state's outgoing predicates partition the
     domain into at most max_out intervals."""
-    from .algebra import INTERVAL_NAT
     alg = alg or INTERVAL_NAT
     n = rng.randint(1, max_states)
     states = ["q%d" % i for i in range(n)]
@@ -37,7 +39,6 @@ def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
 
 def random_dfa(rng, max_states=6, max_alpha=4):
     """Random minimal complete DFA over a small integer alphabet."""
-    from .algebra import INTERVAL_NAT
     size = rng.randint(1, max_alpha)
     alphabet = sorted(rng.sample(range(0, 10), size))
     n = rng.randint(1, max_states)
@@ -101,7 +102,6 @@ def random_pred(rng, alg, depth=4, max_endpoint=1000):
 def rebracket(rng, alg, pred):
     """Semantics-preserving syntactic variation of an interval predicate:
     split atoms, add double negations, swap operand order."""
-    from .algebra import interval_piece_pred, to_canonical_intervals
     ivls = to_canonical_intervals(alg, pred)
     parts = []
     for lo, hi in ivls:

@@ -8,13 +8,11 @@ import operator
 from collections import deque
 
 from .algebra import (
-    And, Not, SUP, and_all, denote, interval_piece_pred, or_all,
-    sem_complement, sem_contains, sem_full, sem_intersect, sem_is_empty,
-    sem_min, sem_union,
+    And, Not, and_all, denote, or_all, sem_contains, sem_intersect,
+    sem_is_empty, sem_min, sem_pieces, sem_regions, sem_union_all,
 )
-from .sfa import Sfa, _adopt_edges, basic_disjuncts, classify, complete_sfa
-
-MINTERM_CAP = 2 ** 20
+from .dfa_learn import Dfa, minimize_dfa
+from .sfa import Sfa, _adopt_edges, classify, complete_sfa, transition_table
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
@@ -87,32 +85,12 @@ def complement(m):
                         c.edges)
 
 
-def _minterms(alg, sems):
-    """All satisfiable sign assignments over the given semantic sets,
-    yielding (positive index set, region).  Unsatisfiable branches are
-    pruned early."""
-    out = []
-
-    def walk(i, region, pos):
-        if len(out) > MINTERM_CAP:
-            raise ValueError("minterm count exceeds cap")
-        if sem_is_empty(region):
-            return
-        if i == len(sems):
-            out.append((frozenset(pos), region))
-            return
-        walk(i + 1, sem_intersect(alg, region, sems[i]), pos + [i])
-        walk(i + 1, sem_intersect(alg, region, sem_complement(alg, sems[i])),
-             pos)
-
-    walk(0, sem_full(alg), [])
-    return out
-
-
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
-    minterm of the outgoing predicates.  The output gets the minterm
-    regions as its edge table."""
+    minterm of the outgoing predicates: the letters on which every
+    predicate holds or fails alike, grouped from sem_regions.  Minterms are
+    listed with positive signs first, predicate by predicate.  The output
+    gets the minterm regions as its edge table."""
     alg = m.algebra
     table = m.edges
 
@@ -138,15 +116,23 @@ def determinize(m):
                     sems.append(sem)
                     dst_map.append(set())
                 dst_map[preds.index(p)].add(d)
+        # keyed by the negated signature, so that sorting puts positive
+        # signs first
+        minterms = {}
+        for region in sem_regions(alg, sems):
+            a = sem_min(alg, region)
+            minterms.setdefault(tuple(not sem_contains(alg, s, a)
+                                      for s in sems), []).append(region)
         row = []
-        for pos, region in _minterms(alg, sems):
-            if not pos:
+        for neg in sorted(minterms):
+            if all(neg):
                 continue
-            target = frozenset().union(*(dst_map[i] for i in pos))
-            label = and_all([preds[i] if i in pos else Not(preds[i])
-                             for i in range(len(preds))])
+            target = frozenset().union(*(ds for ds, n in zip(dst_map, neg)
+                                         if not n))
+            label = and_all([Not(p) if n else p for p, n in zip(preds, neg)])
             trans.append((src, label, name(target)))
-            row.append((label, region, name(target)))
+            row.append((label, sem_union_all(alg, minterms[neg]),
+                        name(target)))
             if target not in seen:
                 seen.add(target)
                 order.append(target)
@@ -163,32 +149,22 @@ def determinize(m):
 
 def _representative_letters(alg, preds):
     """Finite letter set hitting every region distinguishable by the given
-    predicates; each region's least letter is included."""
-    return _region_letters(alg, [denote(alg, p) for p in preds])
-
-
-def _region_letters(alg, sems):
-    """_representative_letters over semantic sets."""
-    if alg.is_interval:
-        letters = {alg.dmin}
-        for sem in sems:
-            for lo, hi in sem:
-                letters.add(lo)
-                if hi is not SUP:
-                    letters.add(hi)
-        return sorted(letters)
-    by_sig = {}
-    for d in alg.letters():
-        sig = tuple(sem_contains(alg, s, d) for s in sems)
-        by_sig.setdefault(sig, d)
-    return sorted(by_sig.values())
+    predicates: each region's least letter, ascending."""
+    return [sem_min(alg, r)
+            for r in sem_regions(alg, [denote(alg, p) for p in preds])]
 
 
 def minimize(m, form="neat"):
-    """Minimal-state deterministic complete SFA for L(m), canonical:
-    form=neat emits one maximal-region basic predicate per transition,
-    form=normalized one disjunction per state pair ordered by least
-    elements.  States are renamed s0, s1, ... in ascending-letter
+    """Minimal-state deterministic complete SFA for L(m), canonical.  m is
+    read as a DFA with one letter per region of its guards' common
+    refinement (sem_regions), minimize_dfa minimizes that DFA, and each
+    output guard is rebuilt from the union of its letters' regions, so it
+    depends on L(m) alone, never on the input's guard syntax:
+    form=neat emits one transition per piece of that union (sem_pieces:
+    an interval piece, or a prop cube fixing the leading propositions),
+    so the output is deterministic; form=normalized one disjunction of
+    those pieces per state pair.  Transitions leave each state ordered by
+    destination.  States are renamed s0, s1, ... in ascending-letter
     depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
@@ -196,94 +172,31 @@ def minimize(m, form="neat"):
     if not flags.deterministic or not flags.complete:
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
-    edges = m.edges
-    letters = _region_letters(alg, [sem for row in edges.values()
-                                    for _, sem, _ in row])
-
-    def step(q, a):
-        for _, sem, dst in edges[q]:
-            if sem_contains(alg, sem, a):
-                return dst
-        raise AssertionError("incomplete state %r at %r" % (q, a))
-
-    # reachable states and the concrete transition table
-    reach = [m.initial]
-    seen = {m.initial}
-    table = {}
-    i = 0
-    while i < len(reach):
-        q = reach[i]
-        i += 1
-        for a in letters:
-            dst = step(q, a)
-            table[q, a] = dst
-            if dst not in seen:
-                seen.add(dst)
-                reach.append(dst)
-
-    # Moore partition refinement
-    block = {q: (q in m.accepting) for q in reach}
-    while True:
-        sig = {q: (block[q],) + tuple(block[table[q, a]] for a in letters)
-               for q in reach}
-        ids = {}
-        new_block = {}
-        for q in reach:
-            new_block[q] = ids.setdefault(sig[q], len(ids))
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    # canonical state order: ascending-letter DFS from the initial block,
-    # iterative (marked on pop, letters pushed in reverse) so that long
-    # chains cannot exhaust the call stack
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    order = []
-    placed = set()
-    stack = [block[m.initial]]
-    while stack:
-        b = stack.pop()
-        if b in placed:
-            continue
-        placed.add(b)
-        order.append(b)
-        for a in reversed(letters):
-            stack.append(block[table[rep[b], a]])
-    position = {b: i for i, b in enumerate(order)}
-    name = {b: "s%d" % i for i, b in enumerate(order)}
-
+    regions = sem_regions(alg, [sem for row in m.edges.values()
+                                for _, sem, _ in row])
+    letters = [sem_min(alg, r) for r in regions]
+    d = minimize_dfa(Dfa(alg, letters, m.states, m.initial, m.accepting,
+                         transition_table(m, letters)))
+    region_of = dict(zip(letters, regions))
+    position = {q: i for i, q in enumerate(d.states)}
     trans = []
-    for b in order:
-        q = rep[b]
+    edges = {}
+    for q in d.states:
         groups = {}
-        for _, sem, dst in edges[q]:
-            db = block[dst]
-            groups[db] = sem_union(alg, groups.get(db, () if alg.is_interval
-                                                   else frozenset()), sem)
-        for db in sorted(groups, key=position.__getitem__):
-            sem = groups[db]
-            if sem_is_empty(sem):
-                continue
-            if alg.is_interval:
-                atoms = [interval_piece_pred(lo, hi) for lo, hi in sem]
-                if form == "neat":
-                    for atom in atoms:
-                        trans.append((name[b], atom, name[db]))
-                else:
-                    trans.append((name[b], or_all(atoms), name[db]))
+        for a in d.alphabet:
+            groups.setdefault(d.delta[q, a], []).append(region_of[a])
+        row = []
+        for dst in sorted(groups, key=position.__getitem__):
+            sem = sem_union_all(alg, groups[dst])
+            pieces = sem_pieces(alg, sem)
+            if form == "neat":
+                row.extend((p, s, dst) for p, s in pieces)
             else:
-                preds = [p for p, _, d in edges[q] if block[d] == db]
-                label = or_all(preds)
-                if form == "neat":
-                    for basic in basic_disjuncts(alg, label):
-                        trans.append((name[b], basic, name[db]))
-                else:
-                    trans.append((name[b], label, name[db]))
-    return Sfa(alg, [name[b] for b in order], name[block[m.initial]],
-               [name[b] for b in order if rep[b] in m.accepting], trans)
+                row.append((or_all(p for p, _ in pieces), sem, dst))
+        trans.extend((q, p, dst) for p, _, dst in row)
+        edges[q] = tuple(row)
+    return _adopt_edges(Sfa(alg, d.states, d.initial, d.accepting, trans),
+                        edges)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import BOT, Lit, Not, TOP, and_all, contains, or_all
+from .algebra import Lit, Not, TOP, and_all, contains, or_all, prop_algebra
 from .ops import includes
 from .sfa import Sfa, accepts, classify
 
@@ -85,7 +85,6 @@ class AdversarialPropTeacher(Oracle):
         if not 1 <= k <= 10:
             raise ValueError("need 1 <= k <= 10")
         self.k = k
-        from .algebra import prop_algebra
         self.algebra = prop_algebra(k)
         self.pool = list(self.algebra.letters())
         self.s_plus = []
@@ -129,7 +128,6 @@ def enumerating_predicate_learner(k, oracle):
     membership query per unclassified valuation, proposes the disjunction
     of the positive minterms, and incorporates counterexamples without ever
     re-querying a classified word."""
-    from .algebra import prop_algebra
     alg = prop_algebra(k)
     classified = {}
     for v in alg.letters():
@@ -137,9 +135,7 @@ def enumerating_predicate_learner(k, oracle):
             classified[v] = oracle.mq((v,))
     while True:
         psi = or_all(_minterm_of(v) for v, b in sorted(classified.items())
-                     if b) or BOT
-        if not any(classified.values()):
-            psi = BOT
+                     if b)
         result = oracle.eq(basic_sfa(alg, psi))
         if result is True:
             return psi
@@ -182,7 +178,7 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
                     state["last_long"] = w
                     return (w, 0)
             psi = or_all(_minterm_of(v) for v in letters
-                         if accepts(hypothesis, (v,))) or BOT
+                         if accepts(hypothesis, (v,)))
             result = algebra_oracle.eq(psi)
             if result is True:
                 state["answer"] = psi

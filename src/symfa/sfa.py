@@ -121,6 +121,16 @@ def accepts(m, w):
     return bool(frontier & m.accepting)
 
 
+def transition_table(m, letters):
+    """(state, letter) -> destination for every state of a deterministic
+    complete m: the first edge whose guard holds the letter, which is the
+    only one."""
+    alg = m.algebra
+    return {(q, a): next(dst for _, sem, dst in row
+                         if sem_contains(alg, sem, a))
+            for q, row in m.edges.items() for a in letters}
+
+
 def _is_basic(pred):
     """A basic predicate: a conjunction of atoms and negated atoms (the
     empty conjunction, written true, is allowed)."""

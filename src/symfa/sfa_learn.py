@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from .algebra import (
     BOT, INF, SUP, Interval, interval_piece_pred, min_model, or_all,
-    sem_contains, sem_min,
+    sem_min,
 )
 from .dfa_learn import Dfa, SampleIndex, char_dfa, infer_dfa, prefix_tree_dfa
-from .sfa import Sfa, accepts, classify, sample_dict
+from .sfa import Sfa, accepts, classify, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
@@ -74,18 +74,8 @@ def concretize_sfa(m):
     alg = m.algebra
     alphabet = sorted({sem_min(alg, sem) for row in m.edges.values()
                        for _, sem, _ in row})
-    delta = {}
-    for q in m.states:
-        edges = m.edges[q]
-        for a in alphabet:
-            targets = [dst for _, sem, dst in edges
-                       if sem_contains(alg, sem, a)]
-            if len(targets) != 1:
-                raise ValueError("state %r has %d transitions on %r"
-                                 % (q, len(targets), a))
-            delta[q, a] = targets[0]
     return Dfa(alg, alphabet, m.states, m.initial, m.accepting,
-               delta)
+               transition_table(m, alphabet))
 
 
 def generalize_dfa(d):

@@ -41,6 +41,23 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_deep_guard_never_reads_as_a_verdict(tmp_path, capsys):
+    # a guard of 3000 disjuncts; a failure inside the library must give
+    # exit code 2 and one error line, never a traceback and never the
+    # nonmember verdict 1
+    deep = tmp_path / "deep.sfa"
+    guard = " | ".join("[%d,%d)" % (2 * i, 2 * i + 1) for i in range(3000))
+    deep.write_text("algebra interval-nat\nstates a b\ninitial a\n"
+                    "accepting b\ntrans a b %s\n" % guard)
+    code = main(["decide", "member", str(deep), "4"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.strip() == "member"
+    else:
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_decide_member(model_file, capsys):
     assert main(["decide", "member", model_file, "0 100"]) == 0
     assert "member" in capsys.readouterr().out

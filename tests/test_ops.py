@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from symfa import (
-    INF, Interval, Not, Or, Sfa, TOP, accepts, classify, complement,
+    And, INF, Interval, Not, Or, Sfa, TOP, accepts, classify, complement,
     complete_sfa, denote, determinize, equiv, includes, is_empty, minimize,
     product,
 )
@@ -12,7 +12,7 @@ from symfa.algebra import INTERVAL_NAT, prop_algebra, Lit
 from symfa.generate import random_sfa, rename_and_rebracket
 from symfa.sfa import _adopt_edges
 
-from conftest import machine_pairs
+from conftest import ALGEBRAS, machine_pairs, machines
 
 
 def one_letter_machine(lo, hi):
@@ -68,6 +68,23 @@ def test_determinize():
     assert flags.deterministic
     for w in ((3,), (7,), (12,), (3, 3), (7, 1)):
         assert accepts(det, w) == accepts(m, w)
+
+
+def test_determinize_lists_minterms_positive_first():
+    # signs over ([0,10), [5,20)) in the order ++, +-, -+; the minterm
+    # outside both guards has no destination
+    a, b = Interval(0, 10), Interval(5, 20)
+    m = Sfa(INTERVAL_NAT, ("a", "b", "c"), "a", ("c",), (
+        ("a", a, "b"), ("a", b, "c"),
+    ))
+    det = determinize(m)
+    assert det.transitions[:3] == (
+        ("{a}", And(a, b), "{b,c}"),
+        ("{a}", And(a, Not(b)), "{b}"),
+        ("{a}", And(Not(a), b), "{c}"),
+    )
+    assert [sem for _, sem, _ in det.edges["{a}"]] == [
+        ((5, 10),), ((0, 5),), ((10, 20),)]
 
 
 def test_determinize_prop():
@@ -201,13 +218,77 @@ def test_stored_denotations_equal_denote(pair):
     det1, det2 = determinize(m1), determinize(m2)
     done1, done2 = complete_sfa(det1), complete_sfa(det2)
     outputs = [product(m1, m2), product(done1, done2, "union"), det1,
-               complement(det1)]
+               complement(det1), minimize(done1, "neat"),
+               minimize(done1, "normalized")]
     if done1 is not det1:
         outputs.append(done1)
     for out in outputs:
         # handed over by the operation, not rebuilt from the guards
         assert "edges" in vars(out)
         assert_edges_are_denotations(out)
+
+
+def test_minimize_prop_guards_are_aligned_cubes():
+    # p0 | p1 holds on valuations 01, 10, 11: the cubes !p0 & p1 and p0,
+    # never the overlapping p0 and p1
+    p2 = prop_algebra(2)
+    m = Sfa(p2, ("a", "b"), "a", ("b",), (
+        ("a", Or(Lit(0), Lit(1)), "b"),
+        ("a", And(Lit(0, False), Lit(1, False)), "a"),
+        ("b", TOP, "b"),
+    ))
+    neat = minimize(m, "neat")
+    assert neat.transitions == (
+        ("s0", And(Lit(0, False), Lit(1, False)), "s0"),
+        ("s0", And(Lit(0, False), Lit(1, True)), "s1"),
+        ("s0", Lit(0, True), "s1"),
+        ("s1", TOP, "s1"),
+    )
+    assert minimize(m, "normalized").transitions[1] == (
+        "s0", Or(And(Lit(0, False), Lit(1, True)), Lit(0, True)), "s1")
+
+
+def rewrite_guard(p):
+    """An equivalent guard in other syntax: De Morgan on every And and Or,
+    a double negation on every atom."""
+    if isinstance(p, And):
+        return Not(Or(Not(rewrite_guard(p.left)),
+                      Not(rewrite_guard(p.right))))
+    if isinstance(p, Or):
+        return Not(And(Not(rewrite_guard(p.left)),
+                       Not(rewrite_guard(p.right))))
+    if isinstance(p, Not):
+        return Not(rewrite_guard(p.child))
+    return Not(Not(p))
+
+
+prop_machines = st.sampled_from(
+    [alg for alg in ALGEBRAS if not alg.is_interval]).flatmap(machines)
+
+
+@given(prop_machines)
+def test_prop_minimize_neat_is_deterministic_and_complete(m):
+    done = complete_sfa(determinize(m))
+    flags = classify(minimize(done, "neat"))
+    assert flags.deterministic and flags.complete and flags.neat
+    for form in ("neat", "normalized"):
+        assert equiv(minimize(done, form), done)
+
+
+@given(prop_machines)
+def test_prop_minimize_is_canonical(m):
+    # equal output for a renamed machine whose guards are written in
+    # other syntax, and a fixed point
+    done = complete_sfa(determinize(m))
+    ren = {q: "r%d" % i for i, q in enumerate(reversed(done.states))}
+    variant = Sfa(done.algebra, [ren[q] for q in done.states],
+                  ren[done.initial], [ren[q] for q in done.accepting],
+                  [(ren[s], rewrite_guard(p), ren[d])
+                   for s, p, d in done.transitions])
+    for form in ("neat", "normalized"):
+        once = minimize(done, form)
+        assert minimize(variant, form) == once
+        assert minimize(once, form) == once
 
 
 def test_adopted_edges_skipped_after_deduplication():

@@ -164,6 +164,13 @@ def test_transition_validation():
         Sfa(INTERVAL_NAT, ("a",), "a", (), (("a", TOP, "b"),))
 
 
+def test_accepts_rejects_bool_letters(two_state_target):
+    # bool is a subclass of int, but True is not the letter 1
+    with pytest.raises(ValueError):
+        accepts(two_state_target, (True, False))
+    assert accepts(two_state_target, (1, 0))
+
+
 def reference_flags(m):
     """classify's pairwise definition on guard trees: a satisfiability
     query per pair of guards at a state, an equivalence query per state,

@@ -1,0 +1,24 @@
+"""The runtime imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "symfa"
+
+
+def test_runtime_imports_are_stdlib_only():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -134,7 +134,9 @@ class Bot(Pred):
 
 @dataclass(frozen=True)
 class Interval(Pred):
-    """Atomic interval predicate [lo, hi); hi == INF is closed at the top."""
+    """Atomic interval predicate [lo, hi); hi == INF is closed at the top,
+    so [inf,inf) is the singleton {inf}.  Any other lo >= hi is accepted
+    and denotes the empty set."""
 
     lo: object
     hi: object
@@ -169,24 +171,29 @@ TOP = Top()
 BOT = Bot()
 
 
-def and_all(preds):
+def _chain(op, preds, empty):
+    """Balanced chain of op over preds, split at (lo + hi + 1) // 2: up to
+    three operands give the left-deep chain, and n operands give depth
+    ceil(log2 n) + 1 with the same node count and the same printed text."""
     preds = list(preds)
     if not preds:
-        return TOP
-    out = preds[0]
-    for p in preds[1:]:
-        out = And(out, p)
-    return out
+        return empty
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return preds[lo]
+        mid = (lo + hi + 1) // 2
+        return op(build(lo, mid), build(mid, hi))
+
+    return build(0, len(preds))
+
+
+def and_all(preds):
+    return _chain(And, preds, TOP)
 
 
 def or_all(preds):
-    preds = list(preds)
-    if not preds:
-        return BOT
-    out = preds[0]
-    for p in preds[1:]:
-        out = Or(out, p)
-    return out
+    return _chain(Or, preds, BOT)
 
 
 def pred_size(psi):
@@ -199,28 +206,8 @@ def pred_size(psi):
 
 
 def contains(alg, psi, d):
-    """True iff letter d satisfies psi."""
-    if isinstance(psi, Top):
-        return True
-    if isinstance(psi, Bot):
-        return False
-    if isinstance(psi, Interval):
-        if alg.kind == "prop":
-            raise ValueError("interval atom in a prop predicate")
-        if psi.hi == INF:
-            return psi.lo <= d
-        return psi.lo <= d < psi.hi
-    if isinstance(psi, Lit):
-        if alg.kind != "prop":
-            raise ValueError("prop literal in an interval predicate")
-        return (d[psi.index] == "1") == psi.positive
-    if isinstance(psi, Not):
-        return not contains(alg, psi.child, d)
-    if isinstance(psi, And):
-        return contains(alg, psi.left, d) and contains(alg, psi.right, d)
-    if isinstance(psi, Or):
-        return contains(alg, psi.left, d) or contains(alg, psi.right, d)
-    raise TypeError("not a predicate: %r" % (psi,))
+    """True iff letter d satisfies psi: membership in denote(alg, psi)."""
+    return sem_contains(alg, denote(alg, psi), d)
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +275,10 @@ def to_canonical_intervals(alg, psi):
     """Unique canonical interval list denoting psi: maximal disjoint
     intervals, ascending, with exclusive upper bounds (hi is SUP when the
     piece contains inf, hi == INF when it holds exactly the finite letters
-    from lo up).  Negation is pushed to the atoms first, so the list has at
-    most 2 * pred_size(psi) intervals."""
+    from lo up).  This is denote(alg, psi), for interval algebras only."""
     if not alg.is_interval:
         raise ValueError("canonical intervals need an interval algebra")
-    return _canon(alg, psi, False)
-
-
-def _canon(alg, psi, neg):
-    if isinstance(psi, Top):
-        psi, neg = (BOT, False) if neg else (psi, neg)
-    if isinstance(psi, Bot) and neg:
-        psi, neg = TOP, False
-    if isinstance(psi, Top):
-        return ((alg.dmin, SUP),)
-    if isinstance(psi, Bot):
-        return ()
-    if isinstance(psi, Interval):
-        atoms = _atom_intervals(alg, psi.lo, psi.hi)
-        if neg:
-            return ivl_complement(atoms, alg)
-        return atoms
-    if isinstance(psi, Not):
-        return _canon(alg, psi.child, not neg)
-    if isinstance(psi, And):
-        combine = ivl_union if neg else ivl_intersect
-    elif isinstance(psi, Or):
-        combine = ivl_intersect if neg else ivl_union
-    else:
-        raise TypeError("not an interval predicate: %r" % (psi,))
-    return combine(_canon(alg, psi.left, neg), _canon(alg, psi.right, neg))
+    return denote(alg, psi)
 
 
 def interval_piece_pred(lo, hi):
@@ -341,35 +302,14 @@ def intervals_to_pred(ivls):
 
 
 @functools.lru_cache(maxsize=None)
-def _prop_sat_set(psi, k):
-    """Frozenset of satisfying valuations encoded as ints; bit order matches
-    lexicographic order of the bitstring letters."""
-    full = frozenset(range(2 ** k))
-    if isinstance(psi, Top):
-        return full
-    if isinstance(psi, Bot):
-        return frozenset()
-    if isinstance(psi, Lit):
-        if not 0 <= psi.index < k:
-            raise ValueError("literal index out of range: %d" % psi.index)
-        bit = 1 << (k - 1 - psi.index)
-        pos = frozenset(v for v in full if v & bit)
-        return pos if psi.positive else full - pos
-    if isinstance(psi, Not):
-        return full - _prop_sat_set(psi.child, k)
-    if isinstance(psi, And):
-        return _prop_sat_set(psi.left, k) & _prop_sat_set(psi.right, k)
-    if isinstance(psi, Or):
-        return _prop_sat_set(psi.left, k) | _prop_sat_set(psi.right, k)
-    raise TypeError("not a prop predicate: %r" % (psi,))
-
-
-def _letter_to_int(d):
-    return int(d, 2)
-
-
-def _int_to_letter(v, k):
-    return format(v, "0%db" % k)
+def _literal_set(k, index, positive):
+    """Frozenset of the valuations, encoded as ints, that satisfy literal
+    p<index> (or !p<index>); bit order matches lexicographic order of the
+    bitstring letters.  At most 2k entries per k."""
+    if not 0 <= index < k:
+        raise ValueError("literal index out of range: %d" % index)
+    bit = 1 << (k - 1 - index)
+    return frozenset(v for v in range(2 ** k) if bool(v & bit) == positive)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +318,32 @@ def _int_to_letter(v, k):
 
 
 def denote(alg, psi):
-    if alg.is_interval:
-        return to_canonical_intervals(alg, psi)
-    return _prop_sat_set(psi, alg.k)
+    """The semantic set of psi, and the only evaluator of predicate trees:
+    one structural recursion whose leaves are an atom's canonical interval
+    list or a literal's valuation set, with Not, And and Or mapped to
+    sem_complement, sem_intersect and sem_union_all.  Raises ValueError on
+    an atom of the other algebra family or a literal index out of range."""
+    if isinstance(psi, Top):
+        return sem_full(alg)
+    if isinstance(psi, Bot):
+        return () if alg.is_interval else frozenset()
+    if isinstance(psi, Interval):
+        if not alg.is_interval:
+            raise ValueError("interval atom in a prop predicate")
+        return _atom_intervals(alg, psi.lo, psi.hi)
+    if isinstance(psi, Lit):
+        if alg.is_interval:
+            raise ValueError("prop literal in an interval predicate")
+        return _literal_set(alg.k, psi.index, psi.positive)
+    if isinstance(psi, Not):
+        return sem_complement(alg, denote(alg, psi.child))
+    if isinstance(psi, And):
+        return sem_intersect(alg, denote(alg, psi.left),
+                             denote(alg, psi.right))
+    if isinstance(psi, Or):
+        return sem_union_all(alg, [denote(alg, psi.left),
+                                   denote(alg, psi.right)])
+    raise TypeError("not a predicate: %r" % (psi,))
 
 
 def sem_full(alg):
@@ -409,22 +372,18 @@ def sem_complement(alg, a):
     return sem_full(alg) - a
 
 
-def sem_is_empty(a):
-    return not a
-
-
 def sem_min(alg, a):
-    if sem_is_empty(a):
+    if not a:
         return None
     if alg.is_interval:
         return a[0][0]
-    return _int_to_letter(min(a), alg.k)
+    return format(min(a), "0%db" % alg.k)
 
 
 def sem_contains(alg, a, d):
     if alg.is_interval:
         return ivl_contains(a, d)
-    return _letter_to_int(d) in a
+    return int(d, 2) in a
 
 
 def sem_regions(alg, sems):
@@ -444,10 +403,10 @@ def sem_regions(alg, sems):
 
 
 def sem_pieces(alg, a):
-    """Basic predicates for a non-empty semantic set, as (predicate,
-    denotation) pairs: pairwise disjoint, ascending, and determined by the
-    set alone.  Intervals: one per canonical piece.  Prop: the largest
-    cubes that fix the leading propositions, p0 first."""
+    """Basic predicates for a semantic set, as (predicate, denotation)
+    pairs: pairwise disjoint, ascending, and determined by the set alone;
+    none for the empty set.  Intervals: one per canonical piece.  Prop:
+    the largest cubes that fix the leading propositions, p0 first."""
     if alg.is_interval:
         return [(interval_piece_pred(lo, hi), ((lo, hi),)) for lo, hi in a]
     vals = sorted(a)
@@ -472,7 +431,7 @@ def sem_pieces(alg, a):
 
 
 def is_sat(alg, psi):
-    return not sem_is_empty(denote(alg, psi))
+    return bool(denote(alg, psi))
 
 
 def pred_equiv(alg, psi, phi):
@@ -543,18 +502,18 @@ class _PredParser:
         return out
 
     def or_expr(self):
-        out = self.and_expr()
+        operands = [self.and_expr()]
         while self.peek() == "|":
             self.take()
-            out = Or(out, self.and_expr())
-        return out
+            operands.append(self.and_expr())
+        return or_all(operands)
 
     def and_expr(self):
-        out = self.factor()
+        operands = [self.factor()]
         while self.peek() == "&":
             self.take()
-            out = And(out, self.factor())
-        return out
+            operands.append(self.factor())
+        return and_all(operands)
 
     def factor(self):
         tok = self.peek()

@@ -221,6 +221,22 @@ def _resolve_alphabet(idx, alphabet):
     return alphabet
 
 
+def least_separated_extension(idx, rows, letters):
+    """Lexicographically least one-letter extension r.a of a row (a in
+    letters) that the sample tells apart from every row, or None.  rows
+    must hold the empty word: a word outside the sample is sample-
+    equivalent to it, so only the sample's prefixes are tried."""
+    best = None
+    for r in rows:
+        for a in letters:
+            w = r + (a,)
+            if (w in idx.exts and w not in rows
+                    and (best is None or w < best)
+                    and all(not idx.equiv(w, r2) for r2 in rows)):
+                best = w
+    return best
+
+
 def infer_dfa(sample, algebra, alphabet=None):
     """Infer a DFA from a consistent sample.  Grows a set of pairwise
     distinguished prefixes from the empty word; these become the states.
@@ -238,21 +254,13 @@ def infer_dfa(sample, algebra, alphabet=None):
     idx = SampleIndex(sample)
     alphabet = _resolve_alphabet(idx, alphabet)
     rows = [()]
-    while True:
-        # always adopt the lexicographically least distinguished extension,
-        # so each class is represented by its least access word
-        best = None
-        for r in rows:
-            for a in alphabet:
-                w = r + (a,)
-                if (w in idx.exts and w not in rows
-                        and (best is None or w < best)
-                        and all(not idx.equiv(w, r2) for r2 in rows)):
-                    best = w
-        if best is None:
-            break
+    # always adopt the lexicographically least distinguished extension, so
+    # each class is represented by its least access word
+    best = least_separated_extension(idx, rows, alphabet)
+    while best is not None:
         rows.append(best)
         rows.sort()
+        best = least_separated_extension(idx, rows, alphabet)
     if any(r not in sample for r in rows):
         return prefix_tree_dfa(sample, algebra, alphabet)
     for a in alphabet:

@@ -8,8 +8,8 @@ import operator
 from collections import deque
 
 from .algebra import (
-    And, Not, and_all, denote, or_all, sem_contains, sem_intersect,
-    sem_is_empty, sem_min, sem_pieces, sem_regions, sem_union_all,
+    And, Not, and_all, denote, or_all, sem_contains, sem_intersect, sem_min,
+    sem_pieces, sem_regions, sem_union_all,
 )
 from .dfa_learn import Dfa, minimize_dfa
 from .sfa import Sfa, _adopt_edges, classify, complete_sfa, transition_table
@@ -54,11 +54,11 @@ def _product(m1, m2, accept):
         src = name(q1, q2)
         row = []
         for p1, s1, d1 in e1[q1]:
-            if sem_is_empty(s1):
+            if not s1:
                 continue
             for p2, s2, d2 in e2[q2]:
                 sem = sem_intersect(alg, s1, s2)
-                if sem_is_empty(sem):
+                if not sem:
                     continue
                 pred = And(p1, p2)
                 dst = name(d1, d2)
@@ -205,17 +205,7 @@ def minimize(m, form="neat"):
 
 def is_empty(m):
     """True iff no accepting state is reachable over satisfiable edges."""
-    seen = {m.initial}
-    queue = deque([m.initial])
-    while queue:
-        q = queue.popleft()
-        if q in m.accepting:
-            return False
-        for _, sem, dst in m.edges[q]:
-            if dst not in seen and not sem_is_empty(sem):
-                seen.add(dst)
-                queue.append(dst)
-    return True
+    return _shortest_accepted(m) is None
 
 
 def _shortest_accepted(m):

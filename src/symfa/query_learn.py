@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Lit, Not, TOP, and_all, contains, or_all, prop_algebra
+from .algebra import (
+    Lit, Not, TOP, and_all, denote, or_all, prop_algebra, sem_contains,
+)
 from .ops import includes
 from .sfa import Sfa, accepts, classify
 
@@ -193,23 +195,26 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
 
 
 class PredicateTeacher(Oracle):
-    """Honest predicate-level oracle over the prop algebra."""
+    """Honest predicate-level oracle over the prop algebra.  The target is
+    denoted once, at construction, and each proposal once per query."""
 
     def __init__(self, alg, target):
         super().__init__()
         self.alg = alg
         self.target = target
+        self._target_sem = denote(alg, target)
 
     def _mq(self, d):
-        return 1 if contains(self.alg, self.target, d) else 0
+        return 1 if sem_contains(self.alg, self._target_sem, d) else 0
 
     def mq(self, d):
         self.mq_count += 1
         return self._mq(d)
 
     def _eq(self, psi):
+        sem = denote(self.alg, psi)
         for d in self.alg.letters():
-            if contains(self.alg, psi, d) != contains(self.alg, self.target,
-                                                      d):
-                return (d, 1 if contains(self.alg, self.target, d) else 0)
+            if (sem_contains(self.alg, sem, d)
+                    != sem_contains(self.alg, self._target_sem, d)):
+                return (d, self._mq(d))
         return True

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    Algebra, And, Bot, Interval, Lit, Not, Or, Pred, Top, TOP, INF, SUP,
-    and_all, denote, format_letter, format_pred, interval_piece_pred,
-    is_sat, or_all, parse_letter, parse_pred, pred_size, sem_complement,
-    sem_contains, sem_full, sem_union_all, to_canonical_intervals,
+    Algebra, And, Interval, Lit, Not, Pred, Top, TOP, INF, SUP, denote,
+    format_letter, format_pred, interval_piece_pred, is_sat, or_all,
+    parse_letter, parse_pred, pred_size, sem_complement, sem_contains,
+    sem_full, sem_pieces, sem_union_all,
 )
 
 NEAT_TRANSITION_CAP = 10 ** 5
@@ -184,56 +184,16 @@ def size_metrics(m):
 # Transformations to special forms
 
 
-def _prop_dnf(psi, neg=False):
-    """List of literal conjunctions (frozensets of (index, positive)),
-    contradictory conjunctions dropped."""
-    if isinstance(psi, Top):
-        return [] if neg else [frozenset()]
-    if isinstance(psi, Bot):
-        return [frozenset()] if neg else []
-    if isinstance(psi, Lit):
-        return [frozenset([(psi.index, psi.positive != neg)])]
-    if isinstance(psi, Not):
-        return _prop_dnf(psi.child, not neg)
-    if isinstance(psi, (And, Or)):
-        distribute = isinstance(psi, And) != neg
-        left = _prop_dnf(psi.left, neg)
-        right = _prop_dnf(psi.right, neg)
-        if not distribute:
-            out = left + [c for c in right if c not in left]
-            return out
-        out = []
-        for a in left:
-            for b in right:
-                c = a | b
-                if any((i, not pos) in c for i, pos in c):
-                    continue
-                if c not in out:
-                    out.append(c)
-                if len(out) > NEAT_TRANSITION_CAP:
-                    raise ValueError("DNF expansion exceeds cap")
-        return out
-    raise TypeError("not a prop predicate: %r" % (psi,))
-
-
-def _conj_of_literals(lits):
-    return and_all(Lit(i, pos) for i, pos in sorted(lits))
-
-
-def basic_disjuncts(alg, pred):
-    """Equivalent list of basic predicates whose disjunction denotes pred."""
-    if alg.is_interval:
-        return [interval_piece_pred(lo, hi)
-                for lo, hi in to_canonical_intervals(alg, pred)]
-    return [_conj_of_literals(lits) for lits in _prop_dnf(pred)]
-
-
 def to_neat(m):
-    """Split every transition into basic-predicate transitions."""
+    """Split every transition into basic-predicate transitions: the pieces
+    of its guard's denotation (sem_pieces), which are pairwise disjoint,
+    so a deterministic machine stays deterministic.  Intervals: one
+    transition per canonical piece.  Prop: one per cube that fixes the
+    leading propositions.  Unsatisfiable guards vanish."""
     alg = m.algebra
     trans = []
     for src, pred, dst in m.transitions:
-        for basic in basic_disjuncts(alg, pred):
+        for basic, _ in sem_pieces(alg, denote(alg, pred)):
             trans.append((src, basic, dst))
         if len(trans) > NEAT_TRANSITION_CAP:
             raise ValueError("neat expansion exceeds %d transitions"

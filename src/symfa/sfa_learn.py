@@ -8,7 +8,10 @@ from .algebra import (
     BOT, INF, SUP, Interval, interval_piece_pred, min_model, or_all,
     sem_min,
 )
-from .dfa_learn import Dfa, SampleIndex, char_dfa, infer_dfa, prefix_tree_dfa
+from .dfa_learn import (
+    Dfa, SampleIndex, char_dfa, infer_dfa, least_separated_extension,
+    prefix_tree_dfa,
+)
 from .sfa import Sfa, accepts, classify, sample_dict, transition_table
 
 
@@ -127,13 +130,7 @@ def decontaminate(alg, sample):
                     rep = a
         # grow the access set by the lexicographically least extension the
         # sample can tell apart from every present member
-        best = None
-        for u in access:
-            for a in sorted(kept):
-                w = u + (a,)
-                if (w not in access and (best is None or w < best)
-                        and all(not idx.equiv(w, u2) for u2 in access)):
-                    best = w
+        best = least_separated_extension(idx, access, sorted(kept))
         if best is not None:
             access.append(best)
             changed = True

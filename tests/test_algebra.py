@@ -8,6 +8,7 @@ from symfa import (
     parse_pred, pred_equiv, pred_size, prop_algebra, to_canonical_intervals,
 )
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, denote, sem_min
+from symfa.sfa import Sfa, classify
 
 
 def test_letters_and_bounds():
@@ -24,6 +25,20 @@ def test_top_interval_contains_infinity():
     assert contains(INTERVAL_NAT, Interval(100, INF), INF)
     assert not contains(INTERVAL_NAT, Interval(0, 100), INF)
     assert contains(INTERVAL_NAT, TOP, INF)
+
+
+def test_loose_intervals_denote_the_empty_set():
+    # [lo,hi) with lo >= hi parses and denotes nothing; [inf,inf) is the
+    # one exception, the singleton {inf}
+    for alg, text in ((INTERVAL_NAT, "[5,3)"), (INTERVAL_NAT, "[5,5)"),
+                      (INTERVAL_NAT, "[inf,5)"), (INTERVAL_INT, "[-2,-7)"),
+                      (INTERVAL_INT, "[-inf,-inf)")):
+        psi = parse_pred(alg, text)
+        assert denote(alg, psi) == ()
+        m = Sfa(alg, ("a",), "a", ("a",), (("a", psi, "a"),))
+        assert classify(m).feasible is False
+    inf_only = parse_pred(INTERVAL_NAT, "[inf,inf)")
+    assert denote(INTERVAL_NAT, inf_only) == ((INF, SUP),)
 
 
 def test_canonical_intervals_merge_and_sort():

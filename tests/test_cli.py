@@ -58,6 +58,17 @@ def test_deep_guard_never_reads_as_a_verdict(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_decide_member_on_a_deep_guard(tmp_path, capsys):
+    # the parser builds a balanced chain of the 3000 disjuncts, so the
+    # verdict comes out: 4 lies in [4,5)
+    deep = tmp_path / "deep.sfa"
+    guard = " | ".join("[%d,%d)" % (2 * i, 2 * i + 1) for i in range(3000))
+    deep.write_text("algebra interval-nat\nstates a b\ninitial a\n"
+                    "accepting b\ntrans a b %s\n" % guard)
+    assert main(["decide", "member", str(deep), "4"]) == 0
+    assert capsys.readouterr().out == "member\n"
+
+
 def test_decide_member(model_file, capsys):
     assert main(["decide", "member", model_file, "0 100"]) == 0
     assert "member" in capsys.readouterr().out

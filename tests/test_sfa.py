@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symfa import (
-    And, INF, Interval, Not, Or, Sfa, TOP, accepts, classify, complete_sfa,
-    contains, determinize, format_sample, format_sfa, is_sat, make_feasible,
-    or_all, parse_sample, parse_sfa, pred_equiv, sample_dict, size_metrics,
-    to_neat, to_normalized,
+    And, INF, Interval, Lit, Not, Or, Sfa, TOP, accepts, classify,
+    complete_sfa, contains, determinize, format_sample, format_sfa, is_sat,
+    make_feasible, or_all, parse_pred, parse_sample, parse_sfa, pred_equiv,
+    prop_algebra, sample_dict, size_metrics, to_neat, to_normalized,
 )
 from symfa.algebra import INTERVAL_NAT
 from symfa.ops import equiv
 
 from conftest import (
-    ALGEBRAS, TWO_STATE_SAMPLE, build_two_state_target, machines,
+    ALGEBRAS, TWO_STATE_SAMPLE, build_two_state_target, guards, machines,
     sample_letters,
 )
 
@@ -65,6 +65,48 @@ def test_to_neat_splits_disjunctions():
     assert equiv(complete_sfa(neat), complete_sfa(m)) is True
     a_preds = [p for src, p, dst in neat.transitions if src == "a"]
     assert len(a_preds) == 2
+
+
+def test_prop_to_neat_splits_into_disjoint_cubes():
+    p2 = prop_algebra(2)
+    m = Sfa(p2, ("a", "b"), "a", ("b",), (
+        ("a", parse_pred(p2, "p0 | p1"), "b"),
+        ("a", parse_pred(p2, "!p0 & !p1"), "a"),
+    ))
+    assert classify(m).deterministic
+    neat = to_neat(m)
+    assert [p for _, p, dst in neat.transitions if dst == "b"] == [
+        And(Lit(0, False), Lit(1, True)), Lit(0, True)]
+    assert classify(neat).deterministic
+
+
+@st.composite
+def normalized_prop_machines(draw):
+    """Prop machines with at most one transition per state pair; a state
+    often splits the domain as phi and !phi between two destinations, so
+    that deterministic machines with disjunctive guards occur."""
+    alg = draw(st.sampled_from([a for a in ALGEBRAS if not a.is_interval]))
+    names = ["q%d" % i for i in range(draw(st.integers(1, 3)))]
+    trans = []
+    for q in names:
+        dsts = draw(st.permutations(names))[:draw(st.integers(0, len(names)))]
+        if len(dsts) >= 2 and draw(st.booleans()):
+            phi = draw(guards(alg))
+            trans += [(q, phi, dsts[0]), (q, Not(phi), dsts[1])]
+        else:
+            trans += [(q, draw(guards(alg)), dst) for dst in dsts]
+    accepting = draw(st.lists(st.sampled_from(names), unique=True))
+    return Sfa(alg, names, "q0", accepting, trans)
+
+
+@given(normalized_prop_machines())
+def test_prop_to_neat_keeps_determinism_and_language(m):
+    neat = to_neat(m)
+    assert classify(neat).neat
+    assert classify(neat).deterministic == classify(m).deterministic
+    if not classify(m).deterministic:
+        m, neat = determinize(m), determinize(neat)
+    assert equiv(complete_sfa(neat), complete_sfa(m))
 
 
 def test_to_normalized_merges_parallel_edges():

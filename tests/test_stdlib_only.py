@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and every
+name a runtime module imports is used in it."""
 
 import ast
 import sys
@@ -22,3 +23,26 @@ def test_runtime_imports_are_stdlib_only():
             outside += ["%s: %s" % (path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_imported_name_is_used():
+    # __init__ only re-exports; the __future__ import is a directive
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s: %s" % (path.name, name)
+                   for name in sorted(imported - used)]
+    assert unused == []

@@ -5,9 +5,11 @@ words, prefix-tree automata)."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from itertools import chain
 
-from .algebra import format_letter
+from .algebra import SUP, format_letter
 from .sfa import sample_dict
 
 
@@ -65,32 +67,44 @@ class Dfa:
 
 
 class SampleIndex:
-    """Precomputed extension maps for fast repeated sample_equiv queries."""
+    """One sample, indexed for repeated sample_equiv queries.  The
+    positive and the negative words are kept sorted, so the words that
+    extend a prefix p form one run of each, found by bisection.  p's
+    extensions, the suffixes z with p.z labeled 1 and those with p.z
+    labeled 0, are built from those runs the first time a query needs
+    them, and kept.  Building the index is a sort; a learner only queries
+    its rows and their one-letter extensions."""
 
     def __init__(self, sample):
         self.words = sample_dict(sample)
-        self.exts = {}
-        for w, b in self.words.items():
-            for i in range(len(w) + 1):
-                self.exts.setdefault(w[:i], {})[w[i:]] = b
+        self.order = sorted(self.words.items())  # (word, label), ascending
+        self._runs = ([w for w, b in self.order if b == 1],
+                      [w for w, b in self.order if b == 0])
+        self._exts = {}
+
+    def extensions(self, p):
+        """(positive, negative) suffix sets of the tuple p: the z with
+        p.z labeled 1, and those with p.z labeled 0.  Both are empty when
+        p is no prefix of a sample word."""
+        e = self._exts.get(p)
+        if e is None:
+            k, top = len(p), p + (SUP,)
+            e = self._exts[p] = tuple(
+                {w[k:] for w in run[bisect_left(run, p):bisect_left(run, top)]}
+                for run in self._runs)
+        return e
+
+    def prefixes(self):
+        """Every prefix of a sample word, ascending."""
+        return sorted({w[:i] for w in self.words for i in range(len(w) + 1)})
 
     def letters(self):
-        out = set()
-        for w in self.words:
-            out.update(w)
-        return sorted(out)
+        return sorted(set(chain.from_iterable(self.words)))
 
     def equiv(self, w1, w2):
-        e1 = self.exts.get(tuple(w1))
-        e2 = self.exts.get(tuple(w2))
-        if not e1 or not e2:
-            return True
-        if len(e1) > len(e2):
-            e1, e2 = e2, e1
-        for z, b in e1.items():
-            if e2.get(z, b) != b:
-                return False
-        return True
+        pos1, neg1 = self.extensions(tuple(w1))
+        pos2, neg2 = self.extensions(tuple(w2))
+        return pos1.isdisjoint(neg2) and neg1.isdisjoint(pos2)
 
 
 def sample_equiv(sample, w1, w2):
@@ -184,13 +198,14 @@ def _word_id(w):
     return "w:" + ".".join(format_letter(d) for d in w)
 
 
-def prefix_tree_dfa(sample, algebra, alphabet=None):
+def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
     """Tree automaton accepting exactly the positive sample words, made
-    total with a rejecting sink."""
-    sample = sample_dict(sample)
-    idx = SampleIndex(sample)
+    total with a rejecting sink.  index, when given, is the sample's
+    SampleIndex, so none is built."""
+    idx = SampleIndex(sample) if index is None else index
+    sample = idx.words
     alphabet = _resolve_alphabet(idx, alphabet)
-    prefixes = sorted(idx.exts)
+    prefixes = idx.prefixes()
     names = {w: _word_id(w) for w in prefixes}
     states = [names[w] for w in prefixes]
     delta = {}
@@ -221,70 +236,139 @@ def _resolve_alphabet(idx, alphabet):
     return alphabet
 
 
-def least_separated_extension(idx, rows, letters):
-    """Lexicographically least one-letter extension r.a of a row (a in
-    letters) that the sample tells apart from every row, or None.  rows
-    must hold the empty word: a word outside the sample is sample-
-    equivalent to it, so only the sample's prefixes are tried."""
-    best = None
-    for r in rows:
+class RowFrontier:
+    """Rows grown one at a time, and their live frontier: the one-letter
+    extensions r.a of a row (a among the letters) that are sample
+    prefixes and that the sample tells apart from every row.  The least
+    member is the lexicographically least separated extension, the next
+    row to adopt.  Adding a row drops the members that match it and tests
+    its own extensions; adding letters tests every row's extensions over
+    them.  So each extension meets each row in at most one equiv query,
+    O(|rows|^2 * |letters|) in all, not that many per adopted row.  A word
+    outside the sample is sample-equivalent to every word, so rows must
+    start with the empty word for the frontier to be complete."""
+
+    def __init__(self, idx, letters):
+        self.idx = idx
+        self.rows = []
+        self.letters = list(letters)
+        self.live = set()
+
+    def _offer(self, r, letters):
+        exts, equiv, rows = self.idx.extensions, self.idx.equiv, self.rows
+        # neighbouring letters mostly lead to the same row, so the row the
+        # last extension matched is tried first
+        hint = None
         for a in letters:
             w = r + (a,)
-            if (w in idx.exts and w not in rows
-                    and (best is None or w < best)
-                    and all(not idx.equiv(w, r2) for r2 in rows)):
-                best = w
-    return best
+            if not any(exts(w)) or (hint is not None and equiv(w, hint)):
+                continue
+            hint = next((r2 for r2 in rows if equiv(w, r2)), None)
+            if hint is None:
+                self.live.add(w)
+
+    def add_row(self, r):
+        equiv = self.idx.equiv
+        self.live = {w for w in self.live if not equiv(w, r)}
+        self.rows.append(r)
+        self._offer(r, self.letters)
+
+    def add_letters(self, letters):
+        for r in self.rows:
+            self._offer(r, letters)
+        self.letters.extend(letters)
+
+    def least(self):
+        return min(self.live, default=None)
 
 
-def infer_dfa(sample, algebra, alphabet=None):
+def _agrees_sorted(items, start, table, accepting):
+    """True iff accepting[q] == b for every (w, b) of the ascending list
+    items, where q is the state reached from start through
+    table[state, letter] over w.  One walk: each word resumes from the
+    state reached at its longest common prefix with the word before, so
+    every distinct prefix is stepped once."""
+    path = [start]  # path[i]: the state after the previous word's i letters
+    prev = ()
+    for w, b in items:
+        # prev < w, so w is no proper prefix of prev and w[i] exists
+        i, n = 0, len(prev)
+        while i < n and prev[i] == w[i]:
+            i += 1
+        del path[i + 1:]
+        q = path[i]
+        for d in w[i:]:
+            q = table[q, d]
+            path.append(q)
+        if accepting[q] != b:
+            return False
+        prev = w
+    return True
+
+
+def infer_dfa(sample, algebra, alphabet=None, index=None):
     """Infer a DFA from a consistent sample.  Grows a set of pairwise
-    distinguished prefixes from the empty word; these become the states.
-    Falls back to the prefix-tree automaton when the grown prefixes are
-    not all labeled sample words, when some alphabet letter cannot be
-    assigned a unique state (the sample then subsumes no characteristic
-    sample over its own alphabet), or when the built automaton disagrees
-    with the sample.  When the sample contains a characteristic sample of
-    a minimal complete DFA over the same alphabet, the result recognizes
-    that DFA's language.  The alphabet defaults to the letters appearing
-    in the sample; pass it explicitly when it is known and larger."""
-    sample = sample_dict(sample)
+    distinguished prefixes from the empty word, always adopting the least
+    member of a RowFrontier; these become the states.  Falls back to the
+    prefix-tree automaton when the grown prefixes are not all labeled
+    sample words, when some alphabet letter cannot be assigned a unique
+    state (the sample then subsumes no characteristic sample over its own
+    alphabet), or when the built automaton disagrees with the sample,
+    which one walk of the sorted sample checks.  When the sample contains
+    a characteristic sample of a minimal complete DFA over the same
+    alphabet, the result recognizes that DFA's language.  The alphabet
+    defaults to the letters appearing in the sample; pass it explicitly
+    when it is known and larger.  index, when given, is the sample's
+    SampleIndex, so none is built."""
+    idx = SampleIndex(sample) if index is None else index
+    sample = idx.words
     if not sample:
         raise ValueError("empty sample")
-    idx = SampleIndex(sample)
+    equiv = idx.equiv
     alphabet = _resolve_alphabet(idx, alphabet)
-    rows = [()]
+
+    def fallback():
+        return prefix_tree_dfa(sample, algebra, alphabet, index=idx)
+
     # always adopt the lexicographically least distinguished extension, so
     # each class is represented by its least access word
-    best = least_separated_extension(idx, rows, alphabet)
-    while best is not None:
-        rows.append(best)
-        rows.sort()
-        best = least_separated_extension(idx, rows, alphabet)
+    front = RowFrontier(idx, alphabet)
+    row = ()
+    while row is not None:
+        front.add_row(row)
+        row = front.least()
+    rows = sorted(front.rows)
     if any(r not in sample for r in rows):
-        return prefix_tree_dfa(sample, algebra, alphabet)
+        return fallback()
+    row_set = set(rows)
     for a in alphabet:
         w = (a,)
-        if w not in rows and sum(idx.equiv(w, r2) for r2 in rows) != 1:
-            return prefix_tree_dfa(sample, algebra, alphabet)
+        if w not in row_set and sum(equiv(w, r2) for r2 in rows) != 1:
+            return fallback()
+    # prefer staying in the source state, then the most specific (longest,
+    # then lexicographically least) matching row
+    preferred = sorted(rows, key=lambda r2: (-len(r2), r2))
     names = {r: _word_id(r) for r in rows}
     delta = {}
     for r in rows:
         for a in alphabet:
             w = r + (a,)
-            cands = [r2 for r2 in rows if idx.equiv(w, r2)]
-            if not cands:
-                return prefix_tree_dfa(sample, algebra, alphabet)
-            # prefer staying in the source state, then the most specific
-            # (longest, then lexicographically least) candidate
-            tgt = r if r in cands else min(cands,
-                                           key=lambda r2: (-len(r2), r2))
+            if w in row_set:
+                # rows are pairwise separated: a row matches itself only
+                tgt = w
+            elif equiv(w, r):
+                tgt = r
+            else:
+                tgt = next((r2 for r2 in preferred if equiv(w, r2)), None)
+                if tgt is None:
+                    return fallback()
             delta[names[r], a] = names[tgt]
     accepting = [names[r] for r in rows if sample[r] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
               accepting, delta)
-    if any(out.accepts(w) != bool(b) for w, b in sample.items()):
-        return prefix_tree_dfa(sample, algebra, alphabet)
+    if not _agrees_sorted(idx.order, out.initial, out.delta,
+                          {q: q in out.accepting for q in out.states}):
+        return fallback()
     return out
 
 

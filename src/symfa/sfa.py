@@ -123,12 +123,30 @@ def accepts(m, w):
 
 def transition_table(m, letters):
     """(state, letter) -> destination for every state of a deterministic
-    complete m: the first edge whose guard holds the letter, which is the
-    only one."""
+    complete m: the one edge whose guard holds the letter.  Intervals:
+    one sweep per state over the ascending letters and the state's
+    pieces sorted by lower end, linear after the sorts.  Prop: each
+    letter is tested against the state's edges in turn."""
     alg = m.algebra
-    return {(q, a): next(dst for _, sem, dst in row
-                         if sem_contains(alg, sem, a))
-            for q, row in m.edges.items() for a in letters}
+    if not alg.is_interval:
+        return {(q, a): next(dst for _, sem, dst in row
+                             if sem_contains(alg, sem, a))
+                for q, row in m.edges.items() for a in letters}
+    order = sorted(set(letters))
+    table = {}
+    for q, row in m.edges.items():
+        # the pieces of a deterministic complete state tile the domain, so
+        # the piece holding a letter is the first that ends above it
+        pieces = sorted(((lo, hi, dst) for _, sem, dst in row
+                         for lo, hi in sem), key=lambda piece: piece[0])
+        dst_of = {}
+        j = 0
+        for a in order:
+            while pieces[j][1] <= a:
+                j += 1
+            dst_of[a] = pieces[j][2]
+        table.update(((q, a), dst_of[a]) for a in letters)
+    return table
 
 
 def _is_basic(pred):

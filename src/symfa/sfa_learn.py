@@ -4,15 +4,17 @@ generalizing, sample decontamination, and the char_sfa / infer_sfa pair."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .algebra import (
     BOT, INF, SUP, Interval, interval_piece_pred, min_model, or_all,
-    sem_min,
+    sem_contains, sem_min,
 )
 from .dfa_learn import (
-    Dfa, SampleIndex, char_dfa, infer_dfa, least_separated_extension,
+    Dfa, RowFrontier, SampleIndex, _agrees_sorted, char_dfa, infer_dfa,
     prefix_tree_dfa,
 )
-from .sfa import Sfa, accepts, classify, sample_dict, transition_table
+from .sfa import Sfa, classify, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
@@ -102,39 +104,40 @@ def generalize_dfa(d):
     return Sfa(d.algebra, d.states, d.initial, d.accepting, trans)
 
 
-def decontaminate(alg, sample):
+def decontaminate(alg, sample, index=None):
     """Restrict a sample to words over the letters that matter.
 
-    Walks the access words recoverable from the sample, keeping for each
-    one only the letters that the sample can tell apart from the letters
-    already kept, then drops every word using another letter.  When the
-    sample contains a characteristic sample produced by char_sfa, the
-    kept letters are exactly that sample's concrete alphabet and the
-    result still contains the characteristic sample."""
+    Grows access words from the empty word as infer_dfa grows rows (the
+    least member of a RowFrontier over the kept letters), and scans each
+    access word once: in ascending order, a letter is kept when the
+    sample tells its extension apart from that of the last letter kept
+    for the word (the least domain letter to begin with).  The scan reads
+    the word and the sample alone.  Every word using a letter that no
+    scan kept is dropped.  When the sample contains a characteristic
+    sample produced by char_sfa, the kept letters are exactly that
+    sample's concrete alphabet and the result still contains the
+    characteristic sample.  index, when given, is the sample's
+    SampleIndex, so none is built."""
     _require_monotonic(alg)
-    sample = sample_dict(sample)
-    idx = SampleIndex(sample)
+    idx = SampleIndex(sample) if index is None else index
+    sample = idx.words
     letters = idx.letters()
-    access = [()]
     kept = {alg.dmin}
-    changed = True
-    while changed:
-        changed = False
-        for u in access:
-            rep = alg.dmin
-            for a in letters:
-                if not idx.equiv(u + (a,), u + (rep,)):
-                    if a not in kept:
-                        kept.add(a)
-                        changed = True
-                    rep = a
-        # grow the access set by the lexicographically least extension the
-        # sample can tell apart from every present member
-        best = least_separated_extension(idx, access, sorted(kept))
-        if best is not None:
-            access.append(best)
-            changed = True
-    return {w: b for w, b in sample.items() if set(w) <= kept}
+    front = RowFrontier(idx, kept)
+    row = ()
+    while row is not None:
+        front.add_row(row)
+        rep = alg.dmin
+        new = []
+        for a in letters:
+            if not idx.equiv(row + (a,), row + (rep,)):
+                if a not in kept:
+                    new.append(a)
+                rep = a
+        kept.update(new)
+        front.add_letters(new)
+        row = front.least()
+    return {w: b for w, b in sample.items() if kept.issuperset(w)}
 
 
 def char_sfa(m):
@@ -145,29 +148,68 @@ def char_sfa(m):
     return char_dfa(concretize_sfa(m))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def agrees(m, sample):
-    """True iff m accepts exactly the positive words of the sample."""
-    return all(accepts(m, w) == bool(b)
-               for w, b in sample_dict(sample).items())
+    """True iff m accepts exactly the positive words of the sample.
+    Raises ValueError when a sample letter is not a letter of m's algebra;
+    each distinct letter is checked once.  One walk of the sorted sample
+    (see dfa_learn._agrees_sorted) over sets of states, which memoizes the
+    successor set per (state set, letter), so every guard is looked up at
+    most once per distinct step."""
+    alg = m.algebra
+    sample = sample_dict(sample)
+    for d in set(chain.from_iterable(sample)):
+        alg.check_letter(d)
+    edges = m.edges
+
+    def successors(key):
+        states, d = key
+        return frozenset(dst for q in states for _, sem, dst in edges[q]
+                         if sem_contains(alg, sem, d))
+
+    def accepted(states):
+        return not m.accepting.isdisjoint(states)
+
+    return _agrees_sorted(sorted(sample.items()), frozenset((m.initial,)),
+                          _Memo(successors), _Memo(accepted))
 
 
-def symbolic_prefix_tree(alg, sample):
-    """Generalized prefix-tree automaton; always agrees with the sample."""
-    return generalize_dfa(prefix_tree_dfa(sample_dict(sample), alg))
+def symbolic_prefix_tree(alg, sample, index=None):
+    """Generalized prefix-tree automaton; always agrees with the sample.
+    index, when given, is the sample's SampleIndex, so none is built."""
+    return generalize_dfa(prefix_tree_dfa(sample, alg, index=index))
 
 
 def infer_sfa(alg, sample):
     """Infer an SFA: decontaminate, infer a concrete DFA, generalize; if
     the result disagrees with the full sample, fall back to the symbolic
     prefix tree.  Given any consistent superset of char_sfa(M), the result
-    recognizes L(M)."""
+    recognizes L(M).  The sample is indexed once, and the index is shared
+    by decontaminate and, when decontamination removed nothing, by
+    infer_dfa and the fallback; at most one index is alive at a time."""
     _require_monotonic(alg)
-    sample = sample_dict(sample)
+    idx = SampleIndex(sample)
+    sample = idx.words
     if not sample:
         raise ValueError("empty sample")
-    cleaned = decontaminate(alg, sample)
+    cleaned = decontaminate(alg, sample, index=idx)
+    if len(cleaned) < len(sample):
+        # the full index is dropped before infer_dfa indexes the cleaned
+        # sample
+        idx = None
     if cleaned:
-        candidate = generalize_dfa(infer_dfa(cleaned, alg))
+        candidate = generalize_dfa(infer_dfa(cleaned, alg, index=idx))
         if agrees(candidate, sample):
             return candidate
-    return symbolic_prefix_tree(alg, sample)
+    return symbolic_prefix_tree(alg, sample, index=idx)

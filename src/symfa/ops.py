@@ -8,8 +8,8 @@ import operator
 from collections import deque
 
 from .algebra import (
-    And, Not, and_all, denote, or_all, sem_contains, sem_intersect, sem_min,
-    sem_pieces, sem_regions, sem_union_all,
+    And, Not, and_all, denote, or_all, sem_complement, sem_contains, sem_full,
+    sem_intersect, sem_min, sem_pieces, sem_regions, sem_union_all,
 )
 from .dfa_learn import Dfa, minimize_dfa
 from .sfa import Sfa, _adopt_edges, classify, complete_sfa, transition_table
@@ -19,7 +19,11 @@ _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
 def product(m1, m2, mode="intersect"):
     """Reachable product automaton; transition predicates are pairwise
-    conjunctions, infeasible ones dropped."""
+    conjunctions, infeasible ones dropped, and the output gets the
+    pairwise intersections as its edge table.  Every pair of edges is
+    intersected in a nested loop rather than swept as in includes: every
+    guard of the output is built, and intersect mode accepts
+    nondeterministic inputs, whose pieces may overlap."""
     if mode not in _ACCEPT:
         raise ValueError("mode must be intersect or union")
     if mode == "union":
@@ -28,16 +32,10 @@ def product(m1, m2, mode="intersect"):
                 and f2.deterministic and f2.complete):
             raise ValueError("union product needs deterministic complete "
                              "inputs")
-    return _product(m1, m2, _ACCEPT[mode])
-
-
-def _product(m1, m2, accept):
-    """Reachable product; a pair state accepts iff accept(a1, a2) for the
-    two sides' acceptance.  The output gets the pairwise intersections as
-    its edge table."""
     if m1.algebra != m2.algebra:
         raise ValueError("algebra mismatch")
     alg = m1.algebra
+    accept = _ACCEPT[mode]
     e1, e2 = m1.edges, m2.edges
 
     def name(q1, q2):
@@ -204,7 +202,8 @@ def minimize(m, form="neat"):
 
 
 def is_empty(m):
-    """True iff no accepting state is reachable over satisfiable edges."""
+    """True iff no accepting state is reachable over satisfiable edges:
+    one breadth-first search that stops at the first accepting state."""
     return _shortest_accepted(m) is None
 
 
@@ -212,42 +211,142 @@ def _shortest_accepted(m):
     """Shortest word in L(m), edges taken by least satisfying letter;
     None when L(m) is empty."""
     alg = m.algebra
-    if m.initial in m.accepting:
+
+    def steps(q):
+        # stable, so edges of a nondeterministic m that share a least
+        # letter keep their order
+        return sorted(((sem_min(alg, sem), dst) for _, sem, dst in m.edges[q]
+                       if sem), key=operator.itemgetter(0))
+
+    return _first_word(m.initial, m.accepting.__contains__, steps)
+
+
+def _first_word(start, accepting, steps):
+    """Breadth-first search from start for a state where accepting holds.
+    steps(q) lists (letter, successor) pairs by ascending letter, and a
+    successor is claimed by the first pair that reaches it, so the word
+    found is shortest, and least letter by letter among the shortest
+    ones.  None when no such state is reachable."""
+    if accepting(start):
         return ()
-    seen = {m.initial}
-    queue = deque([(m.initial, ())])
+    back = {start: None}
+    queue = deque([start])
     while queue:
-        q, w = queue.popleft()
-        edges = []
-        for _, sem, dst in m.edges[q]:
-            d = sem_min(alg, sem)
-            if d is not None:
-                edges.append((d, dst))
-        for d, dst in sorted(edges, key=lambda e: e[0]):
-            if dst in seen:
+        q = queue.popleft()
+        for a, dst in steps(q):
+            if dst in back:
                 continue
-            seen.add(dst)
-            if dst in m.accepting:
-                return w + (d,)
-            queue.append((dst, w + (d,)))
+            back[dst] = (q, a)
+            if accepting(dst):
+                word = [a]
+                while back[q] is not None:
+                    q, a = back[q]
+                    word.append(a)
+                return tuple(reversed(word))
+            queue.append(dst)
     return None
+
+
+# The implicit rejecting sink of a virtually completed machine: it takes
+# the part of each state's domain that the state's guards leave uncovered.
+# A fresh object, so it equals no state of the input, whatever its name.
+_SINK = object()
+
+
+class _Rows(dict):
+    """State -> search row of machine m, built on first visit and kept:
+    the (denotation, destination) pairs of its satisfiable edges, plus,
+    with complete, the uncovered remainder to _SINK.  Interval rows are
+    split into (lo, hi, destination) pieces sorted by lower end."""
+
+    def __init__(self, m, complete):
+        super().__init__()
+        self.m, self.complete = m, complete
+        if complete:
+            self[_SINK] = self._build(((None, sem_full(m.algebra), _SINK),))
+
+    def __missing__(self, q):
+        row = self[q] = self._build(self.m.edges[q])
+        return row
+
+    def _build(self, edges):
+        alg = self.m.algebra
+        row = [(sem, dst) for _, sem, dst in edges if sem]
+        if self.complete:
+            gap = sem_complement(alg, sem_union_all(alg, [s for s, _ in row]))
+            if gap:
+                row.append((gap, _SINK))
+        if alg.is_interval:
+            row = sorted(((lo, hi, dst) for sem, dst in row
+                          for lo, hi in sem), key=operator.itemgetter(0))
+        return row
+
+
+def _sweep(r1, r2):
+    """(least letter, destination pair) for each non-empty intersection of
+    two interval rows of disjoint pieces, ascending: one merge pass."""
+    out = []
+    i = j = 0
+    n1, n2 = len(r1), len(r2)
+    while i < n1 and j < n2:
+        lo1, hi1, d1 = r1[i]
+        lo2, hi2, d2 = r2[j]
+        if lo2 < hi1 and lo1 < hi2:
+            out.append((lo2 if lo2 > lo1 else lo1, (d1, d2)))
+        if hi1 <= hi2:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _cross(r1, r2):
+    """(least valuation, destination pair) for each non-empty intersection
+    of two prop rows, ascending."""
+    return sorted(((min(s), (d1, d2)) for s1, d1 in r1 for s2, d2 in r2
+                   if (s := s1 & s2)), key=operator.itemgetter(0))
 
 
 def includes(m1, m2, mode="subset"):
     """mode=subset: True iff L(m1) <= L(m2); mode=equiv: True iff equal.
-    On failure returns a shortest witness word: for equiv, a shortest word
-    of the symmetric difference, found by one search over the product of
-    the two completed machines."""
+    On failure returns a shortest witness word, least letter by letter:
+    for subset a shortest word of L(m1) - L(m2), for equiv a shortest
+    word of the symmetric difference.  Both inputs must be deterministic.
+
+    The search runs on the fly over the pairs of states that the two
+    machines reach together, breadth first, and returns at the first pair
+    that tells the languages apart; it builds no product, complement or
+    completed machine.  The uncovered part of a state's domain goes to an
+    implicit rejecting sink (on the m2 side only, for subset).  Each
+    state's row is built on its first visit.  Over intervals the steps out
+    of a pair come from one merge sweep over the two states' sorted
+    pieces, O(m1 + m2); over prop, every pair of valuation sets is
+    intersected."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
-    if not classify(m1).deterministic or not classify(m2).deterministic:
+    flags1, flags2 = classify(m1), classify(m2)
+    if not flags1.deterministic or not flags2.deterministic:
         raise ValueError("includes needs deterministic inputs")
+    if m1.algebra != m2.algebra:
+        raise ValueError("algebra mismatch")
+    alg = m1.algebra
+    f1, f2 = m1.accepting, m2.accepting
     if mode == "subset":
-        diff = product(m1, complement(m2), "intersect")
+        def tells_apart(pair):
+            return pair[0] in f1 and pair[1] not in f2
     else:
-        diff = _product(complete_sfa(m1), complete_sfa(m2), operator.ne)
-    w = _shortest_accepted(diff)
-    return True if w is None else w
+        def tells_apart(pair):
+            return (pair[0] in f1) != (pair[1] in f2)
+    # a complete machine has no uncovered part to route to the sink
+    rows1 = _Rows(m1, mode == "equiv" and not flags1.complete)
+    rows2 = _Rows(m2, not flags2.complete)
+    meet = _sweep if alg.is_interval else _cross
+    w = _first_word((m1.initial, m2.initial), tells_apart,
+                    lambda pair: meet(rows1[pair[0]], rows2[pair[1]]))
+    if w is None:
+        return True
+    return w if alg.is_interval else tuple(format(v, "0%db" % alg.k)
+                                           for v in w)
 
 
 def equiv(m1, m2):

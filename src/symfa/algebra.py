@@ -480,8 +480,23 @@ def _parse_endpoint(tok):
     return int(tok)
 
 
+# Nested negations become nested Not nodes, and every walker of a tree
+# recurses once per node level, so parse_pred rejects deeper nesting.
+# Parentheses add no node, so any number of them parses.
+MAX_NEGATION_DEPTH = 1000
+
+
 class _PredParser:
-    def __init__(self, tokens):
+    """Precedence parser for the grammar, looping over an explicit stack
+    of open parentheses rather than recursing, so nesting depth costs no
+    call stack.  An or-expression is a balanced chain (or_all) of
+    and-expressions, an and-expression one (and_all) of factors, and a
+    factor is an atom or a parenthesized or-expression, each under its
+    prefix negations.  Atoms are checked against the algebra as they are
+    read."""
+
+    def __init__(self, alg, tokens):
+        self.alg = alg
         self.toks = tokens
         self.pos = 0
 
@@ -496,74 +511,78 @@ class _PredParser:
         return tok
 
     def parse(self):
-        out = self.or_expr()
-        if self.peek() is not None:
-            raise ValueError("trailing tokens: %r" % self.toks[self.pos:])
-        return out
+        # each open parenthesis saves the enclosing or-operands, the
+        # and-operands, and the negations in front of the parenthesis
+        stack = []
+        ors, ands, nots, depth = [], [], 0, 0
+        while True:
+            tok = self.peek()
+            self.pos += 1
+            if tok == "!":
+                nots += 1
+                if depth + nots > MAX_NEGATION_DEPTH:
+                    raise ValueError("more than %d nested negations"
+                                     % MAX_NEGATION_DEPTH)
+                continue
+            if tok == "(":
+                stack.append((ors, ands, nots))
+                depth += nots
+                ors, ands, nots = [], [], 0
+                continue
+            psi = self.atom(tok)
+            while True:
+                for _ in range(nots):
+                    psi = Not(psi)
+                ands.append(psi)
+                tok = self.peek()
+                if tok != "&":
+                    ors.append(and_all(ands))
+                    ands = []
+                if tok in ("&", "|"):
+                    self.pos += 1
+                    nots = 0
+                    break
+                # the or-expression ends, at the end of the text or at the
+                # ")" closing the innermost open parenthesis
+                psi = or_all(ors)
+                if not stack:
+                    if tok is not None:
+                        raise ValueError("trailing tokens: %r"
+                                         % self.toks[self.pos:])
+                    return psi
+                self.take(")")
+                ors, ands, nots = stack.pop()
+                depth -= nots
 
-    def or_expr(self):
-        operands = [self.and_expr()]
-        while self.peek() == "|":
-            self.take()
-            operands.append(self.and_expr())
-        return or_all(operands)
-
-    def and_expr(self):
-        operands = [self.factor()]
-        while self.peek() == "&":
-            self.take()
-            operands.append(self.factor())
-        return and_all(operands)
-
-    def factor(self):
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.factor())
-        if tok == "(":
-            self.take()
-            out = self.or_expr()
-            self.take(")")
-            return out
+    def atom(self, tok):
         if tok == "true":
-            self.take()
             return TOP
         if tok == "false":
-            self.take()
             return BOT
         if tok == "[":
-            self.take()
+            if not self.alg.is_interval:
+                raise ValueError("interval atom over the prop algebra")
             lo = _parse_endpoint(self.take())
             self.take(",")
             hi = _parse_endpoint(self.take())
             self.take(")")
             return Interval(lo, hi)
         if tok is not None and tok.startswith("p"):
-            self.take()
-            return Lit(int(tok[1:]))
+            if self.alg.is_interval:
+                raise ValueError("prop literal over an interval algebra")
+            index = int(tok[1:])
+            if not index < self.alg.k:
+                raise ValueError("literal p%d out of range for k=%d"
+                                 % (index, self.alg.k))
+            return Lit(index)
         raise ValueError("unexpected token %r" % (tok,))
 
 
 def parse_pred(alg, text):
-    psi = _PredParser(_tokenize(text)).parse()
-    _check_pred(alg, psi)
-    return psi
-
-
-def _check_pred(alg, psi):
-    if isinstance(psi, Interval) and not alg.is_interval:
-        raise ValueError("interval atom over the prop algebra")
-    if isinstance(psi, Lit):
-        if alg.is_interval:
-            raise ValueError("prop literal over an interval algebra")
-        if not 0 <= psi.index < alg.k:
-            raise ValueError("literal p%d out of range for k=%d"
-                             % (psi.index, alg.k))
-    if isinstance(psi, Not):
-        _check_pred(alg, psi.child)
-    if isinstance(psi, (And, Or)):
-        _check_pred(alg, psi.left)
-        _check_pred(alg, psi.right)
+    """The predicate tree of text over alg.  Raises ValueError on bad
+    syntax, on an atom of the other algebra family, on a literal index
+    out of range, and on more than MAX_NEGATION_DEPTH nested negations."""
+    return _PredParser(alg, _tokenize(text)).parse()
 
 
 def format_endpoint(x):

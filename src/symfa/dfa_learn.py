@@ -198,33 +198,41 @@ def _word_id(w):
     return "w:" + ".".join(format_letter(d) for d in w)
 
 
+def _prefix_tree(idx):
+    """The prefix tree of idx's sample, one state per sample prefix named
+    by _word_id, in ascending prefix order: state -> its children as
+    (letter, child) pairs in ascending letter order, and the states of
+    the positive words.  The ascending prefixes list each state's
+    children in that order, and a child's name extends its parent's."""
+    if not idx.words:
+        raise ValueError("empty sample")
+    names = {(): _word_id(())}
+    children = {names[()]: []}
+    for w in idx.prefixes()[1:]:
+        parent = names[w[:-1]]
+        q = names[w] = ((parent + "." if len(w) > 1 else "w:")
+                        + format_letter(w[-1]))
+        children[parent].append((w[-1], q))
+        children[q] = []
+    return children, [names[w] for w, b in idx.words.items() if b == 1]
+
+
 def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
     """Tree automaton accepting exactly the positive sample words, made
     total with a rejecting sink.  index, when given, is the sample's
     SampleIndex, so none is built."""
     idx = SampleIndex(sample) if index is None else index
-    sample = idx.words
     alphabet = _resolve_alphabet(idx, alphabet)
-    prefixes = idx.prefixes()
-    names = {w: _word_id(w) for w in prefixes}
-    states = [names[w] for w in prefixes]
+    children, accepting = _prefix_tree(idx)
+    if alphabet:
+        # the leaves have no children, so some letter goes to the sink
+        children["sink"] = []
     delta = {}
-    sink = "sink"
-    need_sink = False
-    for w in prefixes:
-        for a in alphabet:
-            child = w + (a,)
-            if child in names:
-                delta[names[w], a] = names[child]
-            else:
-                delta[names[w], a] = sink
-                need_sink = True
-    if need_sink:
-        states.append(sink)
-        for a in alphabet:
-            delta[sink, a] = sink
-    accepting = [names[w] for w in prefixes if sample.get(w) == 1]
-    return Dfa(algebra, alphabet, states, names[()], accepting, delta)
+    for q, kids in children.items():
+        delta.update(((q, a), "sink") for a in alphabet)
+        delta.update(((q, a), child) for a, child in kids)
+    return Dfa(algebra, alphabet, list(children), _word_id(()), accepting,
+               delta)
 
 
 def _resolve_alphabet(idx, alphabet):
@@ -319,17 +327,25 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
     alphabet, the result recognizes that DFA's language.  The alphabet
     defaults to the letters appearing in the sample; pass it explicitly
     when it is known and larger.  index, when given, is the sample's
-    SampleIndex, so none is built."""
+    SampleIndex, so none is built.  The row growing is _grow_rows, which
+    sfa_learn.infer_sfa calls directly, so that it builds its fallback
+    symbolically rather than through the concrete prefix tree."""
     idx = SampleIndex(sample) if index is None else index
-    sample = idx.words
-    if not sample:
+    if not idx.words:
         raise ValueError("empty sample")
-    equiv = idx.equiv
     alphabet = _resolve_alphabet(idx, alphabet)
+    out = _grow_rows(idx, algebra, alphabet)
+    if out is None:
+        return prefix_tree_dfa(idx.words, algebra, alphabet, index=idx)
+    return out
 
-    def fallback():
-        return prefix_tree_dfa(sample, algebra, alphabet, index=idx)
 
+def _grow_rows(idx, algebra, alphabet):
+    """infer_dfa's row growing over the non-empty sample of idx: the DFA on
+    the grown rows, or None where infer_dfa falls back to the prefix
+    tree."""
+    sample = idx.words
+    equiv = idx.equiv
     # always adopt the lexicographically least distinguished extension, so
     # each class is represented by its least access word
     front = RowFrontier(idx, alphabet)
@@ -339,12 +355,12 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
         row = front.least()
     rows = sorted(front.rows)
     if any(r not in sample for r in rows):
-        return fallback()
+        return None
     row_set = set(rows)
     for a in alphabet:
         w = (a,)
         if w not in row_set and sum(equiv(w, r2) for r2 in rows) != 1:
-            return fallback()
+            return None
     # prefer staying in the source state, then the most specific (longest,
     # then lexicographically least) matching row
     preferred = sorted(rows, key=lambda r2: (-len(r2), r2))
@@ -361,14 +377,14 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
             else:
                 tgt = next((r2 for r2 in preferred if equiv(w, r2)), None)
                 if tgt is None:
-                    return fallback()
+                    return None
             delta[names[r], a] = names[tgt]
     accepting = [names[r] for r in rows if sample[r] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
               accepting, delta)
     if not _agrees_sorted(idx.order, out.initial, out.delta,
                           {q: q in out.accepting for q in out.states}):
-        return fallback()
+        return None
     return out
 
 

@@ -7,14 +7,13 @@ from __future__ import annotations
 from itertools import chain
 
 from .algebra import (
-    BOT, INF, SUP, Interval, interval_piece_pred, min_model, or_all,
-    sem_contains, sem_min,
+    BOT, SUP, intervals_to_pred, min_model, sem_contains, sem_min,
 )
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _agrees_sorted, char_dfa, infer_dfa,
-    prefix_tree_dfa,
+    Dfa, RowFrontier, SampleIndex, _agrees_sorted, _grow_rows, _prefix_tree,
+    _word_id, char_dfa,
 )
-from .sfa import Sfa, classify, sample_dict, transition_table
+from .sfa import Sfa, _adopt_edges, classify, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
@@ -33,6 +32,41 @@ def concretize_alg(alg, predicates):
     return blocks
 
 
+def _runs(pairs):
+    """Maximal runs of one owner in (letter, owner) pairs given in
+    ascending letter order, as (owner, first letter of the run)."""
+    runs = []
+    for a, o in pairs:
+        if not runs or runs[-1][0] != o:
+            runs.append((o, a))
+    return runs
+
+
+def _run_guards(alg, runs, built):
+    """Covering guards from the runs of one letter sweep: run j becomes the
+    piece [its first letter, run j+1's first letter); the last run extends
+    to the top and the first is stretched down to the least domain letter.
+    Returns owner -> (guard, canonical interval list).  Runs of one owner
+    are never adjacent, so its pieces, ascending, are the canonical list.
+    built maps each piece tuple met so far to its (guard, list), so a
+    caller that passes one dict to every sweep builds each distinct guard
+    once and shares it."""
+    pieces = {}
+    for j, (o, start) in enumerate(runs):
+        # the upper bound is exclusive; a run that ends just below the inf
+        # letter must not swallow it
+        end = runs[j + 1][1] if j + 1 < len(runs) else SUP
+        pieces.setdefault(o, []).append((alg.dmin if j == 0 else start, end))
+    out = {}
+    for o, ps in pieces.items():
+        ps = tuple(ps)
+        guard = built.get(ps)
+        if guard is None:
+            guard = built[ps] = (intervals_to_pred(ps), ps)
+        out[o] = guard
+    return out
+
+
 def generalize_alg(alg, blocks):
     """Predicate partition covering the domain, from pairwise-disjoint
     finite letter sets.  Sweeps the letters in ascending order: a run of
@@ -49,20 +83,26 @@ def generalize_alg(alg, blocks):
             owner[d] = i
     if not owner:
         raise ValueError("all blocks are empty")
-    letters = sorted(owner)
-    runs = []  # (block index, first letter of run)
-    for d in letters:
-        if not runs or runs[-1][0] != owner[d]:
-            runs.append((owner[d], d))
-    pieces = [[] for _ in blocks]
-    for j, (i, start) in enumerate(runs):
-        if j == 0:
-            start = alg.dmin
-        # the upper bound is exclusive; a run that ends just below the inf
-        # letter must not swallow it
-        end = runs[j + 1][1] if j + 1 < len(runs) else SUP
-        pieces[i].append(interval_piece_pred(start, end))
-    return [or_all(ps) if ps else BOT for ps in pieces]
+    guards = _run_guards(alg, _runs(sorted(owner.items())), {})
+    return [guards[i][0] if i in guards else BOT for i in range(len(blocks))]
+
+
+def _generalized(alg, states, initial, accepting, runs_of):
+    """SFA over states whose state q leaves through the guards of the runs
+    runs_of(q) (see _run_guards), one transition per destination in
+    ascending destination order.  A state without runs, which only an
+    empty alphabet gives, gets a full-domain self-loop: it keeps the
+    language and makes the result complete.  The guards' denotations are
+    adopted as the edge table, so none is denoted again."""
+    built = {}
+    trans = []
+    edges = {}
+    for q in states:
+        guards = _run_guards(alg, runs_of(q) or [(q, alg.dmin)], built)
+        row = edges[q] = tuple((guards[dst][0], guards[dst][1], dst)
+                               for dst in sorted(guards))
+        trans.extend((q, pred, dst) for pred, _, dst in row)
+    return _adopt_edges(Sfa(alg, states, initial, accepting, trans), edges)
 
 
 def concretize_sfa(m):
@@ -84,24 +124,17 @@ def concretize_sfa(m):
 
 
 def generalize_dfa(d):
-    """SFA over d's states: per state, the outgoing letters are grouped by
-    destination and generalized into a covering predicate partition."""
-    _require_monotonic(d.algebra)
-    trans = []
-    for q in d.states:
-        if not d.alphabet:
-            # no letters to generalize from; a full-domain self-loop keeps
-            # the language and makes the result complete
-            trans.append((q, Interval(d.algebra.dmin, INF), q))
-            continue
-        groups = {}
-        for a in d.alphabet:
-            groups.setdefault(d.delta[q, a], set()).add(a)
-        dests = sorted(groups)
-        preds = generalize_alg(d.algebra, [groups[dst] for dst in dests])
-        for dst, pred in zip(dests, preds):
-            trans.append((q, pred, dst))
-    return Sfa(d.algebra, d.states, d.initial, d.accepting, trans)
+    """SFA over d's states: per state, one sweep over the ascending
+    alphabet cuts it into runs of one destination, and the runs become a
+    covering predicate partition (see generalize_alg).  The alphabet's
+    letters are checked once per call."""
+    alg = d.algebra
+    _require_monotonic(alg)
+    alphabet, delta = d.alphabet, d.delta
+    for a in alphabet:
+        alg.check_letter(a)
+    return _generalized(alg, d.states, d.initial, d.accepting,
+                        lambda q: _runs((a, delta[q, a]) for a in alphabet))
 
 
 def decontaminate(alg, sample, index=None):
@@ -187,17 +220,50 @@ def agrees(m, sample):
 
 def symbolic_prefix_tree(alg, sample, index=None):
     """Generalized prefix-tree automaton; always agrees with the sample.
-    index, when given, is the sample's SampleIndex, so none is built."""
-    return generalize_dfa(prefix_tree_dfa(sample, alg, index=index))
+    It is generalize_dfa(prefix_tree_dfa(sample, alg)), built without the
+    states x letters table: a state's runs over the sample's ascending
+    letters are its child letters, each on its own, and the runs of the
+    rejecting sink between them, so the work is proportional to the
+    number of sample prefixes.  index, when given, is the sample's
+    SampleIndex, so none is built."""
+    _require_monotonic(alg)
+    idx = SampleIndex(sample) if index is None else index
+    letters = idx.letters()
+    for a in letters:
+        alg.check_letter(a)
+    children, accepting = _prefix_tree(idx)
+    if letters:
+        children["sink"] = []
+    pos = {a: i for i, a in enumerate(letters)}
+
+    def runs_of(q):
+        runs = []
+        nxt = 0  # position of the first letter not yet in a run
+        for a, child in children[q]:
+            if pos[a] > nxt:
+                runs.append(("sink", letters[nxt]))
+            runs.append((child, a))
+            nxt = pos[a] + 1
+        if nxt < len(letters):
+            runs.append(("sink", letters[nxt]))
+        return runs
+
+    return _generalized(alg, list(children), _word_id(()), accepting,
+                        runs_of)
 
 
 def infer_sfa(alg, sample):
     """Infer an SFA: decontaminate, infer a concrete DFA, generalize; if
     the result disagrees with the full sample, fall back to the symbolic
     prefix tree.  Given any consistent superset of char_sfa(M), the result
-    recognizes L(M).  The sample is indexed once, and the index is shared
-    by decontaminate and, when decontamination removed nothing, by
-    infer_dfa and the fallback; at most one index is alive at a time."""
+    recognizes L(M).  When decontamination removed nothing and row growing
+    falls back (see dfa_learn.infer_dfa), the full sample's symbolic
+    prefix tree is returned at once: it agrees with the sample by
+    construction.  Otherwise the cleaned sample's hypothesis (generalized
+    rows, or its own symbolic prefix tree) is kept when it agrees with the
+    full sample.  The sample is indexed once, and the index is shared by
+    decontaminate and, when decontamination removed nothing, by the row
+    growing and the fallback; at most one index is alive at a time."""
     _require_monotonic(alg)
     idx = SampleIndex(sample)
     sample = idx.words
@@ -205,11 +271,26 @@ def infer_sfa(alg, sample):
         raise ValueError("empty sample")
     cleaned = decontaminate(alg, sample, index=idx)
     if len(cleaned) < len(sample):
-        # the full index is dropped before infer_dfa indexes the cleaned
-        # sample
+        # the full index is dropped before the cleaned sample is indexed
         idx = None
-    if cleaned:
-        candidate = generalize_dfa(infer_dfa(cleaned, alg, index=idx))
+        if cleaned:
+            candidate = _hypothesis(alg, SampleIndex(cleaned))
+            if agrees(candidate, sample):
+                return candidate
+        return symbolic_prefix_tree(alg, sample)
+    rows = _grow_rows(idx, alg, idx.letters())
+    if rows is not None:
+        candidate = generalize_dfa(rows)
         if agrees(candidate, sample):
             return candidate
+    # the tree agrees with its own sample by construction
     return symbolic_prefix_tree(alg, sample, index=idx)
+
+
+def _hypothesis(alg, idx):
+    """generalize_dfa of the rows grown over idx's sample, or that
+    sample's symbolic prefix tree where row growing falls back."""
+    rows = _grow_rows(idx, alg, idx.letters())
+    if rows is None:
+        return symbolic_prefix_tree(alg, idx.words, index=idx)
+    return generalize_dfa(rows)

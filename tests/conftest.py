@@ -1,8 +1,15 @@
+import random
+
 import pytest
 from hypothesis import settings, strategies as st
 
-from symfa import And, BOT, INF, Interval, Lit, NEG_INF, Not, Or, Sfa, TOP
+from symfa import (
+    And, BOT, INF, Interval, Lit, NEG_INF, Not, Or, Sfa, TOP, and_all,
+    minimize, or_all,
+)
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra
+from symfa.generate import random_noise_for_sfa, random_sfa
+from symfa.sfa_learn import char_sfa
 
 # Property tests run from a fixed seed and without a per-example deadline:
 # on a shared host whose speed drifts, a deadline fails slow examples at
@@ -113,3 +120,71 @@ def machine_pairs():
     """Two machines over one algebra."""
     return st.sampled_from(ALGEBRAS).flatmap(
         lambda alg: st.tuples(machines(alg), machines(alg)))
+
+
+# ---------------------------------------------------------------------------
+# Targets and samples at benchmark sizes
+
+
+def minimal_target(n, seed):
+    """A minimal deterministic complete interval SFA with exactly n states:
+    random n-state machines (up to four pieces per state) minimized with
+    ops.minimize, the first of exactly n states."""
+    rng = random.Random(seed)
+    while True:
+        names = ["q%d" % i for i in range(n)]
+        trans = []
+        for q in names:
+            cuts = sorted(rng.sample(range(1, 1001), rng.randint(0, 3)))
+            bounds = [0] + cuts + [INF]
+            for lo, hi in zip(bounds, bounds[1:]):
+                trans.append((q, Interval(lo, hi), rng.choice(names)))
+        accepting = [q for q in names if rng.random() < 0.5]
+        m = minimize(Sfa(INTERVAL_NAT, names, "q0", accepting, trans))
+        if len(m.states) == n:
+            return m
+
+
+def exact_target(rng, n):
+    """A minimal deterministic complete neat interval-nat SFA with exactly
+    n states."""
+    while True:
+        m = random_sfa(rng, max_states=n, max_out=4, max_endpoint=50)
+        if len(m.states) == n:
+            return m
+
+
+def random_prop_nfa(rng, k, n=4, out_degree=2):
+    names = ["p%d" % i for i in range(n)]
+
+    def guard():
+        lits = [Lit(i, rng.random() < 0.5)
+                for i in rng.sample(range(k), rng.randint(1, min(k, 3)))]
+        return rng.choice([and_all, or_all])(lits)
+
+    trans = [(q, guard(), rng.choice(names))
+             for q in names for _ in range(out_degree)]
+    accepting = [q for q in names if rng.random() < 0.5]
+    return Sfa(prop_algebra(k), names, "p0", accepting, trans)
+
+
+@st.composite
+def interval_samples(draw):
+    """A characteristic sample of a random minimal target, whole, with
+    words dropped, or with labelled noise words over a letter range that
+    overlaps the sample's."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    target = random_sfa(rng, max_states=draw(st.integers(1, 7)),
+                        max_endpoint=40)
+    sample = char_sfa(target)
+    kind = draw(st.sampled_from(["complete", "dropped", "noisy"]))
+    if kind == "dropped":
+        share = draw(st.sampled_from([0.05, 0.15, 0.3]))
+        sample = {w: b for w, b in sample.items() if rng.random() >= share}
+    elif kind == "noisy":
+        sample.update(random_noise_for_sfa(rng, target,
+                                           draw(st.integers(1, 20)),
+                                           max_letter=60))
+    pairs = list(sample.items())
+    rng.shuffle(pairs)
+    return target, dict(pairs)

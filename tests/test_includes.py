@@ -11,17 +11,16 @@ import pytest
 from hypothesis import given
 
 from symfa import (
-    And, INF, Interval, Lit, NEG_INF, Not, Sfa, accepts, and_all, classify,
-    complement, complete_sfa, determinize, includes, minimize, or_all,
+    And, INF, Interval, Lit, NEG_INF, Not, Sfa, accepts, classify,
+    complement, complete_sfa, determinize, includes, minimize,
 )
 from symfa.algebra import (
     INTERVAL_INT, INTERVAL_NAT, prop_algebra, sem_intersect, sem_min,
     sem_regions,
 )
-from symfa.generate import random_sfa
 from symfa.sfa import _adopt_edges, transition_table
 
-from conftest import machine_pairs
+from conftest import exact_target, machine_pairs, random_prop_nfa
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +130,6 @@ def test_includes_matches_product_search(pair):
 # k = 6, against a breadth-first search over concrete transition tables
 
 
-def exact_target(rng, n):
-    """A minimal deterministic complete neat interval-nat SFA with exactly
-    n states."""
-    while True:
-        m = random_sfa(rng, max_states=n, max_out=4, max_endpoint=50)
-        if len(m.states) == n:
-            return m
-
-
 def mutant(rng, m):
     """m with one transition redirected or one state's acceptance flipped,
     minimized: a machine whose language is often near m's."""
@@ -153,20 +143,6 @@ def mutant(rng, m):
         accepting ^= {rng.choice(m.states)}
     return minimize(Sfa(m.algebra, m.states, m.initial, accepting, trans),
                     "neat")
-
-
-def random_prop_nfa(rng, k, n=4, out_degree=2):
-    names = ["p%d" % i for i in range(n)]
-
-    def guard():
-        lits = [Lit(i, rng.random() < 0.5)
-                for i in rng.sample(range(k), rng.randint(1, min(k, 3)))]
-        return rng.choice([and_all, or_all])(lits)
-
-    trans = [(q, guard(), rng.choice(names))
-             for q in names for _ in range(out_degree)]
-    accepting = [q for q in names if rng.random() < 0.5]
-    return Sfa(prop_algebra(k), names, "p0", accepting, trans)
 
 
 def concrete_shortest(m1, m2, mode):

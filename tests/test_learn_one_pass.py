@@ -2,20 +2,20 @@
 against the quadratic row search it replaced, and the paper's round trip
 at a size where that search took seconds."""
 
-import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from symfa import INF, Interval, Sfa, accepts, includes, minimize
+from symfa import INF, accepts, includes
 from symfa.algebra import INTERVAL_NAT
 from symfa.dfa_learn import Dfa, _word_id, infer_dfa, prefix_tree_dfa
-from symfa.generate import random_noise_for_sfa, random_sfa
 from symfa.sfa import sample_dict
 from symfa.sfa_learn import agrees, char_sfa, decontaminate, infer_sfa
 
-from conftest import TWO_STATE_SAMPLE, build_two_state_target
+from conftest import (
+    TWO_STATE_SAMPLE, build_two_state_target, interval_samples, minimal_target,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,28 +137,6 @@ def ref_decontaminate(alg, sample):
     return {w: b for w, b in sample.items() if set(w) <= kept}
 
 
-@st.composite
-def interval_samples(draw):
-    """A characteristic sample of a random minimal target, whole, with
-    words dropped, or with labelled noise words over a letter range that
-    overlaps the sample's."""
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    target = random_sfa(rng, max_states=draw(st.integers(1, 7)),
-                        max_endpoint=40)
-    sample = char_sfa(target)
-    kind = draw(st.sampled_from(["complete", "dropped", "noisy"]))
-    if kind == "dropped":
-        share = draw(st.sampled_from([0.05, 0.15, 0.3]))
-        sample = {w: b for w, b in sample.items() if rng.random() >= share}
-    elif kind == "noisy":
-        sample.update(random_noise_for_sfa(rng, target,
-                                           draw(st.integers(1, 20)),
-                                           max_letter=60))
-    pairs = list(sample.items())
-    rng.shuffle(pairs)
-    return target, dict(pairs)
-
-
 @given(interval_samples())
 def test_frontier_matches_quadratic_search(case):
     target, sample = case
@@ -186,27 +164,8 @@ def test_frontier_matches_quadratic_search(case):
 # The round trip at n = 32
 
 
-def exact_target(n, seed):
-    """A minimal deterministic complete interval SFA with exactly n states:
-    random n-state machines (up to four pieces per state) minimized with
-    ops.minimize, the first of exactly n states."""
-    rng = random.Random(seed)
-    while True:
-        names = ["q%d" % i for i in range(n)]
-        trans = []
-        for q in names:
-            cuts = sorted(rng.sample(range(1, 1001), rng.randint(0, 3)))
-            bounds = [0] + cuts + [INF]
-            for lo, hi in zip(bounds, bounds[1:]):
-                trans.append((q, Interval(lo, hi), rng.choice(names)))
-        accepting = [q for q in names if rng.random() < 0.5]
-        m = minimize(Sfa(INTERVAL_NAT, names, "q0", accepting, trans))
-        if len(m.states) == n:
-            return m
-
-
 def test_round_trip_32_states():
-    target = exact_target(32, 32)
+    target = minimal_target(32, 32)
     sample = char_sfa(target)
     assert len(sample) > 40000
     t0 = time.perf_counter()

@@ -312,6 +312,14 @@ def _literal_set(k, index, positive):
     return frozenset(v for v in range(2 ** k) if bool(v & bit) == positive)
 
 
+@functools.lru_cache(maxsize=None)
+def _lit(index, positive):
+    """The one shared Lit(index, positive) that sem_pieces puts in its
+    cubes; literals are immutable, so cubes need no copies.  At most two
+    entries per proposition index."""
+    return Lit(index, positive)
+
+
 # ---------------------------------------------------------------------------
 # Semantic sets: a uniform denotation usable by both algebra families.
 # Interval kinds use canonical interval lists; prop uses valuation sets.
@@ -419,7 +427,7 @@ def sem_pieces(alg, a):
                and vals[i + 2 * size - 1] == v + 2 * size - 1):
             size *= 2
         fixed = alg.k - (size.bit_length() - 1)
-        cube = and_all(Lit(j, bool(v >> (alg.k - 1 - j) & 1))
+        cube = and_all(_lit(j, bool(v >> (alg.k - 1 - j) & 1))
                        for j in range(fixed))
         out.append((cube, frozenset(range(v, v + size))))
         i += size

@@ -395,55 +395,61 @@ def _grow_rows(idx, algebra, alphabet):
 
 def minimize_dfa(d):
     """Minimal complete DFA for d's language, states renamed s0, s1, ...
-    in ascending-letter depth-first order (iterative, so long chains
-    cannot exhaust the call stack).  Moore refinement over the states
-    reachable from the initial one."""
-    reach = [d.initial]
-    seen = {d.initial}
-    i = 0
-    while i < len(reach):
-        q = reach[i]
-        i += 1
-        for a in d.alphabet:
-            dst = d.delta[q, a]
-            if dst not in seen:
-                seen.add(dst)
-                reach.append(dst)
-    block = {q: (q in d.accepting) for q in reach}
+    in ascending-letter depth-first order (see _minimize_table)."""
+    alphabet, delta = d.alphabet, d.delta
+    reps, rows = _minimize_table(d.initial, d.accepting.__contains__,
+                                 lambda q: [delta[q, a] for a in alphabet])
+    names = ["s%d" % i for i in range(len(rows))]
+    return Dfa(d.algebra, alphabet, names, names[0],
+               [names[i] for i, q in enumerate(reps) if q in d.accepting],
+               {(names[i], a): names[j] for i, row in enumerate(rows)
+                for a, j in zip(alphabet, row)})
+
+
+def _minimize_table(initial, accepting, successors):
+    """The minimal complete DFA of the states reachable from initial, as
+    integer rows.  successors(q) lists q's destinations, one per letter,
+    in ascending letter order; accepting(q) tells acceptance.  The
+    reachable states are numbered breadth first, each gets one row of
+    successor numbers, and Moore refinement splits blocks by (own block,
+    successor blocks) until their number stops growing.  The blocks are
+    then numbered 0, 1, ... in ascending-letter depth-first order from
+    the initial state's block (iterative, so long chains cannot exhaust
+    the call stack).  Returns (reps, rows): a state of each block, and
+    each block's successor blocks, one per letter."""
+    index = {initial: 0}
+    states = [initial]
+    rows = []
+    for q in states:
+        row = successors(q)
+        for dst in dict.fromkeys(row):
+            if dst not in index:
+                index[dst] = len(states)
+                states.append(dst)
+        rows.append(list(map(index.__getitem__, row)))
+    block = [accepting(q) for q in states]
+    count = len(set(block))
     while True:
-        sig = {q: (block[q],) + tuple(block[d.delta[q, a]]
-                                      for a in d.alphabet)
-               for q in reach}
+        get = block.__getitem__
         ids = {}
-        new_block = {}
-        for q in reach:
-            new_block[q] = ids.setdefault(sig[q], len(ids))
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        block = [ids.setdefault((b, *map(get, row)), len(ids))
+                 for b, row in zip(block, rows)]
+        if len(ids) == count:
             break
-        block = new_block
+        count = len(ids)
     rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    order = []
-    placed = set()
-    stack = [block[d.initial]]
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    name = {}
+    stack = [block[0]]
     while stack:
         b = stack.pop()
-        if b in placed:
-            continue
-        placed.add(b)
-        order.append(b)
-        for a in reversed(d.alphabet):
-            stack.append(block[d.delta[rep[b], a]])
-    name = {b: "s%d" % i for i, b in enumerate(order)}
-    delta = {}
-    for b in order:
-        for a in d.alphabet:
-            delta[name[b], a] = name[block[d.delta[rep[b], a]]]
-    return Dfa(d.algebra, d.alphabet, [name[b] for b in order],
-               name[block[d.initial]],
-               [name[b] for b in order if rep[b] in d.accepting], delta)
+        if b not in name:
+            name[b] = len(name)
+            stack.extend(map(block.__getitem__, reversed(rows[rep[b]])))
+    firsts = [rep[b] for b in name]
+    return ([states[q] for q in firsts],
+            [[name[block[j]] for j in rows[q]] for q in firsts])
 
 
 def dfa_equiv(d1, d2):

@@ -8,11 +8,11 @@ import operator
 from collections import deque
 
 from .algebra import (
-    And, Not, and_all, denote, or_all, sem_complement, sem_contains, sem_full,
-    sem_intersect, sem_min, sem_pieces, sem_regions, sem_union_all,
+    SUP, And, Not, and_all, denote, or_all, sem_complement, sem_contains,
+    sem_full, sem_intersect, sem_min, sem_pieces, sem_regions, sem_union_all,
 )
-from .dfa_learn import Dfa, minimize_dfa
-from .sfa import Sfa, _adopt_edges, classify, complete_sfa, transition_table
+from .dfa_learn import _minimize_table
+from .sfa import Sfa, _adopt_edges, _row_successors, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
@@ -27,9 +27,7 @@ def product(m1, m2, mode="intersect"):
     if mode not in _ACCEPT:
         raise ValueError("mode must be intersect or union")
     if mode == "union":
-        f1, f2 = classify(m1), classify(m2)
-        if not (f1.deterministic and f1.complete
-                and f2.deterministic and f2.complete):
+        if not (all(m1._shape) and all(m2._shape)):
             raise ValueError("union product needs deterministic complete "
                              "inputs")
     if m1.algebra != m2.algebra:
@@ -75,7 +73,7 @@ def product(m1, m2, mode="intersect"):
 
 def complement(m):
     """Complete m, then flip the accepting set."""
-    if not classify(m).deterministic:
+    if not m._shape[0]:
         raise ValueError("complement needs a deterministic input")
     c = complete_sfa(m)
     return _adopt_edges(Sfa(c.algebra, c.states, c.initial,
@@ -155,46 +153,67 @@ def _representative_letters(alg, preds):
 def minimize(m, form="neat"):
     """Minimal-state deterministic complete SFA for L(m), canonical.  m is
     read as a DFA with one letter per region of its guards' common
-    refinement (sem_regions), minimize_dfa minimizes that DFA, and each
-    output guard is rebuilt from the union of its letters' regions, so it
-    depends on L(m) alone, never on the input's guard syntax:
-    form=neat emits one transition per piece of that union (sem_pieces:
-    an interval piece, or a prop cube fixing the leading propositions),
-    so the output is deterministic; form=normalized one disjunction of
+    refinement (sem_regions), as integer rows that dfa_learn's
+    _minimize_table minimizes, and each output guard is rebuilt from the
+    regions leading to one destination, so it depends on L(m) alone,
+    never on the input's guard syntax.  Over intervals those regions'
+    runs (_runs) are the guard's canonical pieces; over prop their union
+    is split by sem_pieces.  form=neat emits one transition per piece (an
+    interval piece, or a prop cube fixing the leading propositions), so
+    the output is deterministic; form=normalized one disjunction of
     those pieces per state pair.  Transitions leave each state ordered by
     destination.  States are renamed s0, s1, ... in ascending-letter
     depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
-    flags = classify(m)
-    if not flags.deterministic or not flags.complete:
+    if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
-    regions = sem_regions(alg, [sem for row in m.edges.values()
+    table = m.edges
+    regions = sem_regions(alg, [sem for row in table.values()
                                 for _, sem, _ in row])
     letters = [sem_min(alg, r) for r in regions]
-    d = minimize_dfa(Dfa(alg, letters, m.states, m.initial, m.accepting,
-                         transition_table(m, letters)))
-    region_of = dict(zip(letters, regions))
-    position = {q: i for i, q in enumerate(d.states)}
+    reps, rows = _minimize_table(
+        m.initial, m.accepting.__contains__,
+        lambda q: _row_successors(alg, table[q], letters))
+    names = ["s%d" % i for i in range(len(rows))]
+    if alg.is_interval:
+        bounds = letters + [SUP]
     trans = []
     edges = {}
-    for q in d.states:
-        groups = {}
-        for a in d.alphabet:
-            groups.setdefault(d.delta[q, a], []).append(region_of[a])
-        row = []
-        for dst in sorted(groups, key=position.__getitem__):
-            sem = sem_union_all(alg, groups[dst])
+    for q, row in zip(names, rows):
+        if alg.is_interval:
+            sems = _runs(row, bounds)
+        else:
+            groups = {}
+            for dst, region in zip(row, regions):
+                groups.setdefault(dst, []).append(region)
+            sems = {dst: sem_union_all(alg, rs) for dst, rs in groups.items()}
+        out = []
+        for dst, sem in sorted(sems.items()):
             pieces = sem_pieces(alg, sem)
             if form == "neat":
-                row.extend((p, s, dst) for p, s in pieces)
+                out.extend((p, s, names[dst]) for p, s in pieces)
             else:
-                row.append((or_all(p for p, _ in pieces), sem, dst))
-        trans.extend((q, p, dst) for p, _, dst in row)
-        edges[q] = tuple(row)
-    return _adopt_edges(Sfa(alg, d.states, d.initial, d.accepting, trans),
-                        edges)
+                out.append((or_all(p for p, _ in pieces), sem, names[dst]))
+        trans.extend((q, p, dst) for p, _, dst in out)
+        edges[q] = tuple(out)
+    return _adopt_edges(Sfa(alg, names, names[0],
+                            [names[i] for i, q in enumerate(reps)
+                             if q in m.accepting], trans), edges)
+
+
+def _runs(row, bounds):
+    """Destination -> canonical interval list of the regions leading
+    there, for one state's row over the regions [bounds[i],
+    bounds[i + 1]): one sweep that merges neighbouring regions with one
+    destination into a run.  Runs of one destination are apart, so they
+    are the list's pieces, ascending."""
+    cuts = [i for i in range(1, len(row)) if row[i] != row[i - 1]]
+    runs = {}
+    for i, j in zip([0] + cuts, cuts + [len(row)]):
+        runs.setdefault(row[i], []).append((bounds[i], bounds[j]))
+    return {dst: tuple(pieces) for dst, pieces in runs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +343,8 @@ def includes(m1, m2, mode="subset"):
     intersected."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
-    flags1, flags2 = classify(m1), classify(m2)
-    if not flags1.deterministic or not flags2.deterministic:
+    (det1, complete1), (det2, complete2) = m1._shape, m2._shape
+    if not det1 or not det2:
         raise ValueError("includes needs deterministic inputs")
     if m1.algebra != m2.algebra:
         raise ValueError("algebra mismatch")
@@ -338,8 +357,8 @@ def includes(m1, m2, mode="subset"):
         def tells_apart(pair):
             return (pair[0] in f1) != (pair[1] in f2)
     # a complete machine has no uncovered part to route to the sink
-    rows1 = _Rows(m1, mode == "equiv" and not flags1.complete)
-    rows2 = _Rows(m2, not flags2.complete)
+    rows1 = _Rows(m1, mode == "equiv" and not complete1)
+    rows2 = _Rows(m2, not complete2)
     meet = _sweep if alg.is_interval else _cross
     w = _first_word((m1.initial, m2.initial), tells_apart,
                     lambda pair: meet(rows1[pair[0]], rows2[pair[1]]))

@@ -11,7 +11,7 @@ from .algebra import (
     Lit, Not, TOP, and_all, denote, or_all, prop_algebra, sem_contains,
 )
 from .ops import includes
-from .sfa import Sfa, accepts, classify
+from .sfa import Sfa, accepts
 
 
 def basic_sfa(alg, psi):
@@ -58,8 +58,7 @@ class SfaTeacher(Oracle):
 
     def __init__(self, target):
         super().__init__()
-        flags = classify(target)
-        if not flags.deterministic or not flags.complete:
+        if not all(target._shape):
             raise ValueError("target must be deterministic and complete")
         self.target = target
 

@@ -3,6 +3,7 @@ transformations to special forms, and the text file formats."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,14 +60,21 @@ class Sfa:
         return {q: tuple(row) for q, row in rows.items()}
 
     @cached_property
-    def flags(self):
-        """SfaFlags, computed on first use (see classify)."""
+    def _shape(self):
+        """(deterministic, complete), computed on first use: the two flags
+        that the operations check, without the others' guard walks."""
         alg = self.algebra
         deterministic = complete = True
         for row in self.edges.values():
             disjoint, covering = _partition_flags(alg, [s for _, s, _ in row])
             deterministic = deterministic and disjoint
             complete = complete and covering
+        return deterministic, complete
+
+    @cached_property
+    def flags(self):
+        """SfaFlags, computed on first use (see classify)."""
+        deterministic, complete = self._shape
         trans = self.transitions
         return SfaFlags(
             deterministic=deterministic,
@@ -123,30 +131,35 @@ def accepts(m, w):
 
 def transition_table(m, letters):
     """(state, letter) -> destination for every state of a deterministic
-    complete m: the one edge whose guard holds the letter.  Intervals:
-    one sweep per state over the ascending letters and the state's
-    pieces sorted by lower end, linear after the sorts.  Prop: each
-    letter is tested against the state's edges in turn."""
-    alg = m.algebra
-    if not alg.is_interval:
-        return {(q, a): next(dst for _, sem, dst in row
-                             if sem_contains(alg, sem, a))
-                for q, row in m.edges.items() for a in letters}
+    complete m: the one edge whose guard holds the letter, found by
+    _row_successors over the ascending letters."""
     order = sorted(set(letters))
     table = {}
     for q, row in m.edges.items():
-        # the pieces of a deterministic complete state tile the domain, so
-        # the piece holding a letter is the first that ends above it
-        pieces = sorted(((lo, hi, dst) for _, sem, dst in row
-                         for lo, hi in sem), key=lambda piece: piece[0])
-        dst_of = {}
-        j = 0
-        for a in order:
-            while pieces[j][1] <= a:
-                j += 1
-            dst_of[a] = pieces[j][2]
+        dst_of = dict(zip(order, _row_successors(m.algebra, row, order)))
         table.update(((q, a), dst_of[a]) for a in letters)
     return table
+
+
+def _row_successors(alg, row, letters):
+    """Destination of each of the ascending letters in one edge-table row
+    of a deterministic complete state.  Intervals: the row's pieces,
+    sorted by lower end, tile the domain, so one sweep over them takes
+    each piece's run of letters by bisection, O(m log n) for m pieces and
+    n letters after the sort.  Prop: each letter is tested against the
+    row's edges in turn."""
+    if not alg.is_interval:
+        return [next(dst for _, sem, dst in row if sem_contains(alg, sem, a))
+                for a in letters]
+    pieces = sorted(((lo, hi, dst) for _, sem, dst in row for lo, hi in sem),
+                    key=lambda piece: piece[0])
+    out = []
+    i = 0
+    for _, hi, dst in pieces:
+        j = bisect_left(letters, hi, i)
+        out += [dst] * (j - i)
+        i = j
+    return out
 
 
 def _is_basic(pred):

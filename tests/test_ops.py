@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,12 +189,17 @@ def test_minimize_names_states_in_dfs_preorder():
 
 
 def test_minimize_long_chain():
-    # a chain deeper than the interpreter's recursion limit
+    # a chain deeper than the interpreter's recursion limit.  Moore
+    # refinement needs one round per state here; over integer rows the
+    # 1500 rounds take ~1.5 s on a 2-vCPU KVM guest, so the bound leaves
+    # more than 2x headroom
     n = 1500
     names = ["c%d" % i for i in range(n)]
     m = Sfa(INTERVAL_NAT, names, "c0", (names[-1],),
             [(names[i], TOP, names[min(i + 1, n - 1)]) for i in range(n)])
+    start = time.perf_counter()
     small = minimize(m, "neat")
+    assert time.perf_counter() - start < 4.0
     assert small.states == tuple("s%d" % i for i in range(n))
     assert small.accepting == {"s%d" % (n - 1)}
     assert accepts(small, (0,) * (n - 1))

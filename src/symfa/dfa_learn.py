@@ -73,13 +73,40 @@ class SampleIndex:
     extensions, the suffixes z with p.z labeled 1 and those with p.z
     labeled 0, are built from those runs the first time a query needs
     them, and kept.  Building the index is a sort; a learner only queries
-    its rows and their one-letter extensions."""
+    its rows and their one-letter extensions.  Given an algebra, each
+    distinct sample letter is checked with its check_letter before
+    anything is sorted, so a letter outside the algebra raises
+    ValueError rather than failing a comparison."""
 
-    def __init__(self, sample):
+    def __init__(self, sample, algebra=None):
         self.words = sample_dict(sample)
-        self.order = sorted(self.words.items())  # (word, label), ascending
-        self._runs = ([w for w, b in self.order if b == 1],
-                      [w for w, b in self.order if b == 0])
+        letters = set(chain.from_iterable(self.words))
+        if algebra is not None:
+            for d in letters:
+                algebra.check_letter(d)
+        self._letters = tuple(sorted(letters))
+        self._sorted(sorted(self.words.items()))
+
+    def _sorted(self, order):
+        self.order = order  # (word, label), ascending
+        self._runs = ([w for w, b in order if b == 1],
+                      [w for w, b in order if b == 0])
+        self._exts = {}
+
+    def restrict(self, words):
+        """The index of words, a sub-dict of this sample such as
+        decontaminate returns, cut from this one: its order and letters
+        are this index's filtered, so nothing is validated or sorted
+        again."""
+        sub = SampleIndex.__new__(SampleIndex)
+        sub.words = words
+        used = set(chain.from_iterable(words))
+        sub._letters = tuple(a for a in self._letters if a in used)
+        sub._sorted([p for p in self.order if p[0] in words])
+        return sub
+
+    def forget(self):
+        """Drop the suffix sets built so far; queries rebuild them."""
         self._exts = {}
 
     def extensions(self, p):
@@ -99,7 +126,8 @@ class SampleIndex:
         return sorted({w[:i] for w in self.words for i in range(len(w) + 1)})
 
     def letters(self):
-        return sorted(set(chain.from_iterable(self.words)))
+        """The distinct sample letters, ascending."""
+        return self._letters
 
     def equiv(self, w1, w2):
         pos1, neg1 = self.extensions(tuple(w1))
@@ -162,11 +190,17 @@ def char_dfa(d):
     Separation guarantee: the sample alone tells apart any two access
     words, and every one-letter extension u.a of an access word u from
     every access word v that reaches a different state (some suffix e
-    has u.a.e and v.e both labeled, with different labels)."""
+    has u.a.e and v.e both labeled, with different labels).
+
+    Every word is s.e or s.a.e, whose label is that of e read from the
+    state s or s.a reaches, so the labels are tabulated once per state
+    and suffix, |Q|.|E| runs, and the words are listed in the order of
+    the loops over S, then Sigma, then E.  The dict is returned as built:
+    its labels are 0 and 1 and its words tuples by construction."""
     if d.accepting == set(d.states):
-        return sample_dict([((), 1)])
+        return {(): 1}
     if not d.accepting:
-        return sample_dict([((), 0)])
+        return {(): 0}
     access = lex_access_words(d)
     s_words = sorted(access.values())
     by_word = {w: q for q, w in access.items()}
@@ -177,15 +211,17 @@ def char_dfa(d):
                                     by_word[s_words[j]])
             if v not in e_words:
                 e_words.append(v)
+    # fate[q][i]: the label of e_words[i] read from q
+    fate = {q: [1 if d.run(e, q) in d.accepting else 0 for e in e_words]
+            for q in d.states}
     pairs = {}
     for s in s_words:
-        for e in e_words:
-            pairs[s + e] = 1 if d.accepts(s + e) else 0
+        q = by_word[s]
+        pairs.update(zip([s + e for e in e_words], fate[q]))
         for a in d.alphabet:
-            for e in e_words:
-                w = s + (a,) + e
-                pairs[w] = 1 if d.accepts(w) else 0
-    return sample_dict(pairs.items())
+            sa = s + (a,)
+            pairs.update(zip([sa + e for e in e_words], fate[d.delta[q, a]]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +379,10 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
 def _grow_rows(idx, algebra, alphabet):
     """infer_dfa's row growing over the non-empty sample of idx: the DFA on
     the grown rows, or None where infer_dfa falls back to the prefix
-    tree."""
+    tree.  A DFA returned has passed the closing walk of idx.order, so it
+    agrees with every sample word; sfa_learn.infer_sfa relies on this
+    walk as its only agreement check of the generalized rows, which send
+    every letter of the alphabet where the DFA does."""
     sample = idx.words
     equiv = idx.equiv
     # always adopt the lexicographically least distinguished extension, so

@@ -146,15 +146,15 @@ def decontaminate(alg, sample, index=None):
     sample tells its extension apart from that of the last letter kept
     for the word (the least domain letter to begin with).  The scan reads
     the word and the sample alone.  Every word using a letter that no
-    scan kept is dropped.  When the sample contains a characteristic
-    sample produced by char_sfa, the kept letters are exactly that
-    sample's concrete alphabet and the result still contains the
-    characteristic sample.  index, when given, is the sample's
-    SampleIndex, so none is built."""
+    scan kept is dropped; the rest keep the sample's order.  When the
+    sample contains a characteristic sample produced by char_sfa, the
+    kept letters are exactly that sample's concrete alphabet and the
+    result still contains the characteristic sample.  Each distinct
+    sample letter is checked against alg first, so a letter outside it
+    raises ValueError.  index, when given, is the sample's SampleIndex
+    built with alg, so none is built."""
     _require_monotonic(alg)
-    idx = SampleIndex(sample) if index is None else index
-    sample = idx.words
-    letters = idx.letters()
+    idx = SampleIndex(sample, alg) if index is None else index
     kept = {alg.dmin}
     front = RowFrontier(idx, kept)
     row = ()
@@ -162,7 +162,7 @@ def decontaminate(alg, sample, index=None):
         front.add_row(row)
         rep = alg.dmin
         new = []
-        for a in letters:
+        for a in idx.letters():
             if not idx.equiv(row + (a,), row + (rep,)):
                 if a not in kept:
                     new.append(a)
@@ -170,7 +170,7 @@ def decontaminate(alg, sample, index=None):
         kept.update(new)
         front.add_letters(new)
         row = front.least()
-    return {w: b for w, b in sample.items() if kept.issuperset(w)}
+    return {w: b for w, b in idx.words.items() if kept.issuperset(w)}
 
 
 def char_sfa(m):
@@ -224,13 +224,13 @@ def symbolic_prefix_tree(alg, sample, index=None):
     states x letters table: a state's runs over the sample's ascending
     letters are its child letters, each on its own, and the runs of the
     rejecting sink between them, so the work is proportional to the
-    number of sample prefixes.  index, when given, is the sample's
-    SampleIndex, so none is built."""
+    number of sample prefixes.  Each distinct sample letter is checked
+    against alg first, so a letter outside it raises ValueError.  index,
+    when given, is the sample's SampleIndex built with alg, so none is
+    built."""
     _require_monotonic(alg)
-    idx = SampleIndex(sample) if index is None else index
+    idx = SampleIndex(sample, alg) if index is None else index
     letters = idx.letters()
-    for a in letters:
-        alg.check_letter(a)
     children, accepting = _prefix_tree(idx)
     if letters:
         children["sink"] = []
@@ -256,40 +256,45 @@ def infer_sfa(alg, sample):
     """Infer an SFA: decontaminate, infer a concrete DFA, generalize; if
     the result disagrees with the full sample, fall back to the symbolic
     prefix tree.  Given any consistent superset of char_sfa(M), the result
-    recognizes L(M).  When decontamination removed nothing and row growing
-    falls back (see dfa_learn.infer_dfa), the full sample's symbolic
-    prefix tree is returned at once: it agrees with the sample by
-    construction.  Otherwise the cleaned sample's hypothesis (generalized
-    rows, or its own symbolic prefix tree) is kept when it agrees with the
-    full sample.  The sample is indexed once, and the index is shared by
-    decontaminate and, when decontamination removed nothing, by the row
-    growing and the fallback; at most one index is alive at a time."""
+    recognizes L(M).  Each sample word is checked once:
+
+    - Each distinct sample letter is checked against alg before anything
+      is sorted, so a letter outside it raises ValueError.
+    - When decontamination removed nothing, the generalized rows are
+      returned with no further walk: row growing has walked every sample
+      word on the rows (see dfa_learn._grow_rows), and generalize_dfa
+      sends every sample letter where the rows do.  Where row growing
+      falls back, the sample's symbolic prefix tree is returned.
+    - Otherwise the cleaned sample's hypothesis (generalized rows, or its
+      own symbolic prefix tree) agrees with every cleaned word, so agrees
+      checks it on the removed words only.  It is kept when it agrees
+      with them, and the full sample's prefix tree is returned when not.
+
+    The sample is indexed once.  decontaminate shares that index, and the
+    cleaned sample's index is cut from it (SampleIndex.restrict).  The
+    full index's suffix sets are dropped before rows grow on the cleaned
+    one, so only one index's suffix sets are alive at a time; the full
+    index's sorted words stay for the fallback tree."""
     _require_monotonic(alg)
-    idx = SampleIndex(sample)
+    idx = SampleIndex(sample, alg)
     sample = idx.words
     if not sample:
         raise ValueError("empty sample")
     cleaned = decontaminate(alg, sample, index=idx)
-    if len(cleaned) < len(sample):
-        # the full index is dropped before the cleaned sample is indexed
-        idx = None
-        if cleaned:
-            candidate = _hypothesis(alg, SampleIndex(cleaned))
-            if agrees(candidate, sample):
-                return candidate
-        return symbolic_prefix_tree(alg, sample)
-    rows = _grow_rows(idx, alg, idx.letters())
-    if rows is not None:
-        candidate = generalize_dfa(rows)
-        if agrees(candidate, sample):
-            return candidate
-    # the tree agrees with its own sample by construction
+    if len(cleaned) == len(sample):
+        return _hypothesis(alg, idx)
+    removed = {w: b for w, b in sample.items() if w not in cleaned}
+    idx.forget()
+    candidate = _hypothesis(alg, idx.restrict(cleaned)) if cleaned else None
+    if candidate is not None and agrees(candidate, removed):
+        return candidate
     return symbolic_prefix_tree(alg, sample, index=idx)
 
 
 def _hypothesis(alg, idx):
     """generalize_dfa of the rows grown over idx's sample, or that
-    sample's symbolic prefix tree where row growing falls back."""
+    sample's symbolic prefix tree where row growing falls back.  Either
+    agrees with every word of idx's sample."""
     rows = _grow_rows(idx, alg, idx.letters())
     if rows is None:
         return symbolic_prefix_tree(alg, idx.words, index=idx)

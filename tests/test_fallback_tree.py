@@ -1,7 +1,7 @@
 """The prefix-tree fallback built symbolically: symbolic_prefix_tree and
 generalize_dfa against the states x letters construction they replaced,
 infer_sfa against the pipeline that built the fallback that way, letter
-checks on the fallback path, and a gate at a size where the table took
+checks ahead of the fallback path, and a gate at a size where the table took
 seconds."""
 
 import random
@@ -174,7 +174,7 @@ def test_infer_sfa_matches_reference_pipeline(case):
 
 
 # ---------------------------------------------------------------------------
-# Letters are still checked on the fallback path
+# Letters are checked before the fallback path is chosen
 
 
 @pytest.mark.parametrize("bad", [-1, True, 2.5])
@@ -184,13 +184,17 @@ def test_bad_letters_raise_on_fallback_path(bad, monkeypatch):
     # decontamination keeps every word and row growing gives up
     idx = SampleIndex({(0,): 0, (3,): 1})
     assert dfa_learn._grow_rows(idx, INTERVAL_NAT, idx.letters()) is None
+    # the bad letter is rejected up front, so neither the rows nor the
+    # tree are built
     calls = []
     tree = sfa_learn.symbolic_prefix_tree
     monkeypatch.setattr(sfa_learn, "symbolic_prefix_tree",
                         lambda *a, **k: calls.append(a) or tree(*a, **k))
+    monkeypatch.setattr(sfa_learn, "_grow_rows",
+                        lambda *a: calls.append(a) or idx)
     with pytest.raises(ValueError):
         infer_sfa(INTERVAL_NAT, sample)
-    assert calls
+    assert not calls
     with pytest.raises(ValueError):
         tree(INTERVAL_NAT, sample)
 

@@ -1,0 +1,270 @@
+"""The learner checks each sample word once: infer_sfa against the order
+that walked the whole sample with agrees on both paths, the removed words
+as agrees' only input, char_dfa's per-state labels against the per-word
+loop, the cleaned index cut from the full one, and letters outside the
+algebra rejected before anything is sorted."""
+
+import random
+
+import pytest
+from hypothesis import given
+
+from symfa import sfa_learn
+from symfa.algebra import INTERVAL_INT, INTERVAL_NAT
+from symfa.dfa_learn import (
+    SampleIndex, _grow_rows, char_dfa, distinguishing_word, lex_access_words,
+)
+from symfa.generate import random_noise_for_sfa, random_sfa
+from symfa.sfa import format_sfa, sample_dict
+from symfa.sfa_learn import (
+    agrees, char_sfa, concretize_sfa, decontaminate, generalize_dfa,
+    infer_sfa, symbolic_prefix_tree,
+)
+
+from conftest import TWO_STATE_SAMPLE, interval_samples, minimal_target
+
+
+# ---------------------------------------------------------------------------
+# References: infer_sfa with the full agrees walk on both paths, and
+# char_dfa labelling word by word, kept verbatim in behaviour
+
+
+def ref_hypothesis(alg, idx):
+    rows = _grow_rows(idx, alg, idx.letters())
+    if rows is None:
+        return symbolic_prefix_tree(alg, idx.words, index=idx)
+    return generalize_dfa(rows)
+
+
+def ref_infer_sfa(alg, sample):
+    idx = SampleIndex(sample)
+    sample = idx.words
+    cleaned = decontaminate(alg, sample, index=idx)
+    if len(cleaned) < len(sample):
+        if cleaned:
+            candidate = ref_hypothesis(alg, SampleIndex(cleaned))
+            if agrees(candidate, sample):
+                return candidate
+        return symbolic_prefix_tree(alg, sample)
+    rows = _grow_rows(idx, alg, idx.letters())
+    if rows is not None:
+        candidate = generalize_dfa(rows)
+        if agrees(candidate, sample):
+            return candidate
+    return symbolic_prefix_tree(alg, sample, index=idx)
+
+
+def ref_char_dfa_labels(d, s_words, e_words):
+    pairs = {}
+    for s in s_words:
+        for e in e_words:
+            pairs[s + e] = 1 if d.accepts(s + e) else 0
+        for a in d.alphabet:
+            for e in e_words:
+                w = s + (a,) + e
+                pairs[w] = 1 if d.accepts(w) else 0
+    return sample_dict(pairs.items())
+
+
+# ---------------------------------------------------------------------------
+# Samples: noisy supersets of characteristic samples, noise labelled at
+# random (contaminants), and characteristic samples with words dropped
+
+
+def noisy(rng, target, count, max_letter, honest):
+    sample = dict(char_sfa(target))
+    for w, b in random_noise_for_sfa(rng, target, count,
+                                     max_letter=max_letter).items():
+        sample.setdefault(w, b if honest else rng.randint(0, 1))
+    return sample
+
+
+def dropped(rng, target, share):
+    sample = {w: b for w, b in char_sfa(target).items()
+              if rng.random() >= share}
+    return sample or {(): 0}
+
+
+def seeded_samples():
+    out = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        target = random_sfa(rng, max_states=6, max_endpoint=40)
+        out.append(noisy(rng, target, 15, 60, honest=True))
+        out.append(noisy(rng, target, 15, 60, honest=False))
+        out.append(dropped(rng, target, 0.2))
+    return out
+
+
+@given(interval_samples())
+def test_infer_sfa_matches_reference(case):
+    _, sample = case
+    if not sample:
+        return
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    assert format_sfa(learned) == format_sfa(ref_infer_sfa(INTERVAL_NAT,
+                                                           sample))
+    assert agrees(learned, sample)
+
+
+@pytest.mark.parametrize("sample", seeded_samples())
+def test_infer_sfa_matches_reference_seeded(sample):
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    assert format_sfa(learned) == format_sfa(ref_infer_sfa(INTERVAL_NAT,
+                                                           sample))
+    assert agrees(learned, sample)
+
+
+def test_infer_sfa_matches_reference_at_16_states():
+    rng = random.Random(16)
+    target = minimal_target(16, 16)
+    for sample in (char_sfa(target), noisy(rng, target, 30, 1000, True),
+                   noisy(rng, target, 30, 1000, False)):
+        learned = infer_sfa(INTERVAL_NAT, sample)
+        assert format_sfa(learned) == format_sfa(
+            ref_infer_sfa(INTERVAL_NAT, sample))
+        assert agrees(learned, sample)
+
+
+# ---------------------------------------------------------------------------
+# agrees runs on the removed words only
+
+
+def watch_agrees(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sfa_learn, "agrees",
+                        lambda m, s: calls.append(sample_dict(s))
+                        or agrees(m, s))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_agrees_walk_when_nothing_is_removed(seed, monkeypatch):
+    rng = random.Random(seed)
+    target = random_sfa(rng, max_states=6, max_endpoint=40)
+    sample = char_sfa(target)
+    assert decontaminate(INTERVAL_NAT, sample) == sample
+    calls = watch_agrees(monkeypatch)
+    infer_sfa(INTERVAL_NAT, sample)
+    assert not calls
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_agrees_sees_exactly_the_removed_words(seed, honest, monkeypatch):
+    rng = random.Random(seed)
+    target = random_sfa(rng, max_states=6, max_endpoint=40)
+    sample = noisy(rng, target, 20, 60, honest)
+    cleaned = decontaminate(INTERVAL_NAT, sample)
+    removed = {w: b for w, b in sample.items() if w not in cleaned}
+    calls = watch_agrees(monkeypatch)
+    infer_sfa(INTERVAL_NAT, sample)
+    if removed and cleaned:
+        assert calls == [removed]
+    else:
+        assert not calls
+
+
+def test_removed_words_only_and_the_fallback_when_they_disagree(
+        monkeypatch):
+    # 150 is not kept, and the cleaned hypothesis, the two-state target,
+    # accepts (150, 0), which the contaminant labels 0
+    sample = dict(TWO_STATE_SAMPLE)
+    sample[(150, 0)] = 0
+    calls = watch_agrees(monkeypatch)
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    assert calls == [{(150, 0): 0}]
+    assert format_sfa(learned) == format_sfa(
+        symbolic_prefix_tree(INTERVAL_NAT, sample))
+
+
+# ---------------------------------------------------------------------------
+# char_dfa labels by state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_char_dfa_items_equal_the_old_loop(seed):
+    rng = random.Random(seed)
+    d = concretize_sfa(random_sfa(rng, max_states=7, max_endpoint=40))
+    sample = char_dfa(d)
+    if len(d.accepting) in (0, len(d.states)):
+        assert list(sample.items()) == [((), int(bool(d.accepting)))]
+        return
+    access = lex_access_words(d)
+    s_words = sorted(access.values())
+    by_word = {w: q for q, w in access.items()}
+    e_words = [()]
+    for i in range(len(s_words)):
+        for j in range(i + 1, len(s_words)):
+            v = distinguishing_word(d, by_word[s_words[i]],
+                                    by_word[s_words[j]])
+            if v not in e_words:
+                e_words.append(v)
+    assert list(sample.items()) == list(
+        ref_char_dfa_labels(d, s_words, e_words).items())
+
+
+# ---------------------------------------------------------------------------
+# The cleaned index is cut from the full one
+
+
+def assert_same_index(sub, fresh):
+    assert list(sub.words.items()) == list(fresh.words.items())
+    assert sub.order == fresh.order
+    assert sub.letters() == fresh.letters()
+    prefixes = fresh.prefixes()
+    assert sub.prefixes() == prefixes
+    for p in prefixes:
+        for q in prefixes:
+            assert sub.equiv(p, q) == fresh.equiv(p, q)
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_restricted_index_equals_fresh_index(seed, honest):
+    rng = random.Random(seed)
+    target = random_sfa(rng, max_states=4, max_endpoint=40)
+    sample = noisy(rng, target, 10, 60, honest)
+    idx = SampleIndex(sample, INTERVAL_NAT)
+    cleaned = decontaminate(INTERVAL_NAT, sample, index=idx)
+    idx.forget()
+    assert_same_index(idx.restrict(cleaned), SampleIndex(cleaned))
+
+
+def test_restrict_to_every_word_is_the_same_index():
+    idx = SampleIndex(TWO_STATE_SAMPLE)
+    assert_same_index(idx.restrict(idx.words), idx)
+
+
+# ---------------------------------------------------------------------------
+# Letters outside the algebra raise ValueError on every entry point, and
+# before any sort
+
+
+BAD_SAMPLES = [
+    (INTERVAL_NAT, {(0, 1): 1, ("a",): 0, (): 0}),
+    (INTERVAL_NAT, {(0, 1): 1, ((1,),): 0, (): 0}),
+    (INTERVAL_INT, {(-3, 2): 1, ("a", 4): 0}),
+    (INTERVAL_INT, {(2,): 1, ((1,), 2): 0}),
+    (INTERVAL_NAT, {(-1,): 1, (): 0}),
+    (INTERVAL_NAT, {(0, -1): 1, (0,): 0, (): 0}),
+]
+
+
+@pytest.mark.parametrize("alg, sample", BAD_SAMPLES)
+@pytest.mark.parametrize("entry", [infer_sfa, decontaminate,
+                                   symbolic_prefix_tree])
+def test_letters_outside_the_algebra_raise_value_error(entry, alg, sample):
+    with pytest.raises(ValueError):
+        entry(alg, sample)
+
+
+def test_letters_are_checked_before_the_sort(monkeypatch):
+    sorts = []
+    real = sorted
+    monkeypatch.setattr("builtins.sorted",
+                        lambda *a, **k: sorts.append(a) or real(*a, **k))
+    with pytest.raises(ValueError):
+        SampleIndex({(0,): 1, ("a",): 0}, INTERVAL_NAT)
+    assert not sorts
+

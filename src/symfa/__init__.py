@@ -21,7 +21,8 @@ from .dfa_learn import (
 )
 from .sfa_learn import (
     agrees, char_sfa, concretize_alg, concretize_sfa, decontaminate,
-    generalize_alg, generalize_dfa, infer_sfa, symbolic_prefix_tree,
+    generalize_alg, generalize_dfa, infer_sfa, merged_prefix_tree,
+    symbolic_prefix_tree,
 )
 from .query_learn import (
     Oracle, adversarial_prop_teacher, algebra_learner_from_sfa_learner,

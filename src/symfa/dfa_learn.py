@@ -235,22 +235,25 @@ def _word_id(w):
 
 
 def _prefix_tree(idx):
-    """The prefix tree of idx's sample, one state per sample prefix named
-    by _word_id, in ascending prefix order: state -> its children as
-    (letter, child) pairs in ascending letter order, and the states of
-    the positive words.  The ascending prefixes list each state's
-    children in that order, and a child's name extends its parent's."""
+    """The prefix tree of idx's sample, one node per sample prefix, built
+    in one _walk_sorted of idx.order: node q is the q-th prefix in
+    ascending order, kids[q] maps each letter to a child in ascending
+    letter order, label[q] is the prefix's label (-1 if no sample word)
+    and names[q] its _word_id, which extends its parent's."""
     if not idx.words:
         raise ValueError("empty sample")
-    names = {(): _word_id(())}
-    children = {names[()]: []}
-    for w in idx.prefixes()[1:]:
-        parent = names[w[:-1]]
-        q = names[w] = ((parent + "." if len(w) > 1 else "w:")
-                        + format_letter(w[-1]))
-        children[parent].append((w[-1], q))
-        children[q] = []
-    return children, [names[w] for w, b in idx.words.items() if b == 1]
+    kids, label, names = [{}], [-1], [_word_id(())]
+
+    def add(q, d):
+        c = kids[q][d] = len(kids)
+        kids.append({})
+        label.append(-1)
+        names.append((names[q] + "." if q else "w:") + format_letter(d))
+        return c
+
+    for q, b in _walk_sorted(idx.order, 0, add):
+        label[q] = b
+    return kids, label, names
 
 
 def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
@@ -259,16 +262,15 @@ def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
     SampleIndex, so none is built."""
     idx = SampleIndex(sample) if index is None else index
     alphabet = _resolve_alphabet(idx, alphabet)
-    children, accepting = _prefix_tree(idx)
-    if alphabet:
-        # the leaves have no children, so some letter goes to the sink
-        children["sink"] = []
+    kids, label, names = _prefix_tree(idx)
+    # the leaves have no children, so some letter goes to the sink
+    states = names + ["sink"] if alphabet else names
     delta = {}
-    for q, kids in children.items():
+    for q, row in zip(states, kids + [{}]):
         delta.update(((q, a), "sink") for a in alphabet)
-        delta.update(((q, a), child) for a, child in kids)
-    return Dfa(algebra, alphabet, list(children), _word_id(()), accepting,
-               delta)
+        delta.update(((q, a), names[c]) for a, c in row.items())
+    return Dfa(algebra, alphabet, states, names[0],
+               [names[q] for q, b in enumerate(label) if b == 1], delta)
 
 
 def _resolve_alphabet(idx, alphabet):
@@ -326,12 +328,11 @@ class RowFrontier:
         return min(self.live, default=None)
 
 
-def _agrees_sorted(items, start, table, accepting):
-    """True iff accepting[q] == b for every (w, b) of the ascending list
-    items, where q is the state reached from start through
-    table[state, letter] over w.  One walk: each word resumes from the
-    state reached at its longest common prefix with the word before, so
-    every distinct prefix is stepped once."""
+def _walk_sorted(items, start, step):
+    """(state, label) per (word, label) of the ascending list items, state
+    reached from start by step(state, letter) over the word.  Each word
+    resumes from the state at its longest common prefix with the word
+    before, so every distinct prefix is stepped once."""
     path = [start]  # path[i]: the state after the previous word's i letters
     prev = ()
     for w, b in items:
@@ -342,12 +343,10 @@ def _agrees_sorted(items, start, table, accepting):
         del path[i + 1:]
         q = path[i]
         for d in w[i:]:
-            q = table[q, d]
+            q = step(q, d)
             path.append(q)
-        if accepting[q] != b:
-            return False
+        yield q, b
         prev = w
-    return True
 
 
 def infer_dfa(sample, algebra, alphabet=None, index=None):
@@ -364,8 +363,8 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
     defaults to the letters appearing in the sample; pass it explicitly
     when it is known and larger.  index, when given, is the sample's
     SampleIndex, so none is built.  The row growing is _grow_rows, which
-    sfa_learn.infer_sfa calls directly, so that it builds its fallback
-    symbolically rather than through the concrete prefix tree."""
+    sfa_learn.infer_sfa calls directly, so that it falls back to state
+    merging rather than to the concrete prefix tree."""
     idx = SampleIndex(sample) if index is None else index
     if not idx.words:
         raise ValueError("empty sample")
@@ -421,8 +420,8 @@ def _grow_rows(idx, algebra, alphabet):
     accepting = [names[r] for r in rows if sample[r] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
               accepting, delta)
-    if not _agrees_sorted(idx.order, out.initial, out.delta,
-                          {q: q in out.accepting for q in out.states}):
+    if not all((q in out.accepting) == b for q, b in _walk_sorted(
+            idx.order, out.initial, lambda q, d: delta[q, d])):
         return None
     return out
 

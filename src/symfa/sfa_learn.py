@@ -4,14 +4,15 @@ generalizing, sample decontamination, and the char_sfa / infer_sfa pair."""
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .algebra import (
     BOT, SUP, intervals_to_pred, min_model, sem_contains, sem_min,
 )
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _agrees_sorted, _grow_rows, _prefix_tree,
-    _word_id, char_dfa,
+    Dfa, RowFrontier, SampleIndex, _grow_rows, _prefix_tree, _walk_sorted,
+    char_dfa,
 )
 from .sfa import Sfa, _adopt_edges, classify, sample_dict, transition_table
 
@@ -87,18 +88,18 @@ def generalize_alg(alg, blocks):
     return [guards[i][0] if i in guards else BOT for i in range(len(blocks))]
 
 
-def _generalized(alg, states, initial, accepting, runs_of):
-    """SFA over states whose state q leaves through the guards of the runs
-    runs_of(q) (see _run_guards), one transition per destination in
-    ascending destination order.  A state without runs, which only an
-    empty alphabet gives, gets a full-domain self-loop: it keeps the
-    language and makes the result complete.  The guards' denotations are
-    adopted as the edge table, so none is denoted again."""
+def _generalized(alg, states, initial, accepting, runs):
+    """SFA over states whose state q leaves through the guards of its runs
+    (see _run_guards), given in states' order, one transition per
+    destination in ascending destination order.  A state without runs
+    gets a full-domain self-loop, which keeps the language and makes the
+    result complete.  The guards' denotations are adopted as the edge
+    table, so none is denoted again."""
     built = {}
     trans = []
     edges = {}
-    for q in states:
-        guards = _run_guards(alg, runs_of(q) or [(q, alg.dmin)], built)
+    for q, rs in zip(states, runs):
+        guards = _run_guards(alg, rs or [(q, alg.dmin)], built)
         row = edges[q] = tuple((guards[dst][0], guards[dst][1], dst)
                                for dst in sorted(guards))
         trans.extend((q, pred, dst) for pred, _, dst in row)
@@ -134,7 +135,8 @@ def generalize_dfa(d):
     for a in alphabet:
         alg.check_letter(a)
     return _generalized(alg, d.states, d.initial, d.accepting,
-                        lambda q: _runs((a, delta[q, a]) for a in alphabet))
+                        (_runs((a, delta[q, a]) for a in alphabet)
+                         for q in d.states))
 
 
 def decontaminate(alg, sample, index=None):
@@ -181,41 +183,30 @@ def char_sfa(m):
     return char_dfa(concretize_sfa(m))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def agrees(m, sample):
     """True iff m accepts exactly the positive words of the sample.
     Raises ValueError when a sample letter is not a letter of m's algebra;
     each distinct letter is checked once.  One walk of the sorted sample
-    (see dfa_learn._agrees_sorted) over sets of states, which memoizes the
+    (see dfa_learn._walk_sorted) over sets of states, which memoizes the
     successor set per (state set, letter), so every guard is looked up at
     most once per distinct step."""
     alg = m.algebra
     sample = sample_dict(sample)
     for d in set(chain.from_iterable(sample)):
         alg.check_letter(d)
-    edges = m.edges
+    edges, memo = m.edges, {}
 
-    def successors(key):
-        states, d = key
-        return frozenset(dst for q in states for _, sem, dst in edges[q]
-                         if sem_contains(alg, sem, d))
+    def step(states, d):
+        nxt = memo.get((states, d))
+        if nxt is None:
+            nxt = memo[states, d] = frozenset(
+                dst for q in states for _, sem, dst in edges[q]
+                if sem_contains(alg, sem, d))
+        return nxt
 
-    def accepted(states):
-        return not m.accepting.isdisjoint(states)
-
-    return _agrees_sorted(sorted(sample.items()), frozenset((m.initial,)),
-                          _Memo(successors), _Memo(accepted))
+    return all((not m.accepting.isdisjoint(states)) == b for states, b in
+               _walk_sorted(sorted(sample.items()), frozenset((m.initial,)),
+                            step))
 
 
 def symbolic_prefix_tree(alg, sample, index=None):
@@ -231,71 +222,140 @@ def symbolic_prefix_tree(alg, sample, index=None):
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg) if index is None else index
     letters = idx.letters()
-    children, accepting = _prefix_tree(idx)
-    if letters:
-        children["sink"] = []
+    kids, label, names = _prefix_tree(idx)
     pos = {a: i for i, a in enumerate(letters)}
 
-    def runs_of(q):
+    def runs_of(row):
         runs = []
         nxt = 0  # position of the first letter not yet in a run
-        for a, child in children[q]:
+        for a, child in row.items():
             if pos[a] > nxt:
                 runs.append(("sink", letters[nxt]))
-            runs.append((child, a))
+            runs.append((names[child], a))
             nxt = pos[a] + 1
         if nxt < len(letters):
             runs.append(("sink", letters[nxt]))
         return runs
 
-    return _generalized(alg, list(children), _word_id(()), accepting,
-                        runs_of)
+    return _generalized(alg, names + ["sink"] if letters else names, names[0],
+                        [names[q] for q, b in enumerate(label) if b == 1],
+                        map(runs_of, kids + [{}]))
+
+
+class _RedBlue:
+    """Red-blue state merging (RPNI; Oncina and Garcia 1992) on the prefix
+    tree of idx's sample.  Node classes are a union-find forest, rep, whose
+    roots hold their class's label and children."""
+
+    def __init__(self, idx):
+        self.kids, self.label, self.names = _prefix_tree(idx)
+        self.rep = list(range(len(self.kids)))
+
+    def find(self, q):
+        while self.rep[q] != q:
+            q = self.rep[q]
+        return q
+
+    def merge(self, r, b, red):
+        """Fold class b into class r, uniting the classes they reach over
+        each word; each union removes a class, so the fold ends.  Returns
+        the children handed to classes in red, or None at a pair labeled 0
+        and 1, once the log of (table, key, old value) has undone it."""
+        kids, label, log, new = self.kids, self.label, [], []
+        work = [(r, b)]
+        while work:
+            x, y = map(self.find, work.pop())
+            if x == y:
+                continue
+            if label[y] >= 0 and label[x] != label[y]:
+                if label[x] >= 0:
+                    for table, key, old in reversed(log):
+                        if old is None:
+                            del table[key]
+                        else:
+                            table[key] = old
+                    return None
+                log.append((label, x, -1))
+                label[x] = label[y]
+            log.append((self.rep, y, y))
+            self.rep[y] = x
+            for a, c in kids[y].items():
+                if a in kids[x]:
+                    work.append((kids[x][a], c))
+                else:
+                    log.append((kids[x], a, None))
+                    kids[x][a] = c
+                    if x in red:
+                        new.append(c)
+        return new
+
+    def run(self):
+        """The red nodes, in promotion order, once no blue (non-red child
+        of a red class) is left.  The least blue, which has the least
+        access word, is merged into the first red that admits it, or else
+        promoted.  A blue heads a tree of classes that no other blue
+        reaches, so the new blues are the children a merge hands to red
+        classes, or a promoted node's; a heap keeps them."""
+        red = {0: None}  # in promotion order
+        blues = list(self.kids[0].values())
+        heapify(blues)
+        while blues:
+            b = heappop(blues)
+            for r in red:
+                new = self.merge(r, b, red)
+                if new is not None:
+                    break
+            else:
+                red[b] = None
+                new = map(self.find, self.kids[b].values())
+            for c in new:
+                heappush(blues, c)
+        return list(red)
+
+
+def merged_prefix_tree(alg, sample, index=None):
+    """The sample's prefix tree folded by _RedBlue: a deterministic
+    complete SFA that agrees with the sample.  Each red node is a state
+    named by _word_id of its access word, whose runs are its class's
+    child letters, each to its child's class, so a letter without evidence
+    joins the run below it.  alg and index are as for symbolic_prefix_tree."""
+    _require_monotonic(alg)
+    merger = _RedBlue(SampleIndex(sample, alg) if index is None else index)
+    reds = merger.run()
+    kids, names, find = merger.kids, merger.names, merger.find
+
+    def runs_of(r):
+        return _runs((a, names[find(kids[r][a])]) for a in sorted(kids[r]))
+
+    return _generalized(alg, [names[r] for r in reds], names[0],
+                        [names[r] for r in reds if merger.label[r] == 1],
+                        map(runs_of, reds))
 
 
 def infer_sfa(alg, sample):
-    """Infer an SFA: decontaminate, infer a concrete DFA, generalize; if
-    the result disagrees with the full sample, fall back to the symbolic
-    prefix tree.  Given any consistent superset of char_sfa(M), the result
-    recognizes L(M).  Each sample word is checked once:
-
-    - Each distinct sample letter is checked against alg before anything
-      is sorted, so a letter outside it raises ValueError.
-    - When decontamination removed nothing, the generalized rows are
-      returned with no further walk: row growing has walked every sample
-      word on the rows (see dfa_learn._grow_rows), and generalize_dfa
-      sends every sample letter where the rows do.  Where row growing
-      falls back, the sample's symbolic prefix tree is returned.
-    - Otherwise the cleaned sample's hypothesis (generalized rows, or its
-      own symbolic prefix tree) agrees with every cleaned word, so agrees
-      checks it on the removed words only.  It is kept when it agrees
-      with them, and the full sample's prefix tree is returned when not.
-
-    The sample is indexed once.  decontaminate shares that index, and the
-    cleaned sample's index is cut from it (SampleIndex.restrict).  The
-    full index's suffix sets are dropped before rows grow on the cleaned
-    one, so only one index's suffix sets are alive at a time; the full
-    index's sorted words stay for the fallback tree."""
+    """Infer an SFA: decontaminate, infer a concrete DFA, generalize.
+    Given any consistent superset of char_sfa(M), the result recognizes
+    L(M).  Where row growing gives up, or the cleaned sample's result
+    disagrees with a removed word, the full sample's merged_prefix_tree
+    is returned.  A letter outside alg raises ValueError before any sort.
+    Row growing ends with a walk of its sample (dfa_learn._grow_rows), so
+    agrees walks only the removed words.  decontaminate shares the one
+    index; the cleaned one is cut from it (SampleIndex.restrict) after its
+    suffix sets are dropped, so one index's suffix sets are alive at once."""
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg)
     sample = idx.words
     if not sample:
         raise ValueError("empty sample")
     cleaned = decontaminate(alg, sample, index=idx)
-    if len(cleaned) == len(sample):
-        return _hypothesis(alg, idx)
-    removed = {w: b for w, b in sample.items() if w not in cleaned}
-    idx.forget()
-    candidate = _hypothesis(alg, idx.restrict(cleaned)) if cleaned else None
-    if candidate is not None and agrees(candidate, removed):
-        return candidate
-    return symbolic_prefix_tree(alg, sample, index=idx)
-
-
-def _hypothesis(alg, idx):
-    """generalize_dfa of the rows grown over idx's sample, or that
-    sample's symbolic prefix tree where row growing falls back.  Either
-    agrees with every word of idx's sample."""
-    rows = _grow_rows(idx, alg, idx.letters())
-    if rows is None:
-        return symbolic_prefix_tree(alg, idx.words, index=idx)
-    return generalize_dfa(rows)
+    sub = idx
+    if len(cleaned) < len(sample):
+        removed = {w: b for w, b in sample.items() if w not in cleaned}
+        idx.forget()
+        sub = idx.restrict(cleaned)
+    rows = _grow_rows(sub, alg, sub.letters()) if cleaned else None
+    if rows is not None:
+        candidate = generalize_dfa(rows)
+        if sub is idx or agrees(candidate, removed):
+            return candidate
+    return merged_prefix_tree(alg, sample, index=idx)

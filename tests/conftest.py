@@ -9,7 +9,8 @@ from symfa import (
 )
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra
 from symfa.generate import random_noise_for_sfa, random_sfa
-from symfa.sfa_learn import char_sfa
+from symfa.sfa import classify
+from symfa.sfa_learn import agrees, char_sfa, symbolic_prefix_tree
 
 # Property tests run from a fixed seed and without a per-example deadline:
 # on a shared host whose speed drifts, a deadline fails slow examples at
@@ -188,3 +189,39 @@ def interval_samples(draw):
     pairs = list(sample.items())
     rng.shuffle(pairs)
     return target, dict(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Samples of arbitrary words and labels, and what every fallback output of
+# the learner must satisfy
+
+
+LETTERS = {
+    INTERVAL_NAT: st.sampled_from([0, 1, 2, 5, 9, 10, 100, INF])
+    | st.integers(0, 10 ** 6),
+    INTERVAL_INT: st.sampled_from([NEG_INF, -7, -1, 0, 1, 5, 100, INF])
+    | st.integers(-10 ** 6, 10 ** 6),
+}
+
+
+@st.composite
+def samples(draw):
+    alg = draw(st.sampled_from([INTERVAL_NAT, INTERVAL_INT]))
+    if draw(st.integers(0, 4)) == 0:
+        # a one-letter alphabet
+        letter = draw(LETTERS[alg])
+        words = st.integers(0, 4).map(lambda n: (letter,) * n)
+    else:
+        words = st.lists(LETTERS[alg], max_size=4).map(tuple)
+    return alg, draw(st.dictionaries(words, st.integers(0, 1), min_size=1,
+                                     max_size=14))
+
+
+def assert_fallback(learned, alg, sample):
+    """learned agrees with the sample, is deterministic and complete, and
+    has no more states than the sample's symbolic prefix tree."""
+    flags = classify(learned)
+    assert flags.deterministic and flags.complete
+    assert agrees(learned, sample)
+    assert len(learned.states) \
+        <= len(symbolic_prefix_tree(alg, sample).states)

@@ -1,14 +1,15 @@
-"""The prefix-tree fallback built symbolically: symbolic_prefix_tree and
+"""The prefix tree built symbolically: symbolic_prefix_tree and
 generalize_dfa against the states x letters construction they replaced,
-infer_sfa against the pipeline that built the fallback that way, letter
-checks ahead of the fallback path, and a gate at a size where the table took
-seconds."""
+infer_sfa against the pipeline that fell back to the tree wherever that
+pipeline returns no tree, letter checks ahead of the fallback path, and a
+gate at a size where the table took seconds and the tree had 16067
+states."""
 
 import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from symfa import dfa_learn, sfa_learn
 from symfa.algebra import (
@@ -22,7 +23,9 @@ from symfa.sfa_learn import (
     symbolic_prefix_tree,
 )
 
-from conftest import interval_samples, minimal_target
+from conftest import (
+    assert_fallback, interval_samples, minimal_target, samples,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,38 +71,22 @@ def ref_generalize_dfa(d):
 
 
 def ref_infer_sfa(alg, sample):
+    """The pipeline's output, or None where it is a prefix tree (then
+    infer_sfa merges states instead)."""
     sample = sample_dict(sample)
     cleaned = decontaminate(alg, sample)
     if cleaned:
-        candidate = ref_generalize_dfa(infer_dfa(cleaned, alg))
-        if agrees(candidate, sample):
-            return candidate
-    return ref_generalize_dfa(prefix_tree_dfa(sample, alg))
+        learned = infer_dfa(cleaned, alg)
+        # infer_dfa's own fallback, the tree, is the one with a sink
+        if "sink" not in learned.states:
+            candidate = ref_generalize_dfa(learned)
+            if agrees(candidate, sample):
+                return candidate
+    return None
 
 
 # ---------------------------------------------------------------------------
 # The symbolic tree equals the generalized concrete tree
-
-
-LETTERS = {
-    INTERVAL_NAT: st.sampled_from([0, 1, 2, 5, 9, 10, 100, INF])
-    | st.integers(0, 10 ** 6),
-    INTERVAL_INT: st.sampled_from([NEG_INF, -7, -1, 0, 1, 5, 100, INF])
-    | st.integers(-10 ** 6, 10 ** 6),
-}
-
-
-@st.composite
-def samples(draw):
-    alg = draw(st.sampled_from([INTERVAL_NAT, INTERVAL_INT]))
-    if draw(st.integers(0, 4)) == 0:
-        # a one-letter alphabet
-        letter = draw(LETTERS[alg])
-        words = st.integers(0, 4).map(lambda n: (letter,) * n)
-    else:
-        words = st.lists(LETTERS[alg], max_size=4).map(tuple)
-    return alg, draw(st.dictionaries(words, st.integers(0, 1), min_size=1,
-                                     max_size=14))
 
 
 def assert_adopted(m):
@@ -169,8 +156,12 @@ def test_infer_sfa_matches_reference_pipeline(case):
     _, sample = case
     if not sample:
         return
-    assert format_sfa(infer_sfa(INTERVAL_NAT, sample)) \
-        == format_sfa(ref_infer_sfa(INTERVAL_NAT, sample))
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    ref = ref_infer_sfa(INTERVAL_NAT, sample)
+    if ref is None:
+        assert_fallback(learned, INTERVAL_NAT, sample)
+    else:
+        assert format_sfa(learned) == format_sfa(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +192,16 @@ def test_bad_letters_raise_on_fallback_path(bad, monkeypatch):
 
 def test_whole_sample_fallback_skips_the_sample_walk(monkeypatch):
     # decontamination keeps both words and row growing gives up, so the
-    # tree, which agrees with its sample by construction, is returned as is
+    # merged tree, which agrees with its sample by construction, is
+    # returned as is
     walks = []
     monkeypatch.setattr(sfa_learn, "agrees",
                         lambda *a: walks.append(a) or agrees(*a))
     sample = {(0,): 0, (3,): 1}
-    assert format_sfa(infer_sfa(INTERVAL_NAT, sample)) \
-        == format_sfa(ref_infer_sfa(INTERVAL_NAT, sample))
+    learned = infer_sfa(INTERVAL_NAT, sample)
     assert not walks
+    assert ref_infer_sfa(INTERVAL_NAT, sample) is None
+    assert_fallback(learned, INTERVAL_NAT, sample)
 
 
 def test_prop_algebra_raises():
@@ -227,7 +220,8 @@ def test_empty_sample_raises():
 
 # ---------------------------------------------------------------------------
 # The gate: a 24-state target with a fifth of its characteristic sample
-# dropped, which takes the fallback
+# dropped, which takes the fallback: state merging, not the 16067-state
+# prefix tree
 
 
 def test_fallback_builds_no_table(monkeypatch):
@@ -241,8 +235,8 @@ def test_fallback_builds_no_table(monkeypatch):
     t0 = time.perf_counter()
     learned = infer_sfa(INTERVAL_NAT, sample)
     elapsed = time.perf_counter() - t0
-    assert len(learned.states) > 10000  # the prefix tree
+    assert len(learned.states) <= 48
     assert not built
     # a gate: with the states x letters table this call took 3.3 s on a
-    # 2-vCPU host, built symbolically 0.55 s
+    # 2-vCPU host, with the symbolic prefix tree 0.55 s, merged 0.3 s
     assert elapsed < 1.5

@@ -1,8 +1,9 @@
 """The learner checks each sample word once: infer_sfa against the order
-that walked the whole sample with agrees on both paths, the removed words
-as agrees' only input, char_dfa's per-state labels against the per-word
-loop, the cleaned index cut from the full one, and letters outside the
-algebra rejected before anything is sorted."""
+that walked the whole sample with agrees on both paths (wherever that
+order returns no prefix tree), the removed words as agrees' only input,
+char_dfa's per-state labels against the per-word loop, the cleaned index
+cut from the full one, and letters outside the algebra rejected before
+anything is sorted."""
 
 import random
 
@@ -18,22 +19,24 @@ from symfa.generate import random_noise_for_sfa, random_sfa
 from symfa.sfa import format_sfa, sample_dict
 from symfa.sfa_learn import (
     agrees, char_sfa, concretize_sfa, decontaminate, generalize_dfa,
-    infer_sfa, symbolic_prefix_tree,
+    infer_sfa, merged_prefix_tree, symbolic_prefix_tree,
 )
 
-from conftest import TWO_STATE_SAMPLE, interval_samples, minimal_target
+from conftest import (
+    TWO_STATE_SAMPLE, assert_fallback, interval_samples, minimal_target,
+)
 
 
 # ---------------------------------------------------------------------------
 # References: infer_sfa with the full agrees walk on both paths, and
-# char_dfa labelling word by word, kept verbatim in behaviour
+# char_dfa labelling word by word, kept verbatim in behaviour, except that
+# the reference returns None where it returned a prefix tree (infer_sfa
+# merges states there)
 
 
 def ref_hypothesis(alg, idx):
     rows = _grow_rows(idx, alg, idx.letters())
-    if rows is None:
-        return symbolic_prefix_tree(alg, idx.words, index=idx)
-    return generalize_dfa(rows)
+    return None if rows is None else generalize_dfa(rows)
 
 
 def ref_infer_sfa(alg, sample):
@@ -43,15 +46,30 @@ def ref_infer_sfa(alg, sample):
     if len(cleaned) < len(sample):
         if cleaned:
             candidate = ref_hypothesis(alg, SampleIndex(cleaned))
-            if agrees(candidate, sample):
+            if candidate is not None and agrees(candidate, sample):
                 return candidate
-        return symbolic_prefix_tree(alg, sample)
+        return None
     rows = _grow_rows(idx, alg, idx.letters())
     if rows is not None:
         candidate = generalize_dfa(rows)
         if agrees(candidate, sample):
             return candidate
-    return symbolic_prefix_tree(alg, sample, index=idx)
+    return None
+
+
+def check_against_reference(sample):
+    """infer_sfa's output is the reference's, byte for byte, or where the
+    reference returns None the full sample's merged tree, a fallback
+    output (assert_fallback)."""
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    ref = ref_infer_sfa(INTERVAL_NAT, sample)
+    if ref is None:
+        assert format_sfa(learned) == format_sfa(
+            merged_prefix_tree(INTERVAL_NAT, sample))
+        assert_fallback(learned, INTERVAL_NAT, sample)
+    else:
+        assert format_sfa(learned) == format_sfa(ref)
+        assert agrees(learned, sample)
 
 
 def ref_char_dfa_labels(d, s_words, e_words):
@@ -99,20 +117,13 @@ def seeded_samples():
 @given(interval_samples())
 def test_infer_sfa_matches_reference(case):
     _, sample = case
-    if not sample:
-        return
-    learned = infer_sfa(INTERVAL_NAT, sample)
-    assert format_sfa(learned) == format_sfa(ref_infer_sfa(INTERVAL_NAT,
-                                                           sample))
-    assert agrees(learned, sample)
+    if sample:
+        check_against_reference(sample)
 
 
 @pytest.mark.parametrize("sample", seeded_samples())
 def test_infer_sfa_matches_reference_seeded(sample):
-    learned = infer_sfa(INTERVAL_NAT, sample)
-    assert format_sfa(learned) == format_sfa(ref_infer_sfa(INTERVAL_NAT,
-                                                           sample))
-    assert agrees(learned, sample)
+    check_against_reference(sample)
 
 
 def test_infer_sfa_matches_reference_at_16_states():
@@ -120,10 +131,7 @@ def test_infer_sfa_matches_reference_at_16_states():
     target = minimal_target(16, 16)
     for sample in (char_sfa(target), noisy(rng, target, 30, 1000, True),
                    noisy(rng, target, 30, 1000, False)):
-        learned = infer_sfa(INTERVAL_NAT, sample)
-        assert format_sfa(learned) == format_sfa(
-            ref_infer_sfa(INTERVAL_NAT, sample))
-        assert agrees(learned, sample)
+        check_against_reference(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +167,13 @@ def test_agrees_sees_exactly_the_removed_words(seed, honest, monkeypatch):
     removed = {w: b for w, b in sample.items() if w not in cleaned}
     calls = watch_agrees(monkeypatch)
     infer_sfa(INTERVAL_NAT, sample)
-    if removed and cleaned:
+    sub = SampleIndex(cleaned) if cleaned else None
+    rows = sub and _grow_rows(sub, INTERVAL_NAT, sub.letters())
+    if removed and rows is not None:
         assert calls == [removed]
     else:
+        # no rows on the cleaned words: the full sample's states are
+        # merged at once, and the merged tree needs no walk
         assert not calls
 
 
@@ -174,8 +186,8 @@ def test_removed_words_only_and_the_fallback_when_they_disagree(
     calls = watch_agrees(monkeypatch)
     learned = infer_sfa(INTERVAL_NAT, sample)
     assert calls == [{(150, 0): 0}]
-    assert format_sfa(learned) == format_sfa(
-        symbolic_prefix_tree(INTERVAL_NAT, sample))
+    assert ref_infer_sfa(INTERVAL_NAT, sample) is None
+    assert_fallback(learned, INTERVAL_NAT, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +265,7 @@ BAD_SAMPLES = [
 
 @pytest.mark.parametrize("alg, sample", BAD_SAMPLES)
 @pytest.mark.parametrize("entry", [infer_sfa, decontaminate,
-                                   symbolic_prefix_tree])
+                                   symbolic_prefix_tree, merged_prefix_tree])
 def test_letters_outside_the_algebra_raise_value_error(entry, alg, sample):
     with pytest.raises(ValueError):
         entry(alg, sample)

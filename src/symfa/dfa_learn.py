@@ -5,11 +5,10 @@ words, prefix-tree automata)."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from itertools import chain
 
-from .algebra import SUP, format_letter
+from .algebra import format_letter
 from .sfa import sample_dict
 
 
@@ -67,16 +66,15 @@ class Dfa:
 
 
 class SampleIndex:
-    """One sample, indexed for repeated sample_equiv queries.  The
-    positive and the negative words are kept sorted, so the words that
-    extend a prefix p form one run of each, found by bisection.  p's
-    extensions, the suffixes z with p.z labeled 1 and those with p.z
-    labeled 0, are built from those runs the first time a query needs
-    them, and kept.  Building the index is a sort; a learner only queries
-    its rows and their one-letter extensions.  Given an algebra, each
+    """One sample, indexed for repeated sample_equiv queries as its prefix
+    tree: node q is the q-th sample prefix in ascending order, kids[q]
+    maps each letter to a child in ascending letter order, and label[q] is
+    the prefix's label (-1 if no sample word).  Equal subtrees share one
+    class, (label, {letter: child class}); class 0 is the empty tree's,
+    that of every word that is no sample prefix.  Given an algebra, each
     distinct sample letter is checked with its check_letter before
-    anything is sorted, so a letter outside the algebra raises
-    ValueError rather than failing a comparison."""
+    anything is sorted, so a letter outside the algebra raises ValueError
+    rather than failing a comparison."""
 
     def __init__(self, sample, algebra=None):
         self.words = sample_dict(sample)
@@ -85,54 +83,75 @@ class SampleIndex:
             for d in letters:
                 algebra.check_letter(d)
         self._letters = tuple(sorted(letters))
-        self._sorted(sorted(self.words.items()))
+        self._build(sorted(self.words.items()))
 
-    def _sorted(self, order):
+    def _build(self, order):
         self.order = order  # (word, label), ascending
-        self._runs = ([w for w, b in order if b == 1],
-                      [w for w, b in order if b == 0])
-        self._exts = {}
+        kids = [{}]
+
+        def add(q, d):
+            c = kids[q][d] = len(kids)
+            kids.append({})
+            return c
+
+        ends = dict(_walk_sorted(order, 0, add))
+        label = [ends.get(q, -1) for q in range(len(kids))]
+        self.kids, self.label, self._known = kids, label, {}
+        # children are numbered above parents, so each subtree is done first
+        cls, ids = [0] * len(kids), {(-1,): 0}
+        for q in reversed(range(len(kids))):
+            row, key = kids[q], (label[q],)
+            if row:  # a leaf's class is its label's
+                key += tuple(zip(row, map(cls.__getitem__, row.values())))
+            cls[q] = ids.setdefault(key, len(ids))
+        self._root, self._class_label = cls[0], [key[0] for key in ids]
+        self._class_kids = [dict(key[1:]) for key in ids]
 
     def restrict(self, words):
-        """The index of words, a sub-dict of this sample such as
-        decontaminate returns, cut from this one: its order and letters
-        are this index's filtered, so nothing is validated or sorted
-        again."""
+        """The index of words, a sub-dict of this sample such as decontaminate
+        returns, cut from this one: its order and letters are this index's
+        filtered, so nothing is validated or sorted again."""
         sub = SampleIndex.__new__(SampleIndex)
         sub.words = words
         used = set(chain.from_iterable(words))
         sub._letters = tuple(a for a in self._letters if a in used)
-        sub._sorted([p for p in self.order if p[0] in words])
+        sub._build([p for p in self.order if p[0] in words])
         return sub
-
-    def forget(self):
-        """Drop the suffix sets built so far; queries rebuild them."""
-        self._exts = {}
-
-    def extensions(self, p):
-        """(positive, negative) suffix sets of the tuple p: the z with
-        p.z labeled 1, and those with p.z labeled 0.  Both are empty when
-        p is no prefix of a sample word."""
-        e = self._exts.get(p)
-        if e is None:
-            k, top = len(p), p + (SUP,)
-            e = self._exts[p] = tuple(
-                {w[k:] for w in run[bisect_left(run, p):bisect_left(run, top)]}
-                for run in self._runs)
-        return e
-
-    def prefixes(self):
-        """Every prefix of a sample word, ascending."""
-        return sorted({w[:i] for w in self.words for i in range(len(w) + 1)})
 
     def letters(self):
         """The distinct sample letters, ascending."""
         return self._letters
 
     def equiv(self, w1, w2):
-        pos1, neg1 = self.extensions(tuple(w1))
-        pos2, neg2 = self.extensions(tuple(w2))
-        return pos1.isdisjoint(neg2) and neg1.isdisjoint(pos2)
+        kids, x, y = self._class_kids, self._root, self._root
+        for d in w1:
+            x = kids[x].get(d, 0)
+        for d in w2:
+            y = kids[y].get(d, 0)
+        top = (x, y) if x < y else (y, x)
+        if top not in self._known:
+            self._known[top] = x == y or self._walk(top)
+        return self._known[top]
+
+    def _walk(self, top):
+        """False at the first pair labeled 0 and 1 that a lockstep walk from
+        the class pair top meets; a walk that passes keeps every pair."""
+        labels, kids, known = self._class_label, self._class_kids, self._known
+        seen, stack = {top}, [top]
+        while stack:
+            x, y = stack.pop()
+            if labels[x] + labels[y] == 1:  # one is 0, the other 1
+                return False
+            ky = kids[y]
+            for a, c in kids[x].items():
+                d = ky.get(a, c)
+                if c != d:
+                    pair = (c, d) if c < d else (d, c)
+                    if pair not in seen and not known.get(pair):
+                        seen.add(pair)
+                        stack.append(pair)
+        known.update(dict.fromkeys(seen, True))
+        return True
 
 
 def sample_equiv(sample, w1, w2):
@@ -234,26 +253,15 @@ def _word_id(w):
     return "w:" + ".".join(format_letter(d) for d in w)
 
 
-def _prefix_tree(idx):
-    """The prefix tree of idx's sample, one node per sample prefix, built
-    in one _walk_sorted of idx.order: node q is the q-th prefix in
-    ascending order, kids[q] maps each letter to a child in ascending
-    letter order, label[q] is the prefix's label (-1 if no sample word)
-    and names[q] its _word_id, which extends its parent's."""
+def _node_names(idx):
+    """The _word_id of each node of idx's tree, extending its parent's."""
     if not idx.words:
         raise ValueError("empty sample")
-    kids, label, names = [{}], [-1], [_word_id(())]
-
-    def add(q, d):
-        c = kids[q][d] = len(kids)
-        kids.append({})
-        label.append(-1)
-        names.append((names[q] + "." if q else "w:") + format_letter(d))
-        return c
-
-    for q, b in _walk_sorted(idx.order, 0, add):
-        label[q] = b
-    return kids, label, names
+    names = [_word_id(())] * len(idx.kids)
+    for q, row in enumerate(idx.kids):
+        for d, c in row.items():
+            names[c] = (names[q] + "." if q else "w:") + format_letter(d)
+    return names
 
 
 def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
@@ -262,7 +270,7 @@ def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
     SampleIndex, so none is built."""
     idx = SampleIndex(sample) if index is None else index
     alphabet = _resolve_alphabet(idx, alphabet)
-    kids, label, names = _prefix_tree(idx)
+    kids, label, names = idx.kids, idx.label, _node_names(idx)
     # the leaves have no children, so some letter goes to the sink
     states = names + ["sink"] if alphabet else names
     delta = {}
@@ -283,16 +291,12 @@ def _resolve_alphabet(idx, alphabet):
 
 
 class RowFrontier:
-    """Rows grown one at a time, and their live frontier: the one-letter
-    extensions r.a of a row (a among the letters) that are sample
-    prefixes and that the sample tells apart from every row.  The least
-    member is the lexicographically least separated extension, the next
-    row to adopt.  Adding a row drops the members that match it and tests
-    its own extensions; adding letters tests every row's extensions over
-    them.  So each extension meets each row in at most one equiv query,
-    O(|rows|^2 * |letters|) in all, not that many per adopted row.  A word
-    outside the sample is sample-equivalent to every word, so rows must
-    start with the empty word for the frontier to be complete."""
+    """Rows grown one at a time from the empty word, and their live
+    frontier: each extension r.a of a row (a among the letters) that the
+    sample tells apart from every row; one that is no sample prefix matches
+    every row.  The least member is the next row.  Adding a row drops the
+    members that match it and tests each extension of it; adding letters
+    tests each extension by them: at most one equiv per extension and row."""
 
     def __init__(self, idx, letters):
         self.idx = idx
@@ -301,13 +305,13 @@ class RowFrontier:
         self.live = set()
 
     def _offer(self, r, letters):
-        exts, equiv, rows = self.idx.extensions, self.idx.equiv, self.rows
+        equiv, rows = self.idx.equiv, self.rows
         # neighbouring letters mostly lead to the same row, so the row the
         # last extension matched is tried first
         hint = None
         for a in letters:
             w = r + (a,)
-            if not any(exts(w)) or (hint is not None and equiv(w, hint)):
+            if hint is not None and equiv(w, hint):
                 continue
             hint = next((r2 for r2 in rows if equiv(w, r2)), None)
             if hint is None:
@@ -394,10 +398,9 @@ def _grow_rows(idx, algebra, alphabet):
     rows = sorted(front.rows)
     if any(r not in sample for r in rows):
         return None
-    row_set = set(rows)
+    # rows are pairwise separated, so a row matches itself only
     for a in alphabet:
-        w = (a,)
-        if w not in row_set and sum(equiv(w, r2) for r2 in rows) != 1:
+        if sum(equiv((a,), r2) for r2 in rows) != 1:
             return None
     # prefer staying in the source state, then the most specific (longest,
     # then lexicographically least) matching row
@@ -407,10 +410,7 @@ def _grow_rows(idx, algebra, alphabet):
     for r in rows:
         for a in alphabet:
             w = r + (a,)
-            if w in row_set:
-                # rows are pairwise separated: a row matches itself only
-                tgt = w
-            elif equiv(w, r):
+            if equiv(w, r):
                 tgt = r
             else:
                 tgt = next((r2 for r2 in preferred if equiv(w, r2)), None)

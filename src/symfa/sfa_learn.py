@@ -11,7 +11,7 @@ from .algebra import (
     BOT, SUP, intervals_to_pred, min_model, sem_contains, sem_min,
 )
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _grow_rows, _prefix_tree, _walk_sorted,
+    Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _walk_sorted,
     char_dfa,
 )
 from .sfa import Sfa, _adopt_edges, classify, sample_dict, transition_table
@@ -222,7 +222,7 @@ def symbolic_prefix_tree(alg, sample, index=None):
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg) if index is None else index
     letters = idx.letters()
-    kids, label, names = _prefix_tree(idx)
+    kids, label, names = idx.kids, idx.label, _node_names(idx)
     pos = {a: i for i, a in enumerate(letters)}
 
     def runs_of(row):
@@ -243,13 +243,13 @@ def symbolic_prefix_tree(alg, sample, index=None):
 
 
 class _RedBlue:
-    """Red-blue state merging (RPNI; Oncina and Garcia 1992) on the prefix
-    tree of idx's sample.  Node classes are a union-find forest, rep, whose
+    """Red-blue state merging (RPNI; Oncina and Garcia 1992) on a copy of
+    idx's prefix tree.  Node classes are a union-find forest, rep, whose
     roots hold their class's label and children."""
 
     def __init__(self, idx):
-        self.kids, self.label, self.names = _prefix_tree(idx)
-        self.rep = list(range(len(self.kids)))
+        self.kids, self.label = list(map(dict, idx.kids)), list(idx.label)
+        self.names, self.rep = _node_names(idx), list(range(len(self.kids)))
 
     def find(self, q):
         while self.rep[q] != q:
@@ -261,8 +261,10 @@ class _RedBlue:
         each word; each union removes a class, so the fold ends.  Returns
         the children handed to classes in red, or None at a pair labeled 0
         and 1, once the log of (table, key, old value) has undone it."""
-        kids, label, log, new = self.kids, self.label, [], []
-        work = [(r, b)]
+        kids, label = self.kids, self.label
+        if label[self.find(r)] + label[self.find(b)] == 1:  # 0 and 1
+            return None
+        log, new, work = [], [], [(r, b)]
         while work:
             x, y = map(self.find, work.pop())
             if x == y:
@@ -340,8 +342,7 @@ def infer_sfa(alg, sample):
     is returned.  A letter outside alg raises ValueError before any sort.
     Row growing ends with a walk of its sample (dfa_learn._grow_rows), so
     agrees walks only the removed words.  decontaminate shares the one
-    index; the cleaned one is cut from it (SampleIndex.restrict) after its
-    suffix sets are dropped, so one index's suffix sets are alive at once."""
+    index; the cleaned one is cut from it (SampleIndex.restrict)."""
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg)
     sample = idx.words
@@ -351,7 +352,6 @@ def infer_sfa(alg, sample):
     sub = idx
     if len(cleaned) < len(sample):
         removed = {w: b for w, b in sample.items() if w not in cleaned}
-        idx.forget()
         sub = idx.restrict(cleaned)
     rows = _grow_rows(sub, alg, sub.letters()) if cleaned else None
     if rows is not None:

@@ -1,0 +1,65 @@
+"""SampleIndex answers sample equivalence from its prefix tree: equiv
+against a brute-force search for a conflicting extension, on full and
+restricted indices, a word thousands of letters long, and the memory
+infer_sfa peaks at on a characteristic sample."""
+
+import tracemalloc
+
+from hypothesis import given
+
+from symfa.algebra import INTERVAL_NAT
+from symfa.dfa_learn import SampleIndex
+from symfa.sfa_learn import agrees, char_sfa, infer_sfa
+
+from conftest import minimal_target, samples
+
+
+def brute_equiv(words, w1, w2):
+    """False iff some z has w1.z and w2.z both labeled, differently."""
+    ext1 = {w[len(w1):]: b for w, b in words.items() if w[:len(w1)] == w1}
+    return all(words.get(w2 + z, b) == b for z, b in ext1.items())
+
+
+def assert_equiv_is_brute(idx):
+    prefixes = sorted({w[:i] for w in idx.words for i in range(len(w) + 1)})
+    # the greatest prefix has no children, so this is no sample prefix
+    words = prefixes + [prefixes[-1] + (0,)]
+    for w1 in words:
+        for w2 in words:
+            assert idx.equiv(w1, w2) == brute_equiv(idx.words, w1, w2)
+
+
+@given(samples())
+def test_equiv_is_the_brute_force_check(case):
+    alg, sample = case
+    idx = SampleIndex(sample, alg)
+    assert_equiv_is_brute(idx)
+    half = {w: b for i, (w, b) in enumerate(idx.order) if i % 2 == 0}
+    assert_equiv_is_brute(idx.restrict(half))
+
+
+def test_long_words_need_no_recursion():
+    n = 5000
+    chain = (0,) * (n - 2)
+    sample = {(0, 0) + chain: 1, (1, 0) + chain: 1, (1,) + chain + (7,): 0,
+              (2,) + chain + (7,): 1}
+    idx = SampleIndex(sample)
+    assert len(idx.kids) == 3 * n + 2
+    # each walk pairs two chains node by node, n deep: the first passes,
+    # the second fails at the last pair
+    assert idx.equiv((0,), (1,)) and brute_equiv(sample, (0,), (1,))
+    assert not idx.equiv((1,), (2,)) and not brute_equiv(sample, (1,), (2,))
+    assert agrees(infer_sfa(INTERVAL_NAT, sample), sample)
+
+
+def test_infer_sfa_peak_memory():
+    # about 6 MB here; an index copying each queried prefix's suffix
+    # sets peaked at about 30 MB
+    sample = char_sfa(minimal_target(24, 24))
+    tracemalloc.start()
+    try:
+        infer_sfa(INTERVAL_NAT, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20

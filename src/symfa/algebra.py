@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -42,77 +44,6 @@ class _Sup:
 
 
 SUP = _Sup()
-
-_PROP_MAX_K = 16
-
-
-@dataclass(frozen=True)
-class Algebra:
-    """Configuration of one concrete algebra instance."""
-
-    kind: str  # "interval-int" | "interval-nat" | "prop"
-    k: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("interval-int", "interval-nat", "prop"):
-            raise ValueError("unknown algebra kind: %r" % (self.kind,))
-        if self.kind == "prop":
-            if not 1 <= self.k <= _PROP_MAX_K:
-                raise ValueError("prop algebra needs 1 <= k <= %d" % _PROP_MAX_K)
-        elif self.k:
-            raise ValueError("k is only meaningful for the prop kind")
-
-    @property
-    def is_interval(self):
-        return self.kind != "prop"
-
-    @property
-    def dmin(self):
-        if self.kind == "interval-nat":
-            return 0
-        if self.kind == "interval-int":
-            return NEG_INF
-        return "0" * self.k
-
-    @property
-    def dmax(self):
-        if self.kind == "prop":
-            return "1" * self.k
-        return INF
-
-    def letters(self):
-        """Every letter of the domain; prop kind only (interval domains are
-        infinite)."""
-        if self.kind != "prop":
-            raise ValueError("interval domains are infinite")
-        return [format(v, "0%db" % self.k) for v in range(2 ** self.k)]
-
-    def check_letter(self, d):
-        if self.kind == "prop":
-            if not (isinstance(d, str) and len(d) == self.k
-                    and set(d) <= {"0", "1"}):
-                raise ValueError("bad prop letter: %r" % (d,))
-        else:
-            # the exact type: bool is a subclass of int, but not a letter
-            if type(d) is int:
-                if self.kind == "interval-nat" and d < 0:
-                    raise ValueError("negative letter over interval-nat: %r"
-                                     % (d,))
-            elif d == INF or d == NEG_INF:
-                if self.kind == "interval-nat" and d == NEG_INF:
-                    raise ValueError("-inf is not a natural letter")
-            else:
-                raise ValueError("bad interval letter: %r" % (d,))
-        return d
-
-
-INTERVAL_NAT = Algebra("interval-nat")
-INTERVAL_INT = Algebra("interval-int")
-
-
-def prop_algebra(k):
-    return Algebra("prop", k)
-
 
 # ---------------------------------------------------------------------------
 # Predicate parse trees
@@ -207,68 +138,7 @@ def pred_size(psi):
 
 def contains(alg, psi, d):
     """True iff letter d satisfies psi: membership in denote(alg, psi)."""
-    return sem_contains(alg, denote(alg, psi), d)
-
-
-# ---------------------------------------------------------------------------
-# Canonical interval lists
-#
-# An interval list is a tuple of (lo, hi) pairs, sorted, pairwise disjoint
-# and non-adjacent (maximal).  Both bounds live in the letter order extended
-# with SUP on top; hi is always exclusive.  hi is SUP for a piece reaching
-# past inf (so inf is a member), hi == INF for a piece holding every finite
-# letter from lo up.
-
-
-def ivl_union(a, b):
-    merged = sorted([lo, hi] for lo, hi in list(a) + list(b))
-    out = []
-    for lo, hi in merged:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1][1] = hi
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
-
-
-def ivl_intersect(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo = max(lo1, lo2)
-            hi = min(hi1, hi2)
-            if lo < hi:
-                out.append((lo, hi))
-    return ivl_union(out, ())
-
-
-def ivl_complement(a, alg):
-    cursor = alg.dmin
-    out = []
-    for lo, hi in a:
-        if cursor < lo:
-            out.append((cursor, lo))
-        cursor = hi
-    if cursor is not SUP:
-        out.append((cursor, SUP))
-    return tuple(out)
-
-
-def ivl_contains(a, d):
-    for lo, hi in a:
-        if lo <= d and d < hi:
-            return True
-    return False
-
-
-def _atom_intervals(alg, lo, hi):
-    lo = max(lo, alg.dmin)
-    if hi == INF:
-        hi = SUP
-    if lo < hi:
-        return ((lo, hi),)
-    return ()
+    return alg.contains(denote(alg, psi), d)
 
 
 def to_canonical_intervals(alg, psi):
@@ -276,7 +146,7 @@ def to_canonical_intervals(alg, psi):
     intervals, ascending, with exclusive upper bounds (hi is SUP when the
     piece contains inf, hi == INF when it holds exactly the finite letters
     from lo up).  This is denote(alg, psi), for interval algebras only."""
-    if not alg.is_interval:
+    if not alg.monotonic:
         raise ValueError("canonical intervals need an interval algebra")
     return denote(alg, psi)
 
@@ -297,10 +167,6 @@ def intervals_to_pred(ivls):
     return or_all(interval_piece_pred(lo, hi) for lo, hi in ivls)
 
 
-# ---------------------------------------------------------------------------
-# Propositional semantics by truth-table enumeration (k is capped small)
-
-
 @functools.lru_cache(maxsize=None)
 def _literal_set(k, index, positive):
     """Frozenset of the valuations, encoded as ints, that satisfy literal
@@ -314,124 +180,411 @@ def _literal_set(k, index, positive):
 
 @functools.lru_cache(maxsize=None)
 def _lit(index, positive):
-    """The one shared Lit(index, positive) that sem_pieces puts in its
-    cubes; literals are immutable, so cubes need no copies.  At most two
-    entries per proposition index."""
+    """The one shared Lit(index, positive) that PropAlgebra.pieces puts in
+    its cubes; literals are immutable, so cubes need no copies.  At most
+    two entries per proposition index."""
     return Lit(index, positive)
 
 
 # ---------------------------------------------------------------------------
-# Semantic sets: a uniform denotation usable by both algebra families.
-# Interval kinds use canonical interval lists; prop uses valuation sets.
+# The algebras
+
+_PROP_MAX_K = 16
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """One effective Boolean algebra.  Algebra(kind, k) builds the class of
+    the kind's family, IntervalAlgebra or PropAlgebra: a frozen dataclass
+    of kind and k, which equality and hashing compare; a bad kind or k
+    raises ValueError.  Both classes implement one interface over
+    denotations (semantic sets), so the automaton code never asks which
+    family it has: full(), empty, intersect, union_all, complement, min
+    (the least letter, None for the empty set), contains, regions (the
+    common refinement of some sets: disjoint non-empty regions covering
+    the domain, on each of which every set is constant, by least letter),
+    pieces (basic predicates of a set, as disjoint ascending (predicate,
+    denotation) pairs), parse_atom and denote_atom (the leaves of
+    parse_pred and denote), check_letter and parse_letter, and the
+    per-state halves of classify, transition tables, complete_sfa,
+    minimize and includes.  monotonic tells the families apart where only
+    one is accepted."""
+
+    kind: str
+    k: int = 0
+
+    def __new__(cls, kind=None, k=0):
+        if cls is Algebra:
+            cls = PropAlgebra if kind == "prop" else IntervalAlgebra
+        return object.__new__(cls)
+
+    def __str__(self):
+        """The algebra as the algebra directive of SFA files names it."""
+        return self.kind
+
+
+@dataclass(frozen=True)
+class IntervalAlgebra(Algebra):
+    """The interval algebras over extended integers: interval-nat (letters
+    0, 1, 2, ... and inf) and interval-int (-inf, the integers and inf).
+    inf is the greatest letter of both and -inf the least of interval-int;
+    they are floats, so every sorted-letter sweep puts inf after and -inf
+    before the int letters.
+
+    A denotation is a canonical interval list: a tuple of (lo, hi) pairs,
+    sorted, pairwise disjoint and non-adjacent (maximal).  Both bounds live
+    in the letter order extended with SUP on top, and hi is exclusive: SUP
+    for a piece holding inf, INF for one holding every finite letter from
+    lo up."""
+
+    monotonic = True
+    empty = ()
+    dmax = INF
+
+    def __post_init__(self):
+        if self.kind not in ("interval-nat", "interval-int"):
+            raise ValueError("unknown algebra kind: %r" % (self.kind,))
+        if self.k:
+            raise ValueError("k is only meaningful for the prop kind")
+        object.__setattr__(self, "dmin",
+                           0 if self.kind == "interval-nat" else NEG_INF)
+
+    def letters(self):
+        raise ValueError("interval domains are infinite")
+
+    def check_letter(self, d):
+        # the exact type: bool is a subclass of int, but not a letter
+        if type(d) is int:
+            if self.kind == "interval-nat" and d < 0:
+                raise ValueError("negative letter over interval-nat: %r"
+                                 % (d,))
+        elif d == INF or d == NEG_INF:
+            if self.kind == "interval-nat" and d == NEG_INF:
+                raise ValueError("-inf is not a natural letter")
+        else:
+            raise ValueError("bad interval letter: %r" % (d,))
+        return d
+
+    def parse_letter(self, tok):
+        return self.check_letter(_parse_endpoint(tok))
+
+    def parse_atom(self, psi):
+        if isinstance(psi, Lit):
+            raise ValueError("prop literal over an interval algebra")
+        return psi
+
+    def denote_atom(self, psi):
+        lo, hi = max(self.parse_atom(psi).lo, self.dmin), psi.hi
+        if hi == INF:
+            hi = SUP
+        return ((lo, hi),) if lo < hi else ()
+
+    def full(self):
+        return ((self.dmin, SUP),)
+
+    def intersect(self, a, b):
+        out = []
+        for lo1, hi1 in a:
+            for lo2, hi2 in b:
+                lo = max(lo1, lo2)
+                hi = min(hi1, hi2)
+                if lo < hi:
+                    out.append((lo, hi))
+        return self.union_all((out,))
+
+    def union_all(self, sems):
+        """One sort and merge pass: O(m log m) for m pieces."""
+        out = []
+        for lo, hi in sorted(piece for s in sems for piece in s):
+            if out and lo <= out[-1][1]:
+                if hi > out[-1][1]:
+                    out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return tuple(out)
+
+    def complement(self, a):
+        cursor = self.dmin
+        out = []
+        for lo, hi in a:
+            if cursor < lo:
+                out.append((cursor, lo))
+            cursor = hi
+        if cursor is not SUP:
+            out.append((cursor, SUP))
+        return tuple(out)
+
+    def min(self, a):
+        return a[0][0] if a else None
+
+    def contains(self, a, d):
+        for lo, hi in a:
+            if lo <= d and d < hi:
+                return True
+        return False
+
+    def regions(self, sems):
+        """One region per segment between consecutive endpoints."""
+        ends = sorted({self.dmin} | {x for s in sems for piece in s
+                                     for x in piece if x is not SUP})
+        return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
+
+    def pieces(self, a):
+        """One per canonical piece."""
+        return [(interval_piece_pred(lo, hi), ((lo, hi),)) for lo, hi in a]
+
+    def partition_flags(self, sems):
+        """(pairwise disjoint, covering the domain) for one state's guard
+        denotations: one sweep over the pieces sorted by lower end,
+        O(m log m) for m pieces."""
+        disjoint = gapless = True
+        reach = self.dmin  # every letter below reach is covered
+        for lo, hi in sorted(piece for s in sems for piece in s):
+            if lo < reach:
+                disjoint = False
+            elif lo > reach:
+                gapless = False
+            if hi > reach:
+                reach = hi
+        return disjoint, gapless and reach is SUP
+
+    def row_successors(self, row, letters):
+        """Destination of each of the ascending letters in one edge-table
+        row of a deterministic complete state.  The row's pieces, sorted by
+        lower end, tile the domain, so one sweep over them takes each
+        piece's run of letters by bisection, O(m log n) for m pieces and n
+        letters after the sort."""
+        pieces = sorted(((lo, hi, dst) for _, sem, dst in row
+                         for lo, hi in sem), key=itemgetter(0))
+        out = []
+        i = 0
+        for _, hi, dst in pieces:
+            j = bisect_left(letters, hi, i)
+            out += [dst] * (j - i)
+            i = j
+        return out
+
+    def gap_guards(self, preds, gap):
+        """(guard, denotation) pairs for the edges to a sink that take gap,
+        what a state's guards preds leave uncovered: one per piece."""
+        return self.pieces(gap)
+
+    def runs(self, pairs):
+        """Owner -> canonical interval list, from (letter, owner) pairs in
+        ascending letter order: a maximal run of one owner becomes the
+        piece [its first letter, the next run's first letter), the first
+        stretched down to dmin and the last up to SUP (so inf is in it).
+        Runs of one owner are never adjacent, so these are canonical."""
+        out = {}
+        owner, lo = None, self.dmin  # no owner is None
+        for a, o in pairs:
+            if o != owner:
+                if owner is not None:
+                    out.setdefault(owner, []).append((lo, a))
+                    lo = a
+                owner = o
+        if owner is not None:
+            out.setdefault(owner, []).append((lo, SUP))
+        return {o: tuple(ps) for o, ps in out.items()}
+
+    def by_owner(self, regions, letters, owners):
+        """Owner -> the union of its regions, given one owner per region of
+        regions() and the least letters: the owners' runs over the letters."""
+        return self.runs(zip(letters, owners))
+
+    def guards(self, a, neat, built):
+        """(guard, denotation) pairs for the edges to one destination that
+        take a: one per piece with neat, else one disjunction of them.
+        built maps each canonical list met so far to its pair, so a caller
+        that passes one dict to every call builds each guard once."""
+        out = []
+        for ivls in [((lo, hi),) for lo, hi in a] if neat else [a]:
+            if ivls not in built:
+                built[ivls] = (intervals_to_pred(ivls), ivls)
+            out.append(built[ivls])
+        return out
+
+    def meet_row(self, row):
+        """A row of disjoint (denotation, destination) pairs as meet reads
+        it: (lo, hi, destination) pieces sorted by lower end."""
+        return sorted(((lo, hi, dst) for sem, dst in row for lo, hi in sem),
+                      key=itemgetter(0))
+
+    def meet(self, r1, r2):
+        """(least letter, destination pair) for each non-empty intersection
+        of two rows from meet_row, ascending: one merge pass, O(m1 + m2)."""
+        out = []
+        i = j = 0
+        n1, n2 = len(r1), len(r2)
+        while i < n1 and j < n2:
+            lo1, hi1, d1 = r1[i]
+            lo2, hi2, d2 = r2[j]
+            if lo2 < hi1 and lo1 < hi2:
+                out.append((lo2 if lo2 > lo1 else lo1, (d1, d2)))
+            if hi1 <= hi2:
+                i += 1
+            else:
+                j += 1
+        return out
+
+
+@dataclass(frozen=True)
+class PropAlgebra(Algebra):
+    """The propositional algebra over k atomic propositions p0 .. p<k-1>,
+    1 <= k <= 16.  A letter is a k-bit string whose bit i is the value of
+    p<i>.  A denotation is a frozenset of valuations encoded as ints, whose
+    bit order matches the lexicographic order of the letters; the
+    operations enumerate truth tables, so k is capped small."""
+
+    monotonic = False
+    empty = frozenset()
+
+    def __post_init__(self):
+        if self.kind != "prop":
+            raise ValueError("unknown algebra kind: %r" % (self.kind,))
+        if not 1 <= self.k <= _PROP_MAX_K:
+            raise ValueError("prop algebra needs 1 <= k <= %d" % _PROP_MAX_K)
+        object.__setattr__(self, "dmin", "0" * self.k)
+        object.__setattr__(self, "dmax", "1" * self.k)
+
+    def __str__(self):
+        return "prop %d" % self.k
+
+    def letters(self):
+        """Every letter of the domain, ascending."""
+        return [format(v, "0%db" % self.k) for v in range(2 ** self.k)]
+
+    def check_letter(self, d):
+        if not (isinstance(d, str) and len(d) == self.k
+                and set(d) <= {"0", "1"}):
+            raise ValueError("bad prop letter: %r" % (d,))
+        return d
+
+    parse_letter = check_letter  # a prop letter is its own text
+
+    def parse_atom(self, psi):
+        if isinstance(psi, Interval):
+            raise ValueError("interval atom over the prop algebra")
+        if not psi.index < self.k:
+            raise ValueError("literal p%d out of range for k=%d"
+                             % (psi.index, self.k))
+        return psi
+
+    def denote_atom(self, psi):
+        self.parse_atom(psi)
+        return _literal_set(self.k, psi.index, psi.positive)
+
+    def full(self):
+        return frozenset(range(2 ** self.k))
+
+    def intersect(self, a, b):
+        return a & b
+
+    def union_all(self, sems):
+        return frozenset().union(*sems)
+
+    def complement(self, a):
+        return self.full() - a
+
+    def min(self, a):
+        return format(min(a), "0%db" % self.k) if a else None
+
+    def contains(self, a, d):
+        return int(d, 2) in a
+
+    def regions(self, sems):
+        """One region per membership signature."""
+        by_sig = {}
+        for v in range(2 ** self.k):
+            by_sig.setdefault(tuple(v in s for s in sems), []).append(v)
+        return [frozenset(vs) for vs in by_sig.values()]
+
+    def pieces(self, a):
+        """The largest cubes that fix the leading propositions, p0 first."""
+        vals = sorted(a)
+        out = []
+        i = 0
+        while i < len(vals):
+            v, size = vals[i], 1
+            # grow the aligned block [v, v + size) while the set fills it
+            while (v % (2 * size) == 0 and i + 2 * size <= len(vals)
+                   and vals[i + 2 * size - 1] == v + 2 * size - 1):
+                size *= 2
+            fixed = self.k - (size.bit_length() - 1)
+            cube = and_all(_lit(j, bool(v >> (self.k - 1 - j) & 1))
+                           for j in range(fixed))
+            out.append((cube, frozenset(range(v, v + size))))
+            i += size
+        return out
+
+    def partition_flags(self, sems):
+        """The union: its size is the sum of the sizes exactly when no two
+        sets meet."""
+        union = self.union_all(sems)
+        return sum(map(len, sems)) == len(union), len(union) == 2 ** self.k
+
+    def row_successors(self, row, letters):
+        """Each letter is tested against the row's edges in turn."""
+        return [next(dst for _, sem, dst in row if self.contains(sem, a))
+                for a in letters]
+
+    def gap_guards(self, preds, gap):
+        """One guard, the negated disjunction of preds."""
+        return [(Not(or_all(preds)) if preds else TOP, gap)]
+
+    def by_owner(self, regions, letters, owners):
+        """The union of each owner's regions."""
+        groups = {}
+        for o, region in zip(owners, regions):
+            groups.setdefault(o, []).append(region)
+        return {o: self.union_all(rs) for o, rs in groups.items()}
+
+    def guards(self, a, neat, built):
+        """The cubes of a with neat, else one disjunction of them."""
+        pieces = self.pieces(a)
+        if neat:
+            return pieces
+        return [(or_all(p for p, _ in pieces), a)]
+
+    def meet_row(self, row):
+        return row
+
+    def meet(self, r1, r2):
+        """Every pair of valuation sets is intersected, and the steps are
+        sorted by least letter."""
+        return sorted(((self.min(s), (d1, d2)) for s1, d1 in r1
+                       for s2, d2 in r2 if (s := s1 & s2)),
+                      key=itemgetter(0))
+
+
+INTERVAL_NAT = Algebra("interval-nat")
+INTERVAL_INT = Algebra("interval-int")
+
+
+def prop_algebra(k):
+    return Algebra("prop", k)
 
 
 def denote(alg, psi):
-    """The semantic set of psi, and the only evaluator of predicate trees:
+    """The denotation of psi, and the only evaluator of predicate trees:
     one structural recursion whose leaves are an atom's canonical interval
-    list or a literal's valuation set, with Not, And and Or mapped to
-    sem_complement, sem_intersect and sem_union_all.  Raises ValueError on
-    an atom of the other algebra family or a literal index out of range."""
+    list or a literal's valuation set (the algebra's denote_atom), with
+    Not, And and Or mapped to the algebra's complement, intersect and
+    union_all.  Raises ValueError on an atom of the other algebra family
+    or a literal index out of range."""
     if isinstance(psi, Top):
-        return sem_full(alg)
+        return alg.full()
     if isinstance(psi, Bot):
-        return () if alg.is_interval else frozenset()
-    if isinstance(psi, Interval):
-        if not alg.is_interval:
-            raise ValueError("interval atom in a prop predicate")
-        return _atom_intervals(alg, psi.lo, psi.hi)
-    if isinstance(psi, Lit):
-        if alg.is_interval:
-            raise ValueError("prop literal in an interval predicate")
-        return _literal_set(alg.k, psi.index, psi.positive)
+        return alg.empty
+    if isinstance(psi, (Interval, Lit)):
+        return alg.denote_atom(psi)
     if isinstance(psi, Not):
-        return sem_complement(alg, denote(alg, psi.child))
+        return alg.complement(denote(alg, psi.child))
     if isinstance(psi, And):
-        return sem_intersect(alg, denote(alg, psi.left),
-                             denote(alg, psi.right))
+        return alg.intersect(denote(alg, psi.left), denote(alg, psi.right))
     if isinstance(psi, Or):
-        return sem_union_all(alg, [denote(alg, psi.left),
-                                   denote(alg, psi.right)])
+        return alg.union_all([denote(alg, psi.left), denote(alg, psi.right)])
     raise TypeError("not a predicate: %r" % (psi,))
-
-
-def sem_full(alg):
-    if alg.is_interval:
-        return ((alg.dmin, SUP),)
-    return frozenset(range(2 ** alg.k))
-
-
-def sem_intersect(alg, a, b):
-    if alg.is_interval:
-        return ivl_intersect(a, b)
-    return a & b
-
-
-def sem_union_all(alg, sems):
-    """Union of any number of semantic sets, in one pass: O(m log m) for m
-    interval pieces."""
-    if alg.is_interval:
-        return ivl_union([piece for s in sems for piece in s], ())
-    return frozenset().union(*sems)
-
-
-def sem_complement(alg, a):
-    if alg.is_interval:
-        return ivl_complement(a, alg)
-    return sem_full(alg) - a
-
-
-def sem_min(alg, a):
-    if not a:
-        return None
-    if alg.is_interval:
-        return a[0][0]
-    return format(min(a), "0%db" % alg.k)
-
-
-def sem_contains(alg, a, d):
-    if alg.is_interval:
-        return ivl_contains(a, d)
-    return int(d, 2) in a
-
-
-def sem_regions(alg, sems):
-    """The common refinement of the given semantic sets: non-empty,
-    pairwise disjoint regions covering the domain, on each of which every
-    set is constant, ordered by least letter.  Intervals: one region per
-    segment between consecutive endpoints.  Prop: one region per
-    membership signature."""
-    if alg.is_interval:
-        ends = sorted({alg.dmin} | {x for s in sems for piece in s
-                                    for x in piece if x is not SUP})
-        return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
-    by_sig = {}
-    for v in range(2 ** alg.k):
-        by_sig.setdefault(tuple(v in s for s in sems), []).append(v)
-    return [frozenset(vs) for vs in by_sig.values()]
-
-
-def sem_pieces(alg, a):
-    """Basic predicates for a semantic set, as (predicate, denotation)
-    pairs: pairwise disjoint, ascending, and determined by the set alone;
-    none for the empty set.  Intervals: one per canonical piece.  Prop:
-    the largest cubes that fix the leading propositions, p0 first."""
-    if alg.is_interval:
-        return [(interval_piece_pred(lo, hi), ((lo, hi),)) for lo, hi in a]
-    vals = sorted(a)
-    out = []
-    i = 0
-    while i < len(vals):
-        v, size = vals[i], 1
-        # grow the aligned block [v, v + size) while the set fills it
-        while (v % (2 * size) == 0 and i + 2 * size <= len(vals)
-               and vals[i + 2 * size - 1] == v + 2 * size - 1):
-            size *= 2
-        fixed = alg.k - (size.bit_length() - 1)
-        cube = and_all(_lit(j, bool(v >> (alg.k - 1 - j) & 1))
-                       for j in range(fixed))
-        out.append((cube, frozenset(range(v, v + size))))
-        i += size
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +602,9 @@ def pred_equiv(alg, psi, phi):
 def min_model(alg, psi):
     """Least letter satisfying psi, or None when unsatisfiable.  Interval
     algebras only (they are the monotonic ones)."""
-    if not alg.is_interval:
+    if not alg.monotonic:
         raise ValueError("min_model needs a monotonic (interval) algebra")
-    return sem_min(alg, to_canonical_intervals(alg, psi))
+    return alg.min(to_canonical_intervals(alg, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -568,21 +721,13 @@ class _PredParser:
         if tok == "false":
             return BOT
         if tok == "[":
-            if not self.alg.is_interval:
-                raise ValueError("interval atom over the prop algebra")
             lo = _parse_endpoint(self.take())
             self.take(",")
             hi = _parse_endpoint(self.take())
             self.take(")")
-            return Interval(lo, hi)
+            return self.alg.parse_atom(Interval(lo, hi))
         if tok is not None and tok.startswith("p"):
-            if self.alg.is_interval:
-                raise ValueError("prop literal over an interval algebra")
-            index = int(tok[1:])
-            if not index < self.alg.k:
-                raise ValueError("literal p%d out of range for k=%d"
-                                 % (index, self.alg.k))
-            return Lit(index)
+            return self.alg.parse_atom(Lit(int(tok[1:])))
         raise ValueError("unexpected token %r" % (tok,))
 
 
@@ -605,16 +750,6 @@ def format_letter(d):
     if isinstance(d, str):
         return d
     return format_endpoint(d)
-
-
-def parse_letter(alg, tok):
-    if alg.kind == "prop":
-        return alg.check_letter(tok)
-    if tok == "inf":
-        return INF
-    if tok == "-inf":
-        return alg.check_letter(NEG_INF)
-    return alg.check_letter(int(tok))
 
 
 def format_pred(psi):

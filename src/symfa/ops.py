@@ -7,12 +7,9 @@ from __future__ import annotations
 import operator
 from collections import deque
 
-from .algebra import (
-    SUP, And, Not, and_all, denote, or_all, sem_complement, sem_contains,
-    sem_full, sem_intersect, sem_min, sem_pieces, sem_regions, sem_union_all,
-)
+from .algebra import And, Not, and_all, denote
 from .dfa_learn import _minimize_table
-from .sfa import Sfa, _adopt_edges, _row_successors, complete_sfa
+from .sfa import Sfa, _adopt_edges, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
@@ -53,7 +50,7 @@ def product(m1, m2, mode="intersect"):
             if not s1:
                 continue
             for p2, s2, d2 in e2[q2]:
-                sem = sem_intersect(alg, s1, s2)
+                sem = alg.intersect(s1, s2)
                 if not sem:
                     continue
                 pred = And(p1, p2)
@@ -84,9 +81,9 @@ def complement(m):
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
     minterm of the outgoing predicates: the letters on which every
-    predicate holds or fails alike, grouped from sem_regions.  Minterms are
-    listed with positive signs first, predicate by predicate.  The output
-    gets the minterm regions as its edge table."""
+    predicate holds or fails alike, grouped from the algebra's regions.
+    Minterms are listed with positive signs first, predicate by predicate.
+    The output gets the minterm regions as its edge table."""
     alg = m.algebra
     table = m.edges
 
@@ -115,10 +112,10 @@ def determinize(m):
         # keyed by the negated signature, so that sorting puts positive
         # signs first
         minterms = {}
-        for region in sem_regions(alg, sems):
-            a = sem_min(alg, region)
-            minterms.setdefault(tuple(not sem_contains(alg, s, a)
-                                      for s in sems), []).append(region)
+        for region in alg.regions(sems):
+            a = alg.min(region)
+            minterms.setdefault(tuple(not alg.contains(s, a) for s in sems),
+                                []).append(region)
         row = []
         for neg in sorted(minterms):
             if all(neg):
@@ -127,8 +124,7 @@ def determinize(m):
                                          if not n))
             label = and_all([Not(p) if n else p for p, n in zip(preds, neg)])
             trans.append((src, label, name(target)))
-            row.append((label, sem_union_all(alg, minterms[neg]),
-                        name(target)))
+            row.append((label, alg.union_all(minterms[neg]), name(target)))
             if target not in seen:
                 seen.add(target)
                 order.append(target)
@@ -146,74 +142,46 @@ def determinize(m):
 def _representative_letters(alg, preds):
     """Finite letter set hitting every region distinguishable by the given
     predicates: each region's least letter, ascending."""
-    return [sem_min(alg, r)
-            for r in sem_regions(alg, [denote(alg, p) for p in preds])]
+    return [alg.min(r) for r in alg.regions([denote(alg, p) for p in preds])]
 
 
 def minimize(m, form="neat"):
     """Minimal-state deterministic complete SFA for L(m), canonical.  m is
     read as a DFA with one letter per region of its guards' common
-    refinement (sem_regions), as integer rows that dfa_learn's
+    refinement (the algebra's regions), as integer rows that dfa_learn's
     _minimize_table minimizes, and each output guard is rebuilt from the
-    regions leading to one destination, so it depends on L(m) alone,
-    never on the input's guard syntax.  Over intervals those regions'
-    runs (_runs) are the guard's canonical pieces; over prop their union
-    is split by sem_pieces.  form=neat emits one transition per piece (an
-    interval piece, or a prop cube fixing the leading propositions), so
-    the output is deterministic; form=normalized one disjunction of
-    those pieces per state pair.  Transitions leave each state ordered by
-    destination.  States are renamed s0, s1, ... in ascending-letter
-    depth-first order from the initial state."""
+    regions leading to one destination (the algebra's by_owner and
+    guards), so it depends on L(m) alone, never on the input's guard
+    syntax.  form=neat emits one transition per piece (an interval piece,
+    or a prop cube fixing the leading propositions), so the output is
+    deterministic; form=normalized one disjunction of those pieces per
+    state pair.  Transitions leave each state ordered by destination.
+    States are renamed s0, s1, ... in ascending-letter depth-first order
+    from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
     if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
     table = m.edges
-    regions = sem_regions(alg, [sem for row in table.values()
-                                for _, sem, _ in row])
-    letters = [sem_min(alg, r) for r in regions]
+    regions = alg.regions([sem for row in table.values() for _, sem, _ in row])
+    letters = [alg.min(r) for r in regions]
     reps, rows = _minimize_table(
         m.initial, m.accepting.__contains__,
-        lambda q: _row_successors(alg, table[q], letters))
+        lambda q: alg.row_successors(table[q], letters))
     names = ["s%d" % i for i in range(len(rows))]
-    if alg.is_interval:
-        bounds = letters + [SUP]
+    neat, built = form == "neat", {}
     trans = []
     edges = {}
     for q, row in zip(names, rows):
-        if alg.is_interval:
-            sems = _runs(row, bounds)
-        else:
-            groups = {}
-            for dst, region in zip(row, regions):
-                groups.setdefault(dst, []).append(region)
-            sems = {dst: sem_union_all(alg, rs) for dst, rs in groups.items()}
-        out = []
-        for dst, sem in sorted(sems.items()):
-            pieces = sem_pieces(alg, sem)
-            if form == "neat":
-                out.extend((p, s, names[dst]) for p, s in pieces)
-            else:
-                out.append((or_all(p for p, _ in pieces), sem, names[dst]))
+        sems = alg.by_owner(regions, letters, row)
+        out = [(p, s, names[dst]) for dst in sorted(sems)
+               for p, s in alg.guards(sems[dst], neat, built)]
         trans.extend((q, p, dst) for p, _, dst in out)
         edges[q] = tuple(out)
     return _adopt_edges(Sfa(alg, names, names[0],
                             [names[i] for i, q in enumerate(reps)
                              if q in m.accepting], trans), edges)
-
-
-def _runs(row, bounds):
-    """Destination -> canonical interval list of the regions leading
-    there, for one state's row over the regions [bounds[i],
-    bounds[i + 1]): one sweep that merges neighbouring regions with one
-    destination into a run.  Runs of one destination are apart, so they
-    are the list's pieces, ascending."""
-    cuts = [i for i in range(1, len(row)) if row[i] != row[i - 1]]
-    runs = {}
-    for i, j in zip([0] + cuts, cuts + [len(row)]):
-        runs.setdefault(row[i], []).append((bounds[i], bounds[j]))
-    return {dst: tuple(pieces) for dst, pieces in runs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +202,7 @@ def _shortest_accepted(m):
     def steps(q):
         # stable, so edges of a nondeterministic m that share a least
         # letter keep their order
-        return sorted(((sem_min(alg, sem), dst) for _, sem, dst in m.edges[q]
+        return sorted(((alg.min(sem), dst) for _, sem, dst in m.edges[q]
                        if sem), key=operator.itemgetter(0))
 
     return _first_word(m.initial, m.accepting.__contains__, steps)
@@ -275,14 +243,14 @@ _SINK = object()
 class _Rows(dict):
     """State -> search row of machine m, built on first visit and kept:
     the (denotation, destination) pairs of its satisfiable edges, plus,
-    with complete, the uncovered remainder to _SINK.  Interval rows are
-    split into (lo, hi, destination) pieces sorted by lower end."""
+    with complete, the uncovered remainder to _SINK, in the form that the
+    algebra's meet reads (meet_row)."""
 
     def __init__(self, m, complete):
         super().__init__()
         self.m, self.complete = m, complete
         if complete:
-            self[_SINK] = self._build(((None, sem_full(m.algebra), _SINK),))
+            self[_SINK] = self._build(((None, m.algebra.full(), _SINK),))
 
     def __missing__(self, q):
         row = self[q] = self._build(self.m.edges[q])
@@ -292,38 +260,10 @@ class _Rows(dict):
         alg = self.m.algebra
         row = [(sem, dst) for _, sem, dst in edges if sem]
         if self.complete:
-            gap = sem_complement(alg, sem_union_all(alg, [s for s, _ in row]))
+            gap = alg.complement(alg.union_all([s for s, _ in row]))
             if gap:
                 row.append((gap, _SINK))
-        if alg.is_interval:
-            row = sorted(((lo, hi, dst) for sem, dst in row
-                          for lo, hi in sem), key=operator.itemgetter(0))
-        return row
-
-
-def _sweep(r1, r2):
-    """(least letter, destination pair) for each non-empty intersection of
-    two interval rows of disjoint pieces, ascending: one merge pass."""
-    out = []
-    i = j = 0
-    n1, n2 = len(r1), len(r2)
-    while i < n1 and j < n2:
-        lo1, hi1, d1 = r1[i]
-        lo2, hi2, d2 = r2[j]
-        if lo2 < hi1 and lo1 < hi2:
-            out.append((lo2 if lo2 > lo1 else lo1, (d1, d2)))
-        if hi1 <= hi2:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _cross(r1, r2):
-    """(least valuation, destination pair) for each non-empty intersection
-    of two prop rows, ascending."""
-    return sorted(((min(s), (d1, d2)) for s1, d1 in r1 for s2, d2 in r2
-                   if (s := s1 & s2)), key=operator.itemgetter(0))
+        return alg.meet_row(row)
 
 
 def includes(m1, m2, mode="subset"):
@@ -337,10 +277,10 @@ def includes(m1, m2, mode="subset"):
     that tells the languages apart; it builds no product, complement or
     completed machine.  The uncovered part of a state's domain goes to an
     implicit rejecting sink (on the m2 side only, for subset).  Each
-    state's row is built on its first visit.  Over intervals the steps out
-    of a pair come from one merge sweep over the two states' sorted
-    pieces, O(m1 + m2); over prop, every pair of valuation sets is
-    intersected."""
+    state's row is built on its first visit.  The steps out of a pair come
+    from the algebra's meet: over intervals one merge sweep over the two
+    states' sorted pieces, O(m1 + m2); over prop, every pair of valuation
+    sets is intersected."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
     (det1, complete1), (det2, complete2) = m1._shape, m2._shape
@@ -348,7 +288,6 @@ def includes(m1, m2, mode="subset"):
         raise ValueError("includes needs deterministic inputs")
     if m1.algebra != m2.algebra:
         raise ValueError("algebra mismatch")
-    alg = m1.algebra
     f1, f2 = m1.accepting, m2.accepting
     if mode == "subset":
         def tells_apart(pair):
@@ -359,13 +298,10 @@ def includes(m1, m2, mode="subset"):
     # a complete machine has no uncovered part to route to the sink
     rows1 = _Rows(m1, mode == "equiv" and not complete1)
     rows2 = _Rows(m2, not complete2)
-    meet = _sweep if alg.is_interval else _cross
+    meet = m1.algebra.meet
     w = _first_word((m1.initial, m2.initial), tells_apart,
                     lambda pair: meet(rows1[pair[0]], rows2[pair[1]]))
-    if w is None:
-        return True
-    return w if alg.is_interval else tuple(format(v, "0%db" % alg.k)
-                                           for v in w)
+    return True if w is None else w
 
 
 def equiv(m1, m2):

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import (
-    Lit, Not, TOP, and_all, denote, or_all, prop_algebra, sem_contains,
-)
+from .algebra import Lit, Not, TOP, and_all, denote, or_all, prop_algebra
 from .ops import includes
 from .sfa import Sfa, accepts
 
@@ -157,7 +155,7 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
     equivalence queries are forwarded only once the hypothesis denotes a
     one-letter-word language, otherwise the wrapper answers with the next
     accepted word of length two (ascending, never repeating)."""
-    if alg.kind != "prop":
+    if alg.monotonic:
         raise ValueError("only the prop algebra is supported here")
     letters = alg.letters()
     state = {"answer": None, "last_long": None}
@@ -204,7 +202,7 @@ class PredicateTeacher(Oracle):
         self._target_sem = denote(alg, target)
 
     def _mq(self, d):
-        return 1 if sem_contains(self.alg, self._target_sem, d) else 0
+        return 1 if self.alg.contains(self._target_sem, d) else 0
 
     def mq(self, d):
         self.mq_count += 1
@@ -213,7 +211,7 @@ class PredicateTeacher(Oracle):
     def _eq(self, psi):
         sem = denote(self.alg, psi)
         for d in self.alg.letters():
-            if (sem_contains(self.alg, sem, d)
-                    != sem_contains(self.alg, self._target_sem, d)):
+            if (self.alg.contains(sem, d)
+                    != self.alg.contains(self._target_sem, d)):
                 return (d, self._mq(d))
         return True

@@ -3,15 +3,12 @@ transformations to special forms, and the text file formats."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    Algebra, And, Interval, Lit, Not, Pred, Top, TOP, INF, SUP, denote,
-    format_letter, format_pred, interval_piece_pred, is_sat, or_all,
-    parse_letter, parse_pred, pred_size, sem_complement, sem_contains,
-    sem_full, sem_pieces, sem_union_all,
+    Algebra, And, Interval, Lit, Not, Pred, Top, denote, format_letter,
+    format_pred, is_sat, or_all, parse_pred, pred_size,
 )
 
 NEAT_TRANSITION_CAP = 10 ** 5
@@ -63,10 +60,10 @@ class Sfa:
     def _shape(self):
         """(deterministic, complete), computed on first use: the two flags
         that the operations check, without the others' guard walks."""
-        alg = self.algebra
+        flags = self.algebra.partition_flags
         deterministic = complete = True
         for row in self.edges.values():
-            disjoint, covering = _partition_flags(alg, [s for _, s, _ in row])
+            disjoint, covering = flags([s for _, s, _ in row])
             deterministic = deterministic and disjoint
             complete = complete and covering
         return deterministic, complete
@@ -123,7 +120,7 @@ def accepts(m, w):
     for d in w:
         alg.check_letter(d)
         frontier = {dst for q in frontier for _, sem, dst in edges[q]
-                    if sem_contains(alg, sem, d)}
+                    if alg.contains(sem, d)}
         if not frontier:
             return False
     return bool(frontier & m.accepting)
@@ -131,35 +128,14 @@ def accepts(m, w):
 
 def transition_table(m, letters):
     """(state, letter) -> destination for every state of a deterministic
-    complete m: the one edge whose guard holds the letter, found by
-    _row_successors over the ascending letters."""
+    complete m: the one edge whose guard holds the letter, found by the
+    algebra's row_successors over the ascending letters."""
     order = sorted(set(letters))
     table = {}
     for q, row in m.edges.items():
-        dst_of = dict(zip(order, _row_successors(m.algebra, row, order)))
+        dst_of = dict(zip(order, m.algebra.row_successors(row, order)))
         table.update(((q, a), dst_of[a]) for a in letters)
     return table
-
-
-def _row_successors(alg, row, letters):
-    """Destination of each of the ascending letters in one edge-table row
-    of a deterministic complete state.  Intervals: the row's pieces,
-    sorted by lower end, tile the domain, so one sweep over them takes
-    each piece's run of letters by bisection, O(m log n) for m pieces and
-    n letters after the sort.  Prop: each letter is tested against the
-    row's edges in turn."""
-    if not alg.is_interval:
-        return [next(dst for _, sem, dst in row if sem_contains(alg, sem, a))
-                for a in letters]
-    pieces = sorted(((lo, hi, dst) for _, sem, dst in row for lo, hi in sem),
-                    key=lambda piece: piece[0])
-    out = []
-    i = 0
-    for _, hi, dst in pieces:
-        j = bisect_left(letters, hi, i)
-        out += [dst] * (j - i)
-        i = j
-    return out
 
 
 def _is_basic(pred):
@@ -172,26 +148,6 @@ def _is_basic(pred):
     if isinstance(pred, And):
         return _is_basic(pred.left) and _is_basic(pred.right)
     return False
-
-
-def _partition_flags(alg, sems):
-    """(pairwise disjoint, covering the domain) for one state's guard
-    denotations.  Intervals: one sweep over the pieces sorted by lower
-    end, O(m log m) for m pieces.  Prop: the union, whose size is the sum
-    of the sizes exactly when no two sets meet."""
-    if alg.is_interval:
-        disjoint = gapless = True
-        reach = alg.dmin  # every letter below reach is covered
-        for lo, hi in sorted(piece for s in sems for piece in s):
-            if lo < reach:
-                disjoint = False
-            elif lo > reach:
-                gapless = False
-            if hi > reach:
-                reach = hi
-        return disjoint, gapless and reach is SUP
-    union = sem_union_all(alg, sems)
-    return sum(map(len, sems)) == len(union), len(union) == 2 ** alg.k
 
 
 def classify(m):
@@ -217,14 +173,14 @@ def size_metrics(m):
 
 def to_neat(m):
     """Split every transition into basic-predicate transitions: the pieces
-    of its guard's denotation (sem_pieces), which are pairwise disjoint,
-    so a deterministic machine stays deterministic.  Intervals: one
+    of its guard's denotation (the algebra's pieces), which are pairwise
+    disjoint, so a deterministic machine stays deterministic.  Intervals: one
     transition per canonical piece.  Prop: one per cube that fixes the
     leading propositions.  Unsatisfiable guards vanish."""
     alg = m.algebra
     trans = []
     for src, pred, dst in m.transitions:
-        for basic, _ in sem_pieces(alg, denote(alg, pred)):
+        for basic, _ in alg.pieces(denote(alg, pred)):
             trans.append((src, basic, dst))
         if len(trans) > NEAT_TRANSITION_CAP:
             raise ValueError("neat expansion exceeds %d transitions"
@@ -272,22 +228,19 @@ def complete_sfa(m):
     extra = []
     for q in m.states:
         row = edges[q]
-        gap = sem_complement(alg, sem_union_all(alg, [s for _, s, _ in row]))
+        gap = alg.complement(alg.union_all([s for _, s, _ in row]))
         if not gap:
             continue
-        if alg.is_interval:
-            added = [(interval_piece_pred(lo, hi), ((lo, hi),), sink)
-                     for lo, hi in gap]
-        else:
-            residual = Not(or_all(p for p, _, _ in row)) if row else TOP
-            added = [(residual, gap, sink)]
-        edges[q] = row + tuple(added)
+        added = tuple((p, s, sink) for p, s in
+                      alg.gap_guards([p for p, _, _ in row], gap))
+        edges[q] = row + added
         extra.extend((q, p, dst) for p, _, dst in added)
     if not extra:
         return m
-    loop = Interval(alg.dmin, INF) if alg.is_interval else TOP
+    # the full domain is one piece: [dmin,inf), or the empty cube true
+    (loop, full), = alg.pieces(alg.full())
     extra.append((sink, loop, sink))
-    edges[sink] = ((loop, sem_full(alg), sink),)
+    edges[sink] = ((loop, full, sink),)
     return _adopt_edges(Sfa(alg, tuple(m.states) + (sink,), m.initial,
                             m.accepting, tuple(m.transitions) + tuple(extra)),
                         edges)
@@ -347,11 +300,7 @@ def parse_sfa(text):
 
 
 def format_sfa(m):
-    lines = []
-    if m.algebra.kind == "prop":
-        lines.append("algebra prop %d" % m.algebra.k)
-    else:
-        lines.append("algebra %s" % m.algebra.kind)
+    lines = ["algebra %s" % m.algebra]
     lines.append("states %s" % " ".join(m.states))
     lines.append("initial %s" % m.initial)
     lines.append("accepting %s" % " ".join(
@@ -378,7 +327,7 @@ def sample_dict(pairs):
 
 
 def parse_word(alg, text):
-    return tuple(parse_letter(alg, tok) for tok in text.split())
+    return tuple(alg.parse_letter(tok) for tok in text.split())
 
 
 def format_word(w):

@@ -7,18 +7,16 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .algebra import (
-    BOT, SUP, intervals_to_pred, min_model, sem_contains, sem_min,
-)
+from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
     Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _walk_sorted,
-    char_dfa,
+    _word_id, char_dfa,
 )
 from .sfa import Sfa, _adopt_edges, classify, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
-    if not alg.is_interval:
+    if not alg.monotonic:
         raise ValueError("a monotonic (interval) algebra is required")
 
 
@@ -31,41 +29,6 @@ def concretize_alg(alg, predicates):
         d = min_model(alg, psi)
         blocks.append(set() if d is None else {d})
     return blocks
-
-
-def _runs(pairs):
-    """Maximal runs of one owner in (letter, owner) pairs given in
-    ascending letter order, as (owner, first letter of the run)."""
-    runs = []
-    for a, o in pairs:
-        if not runs or runs[-1][0] != o:
-            runs.append((o, a))
-    return runs
-
-
-def _run_guards(alg, runs, built):
-    """Covering guards from the runs of one letter sweep: run j becomes the
-    piece [its first letter, run j+1's first letter); the last run extends
-    to the top and the first is stretched down to the least domain letter.
-    Returns owner -> (guard, canonical interval list).  Runs of one owner
-    are never adjacent, so its pieces, ascending, are the canonical list.
-    built maps each piece tuple met so far to its (guard, list), so a
-    caller that passes one dict to every sweep builds each distinct guard
-    once and shares it."""
-    pieces = {}
-    for j, (o, start) in enumerate(runs):
-        # the upper bound is exclusive; a run that ends just below the inf
-        # letter must not swallow it
-        end = runs[j + 1][1] if j + 1 < len(runs) else SUP
-        pieces.setdefault(o, []).append((alg.dmin if j == 0 else start, end))
-    out = {}
-    for o, ps in pieces.items():
-        ps = tuple(ps)
-        guard = built.get(ps)
-        if guard is None:
-            guard = built[ps] = (intervals_to_pred(ps), ps)
-        out[o] = guard
-    return out
 
 
 def generalize_alg(alg, blocks):
@@ -84,24 +47,26 @@ def generalize_alg(alg, blocks):
             owner[d] = i
     if not owner:
         raise ValueError("all blocks are empty")
-    guards = _run_guards(alg, _runs(sorted(owner.items())), {})
-    return [guards[i][0] if i in guards else BOT for i in range(len(blocks))]
+    sems = alg.runs(sorted(owner.items()))
+    # an empty block gets the empty list's guard, BOT
+    return [intervals_to_pred(sems.get(i, ())) for i in range(len(blocks))]
 
 
 def _generalized(alg, states, initial, accepting, runs):
-    """SFA over states whose state q leaves through the guards of its runs
-    (see _run_guards), given in states' order, one transition per
-    destination in ascending destination order.  A state without runs
-    gets a full-domain self-loop, which keeps the language and makes the
-    result complete.  The guards' denotations are adopted as the edge
-    table, so none is denoted again."""
+    """SFA over states whose state q leaves through the guards of the runs
+    of its (letter, destination) pairs (see IntervalAlgebra.runs), given in
+    states' order, one transition per destination in ascending destination
+    order.  A state without pairs gets a full-domain self-loop, which
+    keeps the language and makes the result complete.  Each distinct
+    guard is built once (IntervalAlgebra.guards), and the guards'
+    denotations are adopted as the edge table, so none is denoted again."""
     built = {}
     trans = []
     edges = {}
-    for q, rs in zip(states, runs):
-        guards = _run_guards(alg, rs or [(q, alg.dmin)], built)
-        row = edges[q] = tuple((guards[dst][0], guards[dst][1], dst)
-                               for dst in sorted(guards))
+    for q, pairs in zip(states, runs):
+        sems = alg.runs(pairs) or {q: alg.full()}
+        row = edges[q] = tuple((*alg.guards(sems[dst], False, built)[0], dst)
+                               for dst in sorted(sems))
         trans.extend((q, pred, dst) for pred, _, dst in row)
     return _adopt_edges(Sfa(alg, states, initial, accepting, trans), edges)
 
@@ -118,7 +83,7 @@ def concretize_sfa(m):
     if not flags.feasible:
         raise ValueError("concretize_sfa needs a feasible input")
     alg = m.algebra
-    alphabet = sorted({sem_min(alg, sem) for row in m.edges.values()
+    alphabet = sorted({alg.min(sem) for row in m.edges.values()
                        for _, sem, _ in row})
     return Dfa(alg, alphabet, m.states, m.initial, m.accepting,
                transition_table(m, alphabet))
@@ -135,7 +100,7 @@ def generalize_dfa(d):
     for a in alphabet:
         alg.check_letter(a)
     return _generalized(alg, d.states, d.initial, d.accepting,
-                        (_runs((a, delta[q, a]) for a in alphabet)
+                        (((a, delta[q, a]) for a in alphabet)
                          for q in d.states))
 
 
@@ -201,7 +166,7 @@ def agrees(m, sample):
         if nxt is None:
             nxt = memo[states, d] = frozenset(
                 dst for q in states for _, sem, dst in edges[q]
-                if sem_contains(alg, sem, d))
+                if alg.contains(sem, d))
         return nxt
 
     return all((not m.accepting.isdisjoint(states)) == b for states, b in
@@ -230,11 +195,11 @@ def symbolic_prefix_tree(alg, sample, index=None):
         nxt = 0  # position of the first letter not yet in a run
         for a, child in row.items():
             if pos[a] > nxt:
-                runs.append(("sink", letters[nxt]))
-            runs.append((names[child], a))
+                runs.append((letters[nxt], "sink"))
+            runs.append((a, names[child]))
             nxt = pos[a] + 1
         if nxt < len(letters):
-            runs.append(("sink", letters[nxt]))
+            runs.append((letters[nxt], "sink"))
         return runs
 
     return _generalized(alg, names + ["sink"] if letters else names, names[0],
@@ -245,11 +210,22 @@ def symbolic_prefix_tree(alg, sample, index=None):
 class _RedBlue:
     """Red-blue state merging (RPNI; Oncina and Garcia 1992) on a copy of
     idx's prefix tree.  Node classes are a union-find forest, rep, whose
-    roots hold their class's label and children."""
+    roots hold their class's label and children; up holds each node's
+    parent and the letter leading to it."""
 
     def __init__(self, idx):
         self.kids, self.label = list(map(dict, idx.kids)), list(idx.label)
-        self.names, self.rep = _node_names(idx), list(range(len(self.kids)))
+        self.rep = list(range(len(self.kids)))
+        self.up = {c: (q, a) for q, row in enumerate(idx.kids)
+                   for a, c in row.items()}
+
+    def name(self, q):
+        """_word_id of node q's access word, read up the parent links."""
+        word = []
+        while q:
+            q, a = self.up[q]
+            word.append(a)
+        return _word_id(word[::-1])
 
     def find(self, q):
         while self.rep[q] != q:
@@ -322,12 +298,16 @@ def merged_prefix_tree(alg, sample, index=None):
     child letters, each to its child's class, so a letter without evidence
     joins the run below it.  alg and index are as for symbolic_prefix_tree."""
     _require_monotonic(alg)
-    merger = _RedBlue(SampleIndex(sample, alg) if index is None else index)
+    idx = SampleIndex(sample, alg) if index is None else index
+    if not idx.words:
+        raise ValueError("empty sample")
+    merger = _RedBlue(idx)
     reds = merger.run()
-    kids, names, find = merger.kids, merger.names, merger.find
+    kids, find = merger.kids, merger.find
+    names = {r: merger.name(r) for r in reds}
 
     def runs_of(r):
-        return _runs((a, names[find(kids[r][a])]) for a in sorted(kids[r]))
+        return ((a, names[find(kids[r][a])]) for a in sorted(kids[r]))
 
     return _generalized(alg, [names[r] for r in reds], names[0],
                         [names[r] for r in reds if merger.label[r] == 1],

@@ -87,14 +87,14 @@ ALGEBRAS = [INTERVAL_NAT, INTERVAL_INT] + [prop_algebra(k) for k in (1, 2, 3, 4)
 def sample_letters(alg):
     """Letters hitting every region the guards of `guards(alg)` can tell
     apart."""
-    if not alg.is_interval:
+    if not alg.monotonic:
         return alg.letters()
     low = [NEG_INF, -2] if alg == INTERVAL_INT else []
     return low + [0, 1, 2, 3, 4, 5, 6, INF]
 
 
 def guards(alg):
-    if alg.is_interval:
+    if alg.monotonic:
         ends = [0, 1, 3, 5, INF] + ([NEG_INF, -2] if alg == INTERVAL_INT
                                     else [])
         atoms = st.builds(Interval, st.sampled_from(ends),

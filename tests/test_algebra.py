@@ -7,7 +7,7 @@ from symfa import (
     contains, format_pred, intervals_to_pred, is_sat, min_model, or_all,
     parse_pred, pred_equiv, pred_size, prop_algebra, to_canonical_intervals,
 )
-from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, denote, sem_min
+from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, denote
 from symfa.sfa import Sfa, classify
 
 
@@ -154,7 +154,7 @@ def test_prop_denote():
     assert denote(p2, Lit(0, True)) == frozenset({2, 3})
     assert denote(p2, And(Lit(0, True), Lit(1, True))) == frozenset({3})
     assert denote(p2, TOP) == frozenset({0, 1, 2, 3})
-    assert sem_min(p2, denote(p2, Lit(0, True))) == "10"
+    assert p2.min(denote(p2, Lit(0, True))) == "10"
 
 
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)),

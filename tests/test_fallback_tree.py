@@ -240,3 +240,21 @@ def test_fallback_builds_no_table(monkeypatch):
     # a gate: with the states x letters table this call took 3.3 s on a
     # 2-vCPU host, with the symbolic prefix tree 0.55 s, merged 0.3 s
     assert elapsed < 1.5
+
+
+def test_merger_names_only_the_red_states(monkeypatch):
+    """merged_prefix_tree formats the letters of its states' access words
+    alone, not a name for every node of the index's tree."""
+    full = char_sfa(minimal_target(24, 24))
+    rng = random.Random(1)
+    sample = {w: b for w, b in full.items() if rng.random() >= 0.2}
+    idx = SampleIndex(sample, INTERVAL_NAT)
+    calls = []
+    real = dfa_learn.format_letter
+    monkeypatch.setattr(dfa_learn, "format_letter",
+                        lambda d: calls.append(d) or real(d))
+    learned = sfa_learn.merged_prefix_tree(INTERVAL_NAT, sample, index=idx)
+    assert len(calls) < len(idx.kids)
+    # one letter per letter of each state's access word (named e, w:a.b..)
+    assert len(calls) == sum(q.count(".") + 1 for q in learned.states
+                             if q != "e")

@@ -14,10 +14,7 @@ from symfa import (
     And, INF, Interval, Lit, NEG_INF, Not, Sfa, accepts, classify,
     complement, complete_sfa, determinize, includes, minimize,
 )
-from symfa.algebra import (
-    INTERVAL_INT, INTERVAL_NAT, prop_algebra, sem_intersect, sem_min,
-    sem_regions,
-)
+from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra
 from symfa.sfa import _adopt_edges, transition_table
 
 from conftest import exact_target, machine_pairs, random_prop_nfa
@@ -52,7 +49,7 @@ def ref_product(m1, m2, accept):
             if not s1:
                 continue
             for p2, s2, d2 in e2[q2]:
-                sem = sem_intersect(m1.algebra, s1, s2)
+                sem = m1.algebra.intersect(s1, s2)
                 if not sem:
                     continue
                 pred, dst = And(p1, p2), name(d1, d2)
@@ -79,7 +76,7 @@ def ref_shortest_accepted(m):
         q, w = queue.popleft()
         edges = []
         for _, sem, dst in m.edges[q]:
-            d = sem_min(alg, sem)
+            d = alg.min(sem)
             if d is not None:
                 edges.append((d, dst))
         for d, dst in sorted(edges, key=lambda e: e[0]):
@@ -151,9 +148,8 @@ def concrete_shortest(m1, m2, mode):
     of states of two deterministic complete machines, one letter per
     region of their guards' common refinement; None when there is none."""
     alg = m1.algebra
-    letters = [sem_min(alg, r) for r in sem_regions(
-        alg, [s for m in (m1, m2) for row in m.edges.values()
-              for _, s, _ in row])]
+    letters = [alg.min(r) for r in alg.regions(
+        [s for m in (m1, m2) for row in m.edges.values() for _, s, _ in row])]
     t1, t2 = transition_table(m1, letters), transition_table(m2, letters)
 
     def differs(q1, q2):

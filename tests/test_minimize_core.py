@@ -15,10 +15,7 @@ from symfa import (
 )
 from symfa import dfa_learn, sfa
 from symfa.query_learn import SfaTeacher
-from symfa.algebra import (
-    INTERVAL_NAT, or_all, sem_contains, sem_min, sem_pieces, sem_regions,
-    sem_union_all,
-)
+from symfa.algebra import INTERVAL_NAT, or_all
 from symfa.dfa_learn import Dfa, minimize_dfa
 from symfa.sfa import Sfa, _adopt_edges, format_sfa
 
@@ -86,7 +83,7 @@ def ref_minimize_dfa(d):
 def ref_transition_table(m, letters):
     alg = m.algebra
     return {(q, a): next(dst for _, sem, dst in row
-                         if sem_contains(alg, sem, a))
+                         if alg.contains(sem, a))
             for q, row in m.edges.items() for a in letters}
 
 
@@ -94,9 +91,9 @@ def ref_minimize(m, form):
     flags = classify(m)
     assert flags.deterministic and flags.complete
     alg = m.algebra
-    regions = sem_regions(alg, [sem for row in m.edges.values()
-                                for _, sem, _ in row])
-    letters = [sem_min(alg, r) for r in regions]
+    regions = alg.regions([sem for row in m.edges.values()
+                           for _, sem, _ in row])
+    letters = [alg.min(r) for r in regions]
     d = ref_minimize_dfa(Dfa(alg, letters, m.states, m.initial, m.accepting,
                              ref_transition_table(m, letters)))
     region_of = dict(zip(letters, regions))
@@ -109,8 +106,8 @@ def ref_minimize(m, form):
             groups.setdefault(d.delta[q, a], []).append(region_of[a])
         row = []
         for dst in sorted(groups, key=position.__getitem__):
-            sem = sem_union_all(alg, groups[dst])
-            pieces = sem_pieces(alg, sem)
+            sem = alg.union_all(groups[dst])
+            pieces = alg.pieces(sem)
             if form == "neat":
                 row.extend((p, s, dst) for p, s in pieces)
             else:

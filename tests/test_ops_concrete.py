@@ -13,7 +13,7 @@ from collections import deque
 import pytest
 
 from symfa import classify, complete_sfa, determinize, minimize, product
-from symfa.algebra import denote, sem_contains, sem_min, sem_regions
+from symfa.algebra import denote
 from symfa.sfa import Sfa, transition_table
 
 from conftest import exact_target, random_prop_nfa
@@ -40,7 +40,7 @@ class Concrete:
         for q in states:
             if (q, a) not in nxt:
                 nxt[q, a] = frozenset(dst for sem, dst in out[q]
-                                      if sem_contains(alg, sem, a))
+                                      if alg.contains(sem, a))
         return frozenset().union(*(nxt[q, a] for q in states))
 
     def accepts(self, states):
@@ -52,7 +52,7 @@ def region_letters(*concretes):
     alg = concretes[0].m.algebra
     sems = [sem for c in concretes for row in c.out.values()
             for sem, _ in row]
-    return [sem_min(alg, r) for r in sem_regions(alg, sems)]
+    return [alg.min(r) for r in alg.regions(sems)]
 
 
 def reach(letters, start, step):

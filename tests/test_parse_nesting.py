@@ -91,10 +91,10 @@ class RefParser:
 
 
 def ref_check(alg, psi):
-    if isinstance(psi, Interval) and not alg.is_interval:
+    if isinstance(psi, Interval) and not alg.monotonic:
         raise ValueError("interval atom over the prop algebra")
     if isinstance(psi, Lit):
-        if alg.is_interval:
+        if alg.monotonic:
             raise ValueError("prop literal over an interval algebra")
         if not 0 <= psi.index < alg.k:
             raise ValueError("literal out of range")

@@ -46,3 +46,41 @@ def test_every_imported_name_is_used():
         unused += ["%s: %s" % (path.name, name)
                    for name in sorted(imported - used)]
     assert unused == []
+
+
+# The entry points that accept one algebra family only: each reads the
+# algebra's monotonic flag once, to reject the other family.
+FAMILY_CHECKS = {"min_model", "to_canonical_intervals", "_require_monotonic",
+                 "algebra_learner_from_sfa_learner"}
+
+
+def _family_reads(node, func=None):
+    """(function, line) of each read of an algebra's family under node:
+    its is_interval or monotonic attribute, or a comparison of a .kind
+    other than the argparse field args.kind."""
+    if isinstance(node, ast.FunctionDef):
+        func = node.name
+    out = []
+    if isinstance(node, ast.Attribute) and node.attr in ("is_interval",
+                                                         "monotonic"):
+        out.append((func, node.lineno))
+    if isinstance(node, ast.Compare):
+        out += [(func, node.lineno) for side in [node.left, *node.comparators]
+                if isinstance(side, ast.Attribute) and side.attr == "kind"
+                and not (isinstance(side.value, ast.Name)
+                         and side.value.id == "args")]
+    for child in ast.iter_child_nodes(node):
+        out += _family_reads(child, func)
+    return out
+
+
+def test_only_the_algebra_classes_tell_the_families_apart():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d in %s" % (path.name, line, func)
+                  for func, line in _family_reads(tree)
+                  if func not in FAMILY_CHECKS]
+    assert found == []

@@ -178,14 +178,6 @@ def _literal_set(k, index, positive):
     return frozenset(v for v in range(2 ** k) if bool(v & bit) == positive)
 
 
-@functools.lru_cache(maxsize=None)
-def _lit(index, positive):
-    """The one shared Lit(index, positive) that PropAlgebra.pieces puts in
-    its cubes; literals are immutable, so cubes need no copies.  At most
-    two entries per proposition index."""
-    return Lit(index, positive)
-
-
 # ---------------------------------------------------------------------------
 # The algebras
 
@@ -203,12 +195,13 @@ class Algebra:
     (the least letter, None for the empty set), contains, regions (the
     common refinement of some sets: disjoint non-empty regions covering
     the domain, on each of which every set is constant, by least letter),
-    pieces (basic predicates of a set, as disjoint ascending (predicate,
-    denotation) pairs), parse_atom and denote_atom (the leaves of
-    parse_pred and denote), check_letter and parse_letter, and the
-    per-state halves of classify, transition tables, complete_sfa,
-    minimize and includes.  monotonic tells the families apart where only
-    one is accepted."""
+    pieces (the denotations of the basic predicates that split a set:
+    disjoint and ascending), to_pred (the one print rule: the
+    disjunction of the pieces' basic predicates), parse_atom and
+    denote_atom (the leaves of parse_pred and denote), check_letter and
+    parse_letter, and the per-state halves of classify, transition
+    tables, complete_sfa, minimize and includes.  monotonic tells the
+    families apart where only one is accepted."""
 
     kind: str
     k: int = 0
@@ -331,7 +324,11 @@ class IntervalAlgebra(Algebra):
 
     def pieces(self, a):
         """One per canonical piece."""
-        return [(interval_piece_pred(lo, hi), ((lo, hi),)) for lo, hi in a]
+        return [(piece,) for piece in a]
+
+    def to_pred(self, a):
+        """The disjunction of the pieces' predicates (intervals_to_pred)."""
+        return intervals_to_pred(a)
 
     def partition_flags(self, sems):
         """(pairwise disjoint, covering the domain) for one state's guard
@@ -350,11 +347,11 @@ class IntervalAlgebra(Algebra):
 
     def row_successors(self, row, letters):
         """Destination of each of the ascending letters in one edge-table
-        row of a deterministic complete state.  The row's pieces, sorted by
-        lower end, tile the domain, so one sweep over them takes each
-        piece's run of letters by bisection, O(m log n) for m pieces and n
-        letters after the sort."""
-        pieces = sorted(((lo, hi, dst) for _, sem, dst in row
+        row, (denotation, destination) pairs, of a deterministic complete
+        state.  The row's pieces, sorted by lower end, tile the domain, so
+        one sweep over them takes each piece's run of letters by
+        bisection, O(m log n) for m pieces and n letters after the sort."""
+        pieces = sorted(((lo, hi, dst) for sem, dst in row
                          for lo, hi in sem), key=itemgetter(0))
         out = []
         i = 0
@@ -364,10 +361,11 @@ class IntervalAlgebra(Algebra):
             i = j
         return out
 
-    def gap_guards(self, preds, gap):
-        """(guard, denotation) pairs for the edges to a sink that take gap,
-        what a state's guards preds leave uncovered: one per piece."""
-        return self.pieces(gap)
+    def gap_guards(self, trees, gap):
+        """(guard or None, denotation) pairs for the edges to a sink that
+        take gap, what a state's guards leave uncovered: one per piece,
+        with no guard, so it prints by to_pred.  trees is not called."""
+        return [(None, piece) for piece in self.pieces(gap)]
 
     def runs(self, pairs):
         """Owner -> canonical interval list, from (letter, owner) pairs in
@@ -391,18 +389,6 @@ class IntervalAlgebra(Algebra):
         """Owner -> the union of its regions, given one owner per region of
         regions() and the least letters: the owners' runs over the letters."""
         return self.runs(zip(letters, owners))
-
-    def guards(self, a, neat, built):
-        """(guard, denotation) pairs for the edges to one destination that
-        take a: one per piece with neat, else one disjunction of them.
-        built maps each canonical list met so far to its pair, so a caller
-        that passes one dict to every call builds each guard once."""
-        out = []
-        for ivls in [((lo, hi),) for lo, hi in a] if neat else [a]:
-            if ivls not in built:
-                built[ivls] = (intervals_to_pred(ivls), ivls)
-            out.append(built[ivls])
-        return out
 
     def meet_row(self, row):
         """A row of disjoint (denotation, destination) pairs as meet reads
@@ -510,12 +496,17 @@ class PropAlgebra(Algebra):
             while (v % (2 * size) == 0 and i + 2 * size <= len(vals)
                    and vals[i + 2 * size - 1] == v + 2 * size - 1):
                 size *= 2
-            fixed = self.k - (size.bit_length() - 1)
-            cube = and_all(_lit(j, bool(v >> (self.k - 1 - j) & 1))
-                           for j in range(fixed))
-            out.append((cube, frozenset(range(v, v + size))))
+            out.append(frozenset(range(v, v + size)))
             i += size
         return out
+
+    def to_pred(self, a):
+        """The disjunction of the pieces, each the conjunction of the
+        literals that its least valuation gives the propositions it fixes."""
+        k = self.k
+        cubes = [(min(c), k + 1 - len(c).bit_length()) for c in self.pieces(a)]
+        return or_all(and_all(Lit(j, bool(v >> (k - 1 - j) & 1))
+                              for j in range(fixed)) for v, fixed in cubes)
 
     def partition_flags(self, sems):
         """The union: its size is the sum of the sizes exactly when no two
@@ -525,11 +516,13 @@ class PropAlgebra(Algebra):
 
     def row_successors(self, row, letters):
         """Each letter is tested against the row's edges in turn."""
-        return [next(dst for _, sem, dst in row if self.contains(sem, a))
+        return [next(dst for sem, dst in row if self.contains(sem, a))
                 for a in letters]
 
-    def gap_guards(self, preds, gap):
-        """One guard, the negated disjunction of preds."""
+    def gap_guards(self, trees, gap):
+        """One guard, the negated disjunction of the state's guards, which
+        trees() lists."""
+        preds = trees()
         return [(Not(or_all(preds)) if preds else TOP, gap)]
 
     def by_owner(self, regions, letters, owners):
@@ -538,13 +531,6 @@ class PropAlgebra(Algebra):
         for o, region in zip(owners, regions):
             groups.setdefault(o, []).append(region)
         return {o: self.union_all(rs) for o, rs in groups.items()}
-
-    def guards(self, a, neat, built):
-        """The cubes of a with neat, else one disjunction of them."""
-        pieces = self.pieces(a)
-        if neat:
-            return pieces
-        return [(or_all(p for p, _ in pieces), a)]
 
     def meet_row(self, row):
         return row
@@ -567,24 +553,37 @@ def prop_algebra(k):
 
 def denote(alg, psi):
     """The denotation of psi, and the only evaluator of predicate trees:
-    one structural recursion whose leaves are an atom's canonical interval
-    list or a literal's valuation set (the algebra's denote_atom), with
-    Not, And and Or mapped to the algebra's complement, intersect and
-    union_all.  Raises ValueError on an atom of the other algebra family
-    or a literal index out of range."""
-    if isinstance(psi, Top):
-        return alg.full()
-    if isinstance(psi, Bot):
-        return alg.empty
-    if isinstance(psi, (Interval, Lit)):
-        return alg.denote_atom(psi)
-    if isinstance(psi, Not):
-        return alg.complement(denote(alg, psi.child))
-    if isinstance(psi, And):
-        return alg.intersect(denote(alg, psi.left), denote(alg, psi.right))
-    if isinstance(psi, Or):
-        return alg.union_all([denote(alg, psi.left), denote(alg, psi.right)])
-    raise TypeError("not a predicate: %r" % (psi,))
+    a walk whose leaves are an atom's canonical interval list or a
+    literal's valuation set (the algebra's denote_atom), with Not, And and
+    Or mapped to the algebra's complement, intersect and union_all.  It
+    keeps its own stack, so a deep tree costs no call stack.  Raises
+    ValueError on an atom of the other algebra family or a literal index
+    out of range."""
+    stack, vals = [psi], []
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its children are denoted
+            node, = node
+            b = vals.pop()
+            if isinstance(node, Not):
+                vals.append(alg.complement(b))
+            elif isinstance(node, And):
+                vals.append(alg.intersect(vals.pop(), b))
+            else:
+                vals.append(alg.union_all([vals.pop(), b]))
+        elif isinstance(node, (Interval, Lit)):
+            vals.append(alg.denote_atom(node))
+        elif isinstance(node, Top):
+            vals.append(alg.full())
+        elif isinstance(node, Bot):
+            vals.append(alg.empty)
+        elif isinstance(node, Not):
+            stack += ((node,), node.child)
+        elif isinstance(node, (And, Or)):
+            stack += ((node,), node.right, node.left)
+        else:
+            raise TypeError("not a predicate: %r" % (node,))
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +640,9 @@ def _parse_endpoint(tok):
     return int(tok)
 
 
-# Nested negations become nested Not nodes, and every walker of a tree
-# recurses once per node level, so parse_pred rejects deeper nesting.
-# Parentheses add no node, so any number of them parses.
+# Nested negations become nested Not nodes, and printing, pred_size and
+# the neat check recurse once per node level, so parse_pred rejects
+# deeper nesting.  Parentheses add no node, so any number of them parses.
 MAX_NEGATION_DEPTH = 1000
 
 

@@ -9,15 +9,15 @@ from collections import deque
 
 from .algebra import And, Not, and_all, denote
 from .dfa_learn import _minimize_table
-from .sfa import Sfa, _adopt_edges, complete_sfa
+from .sfa import Sfa, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
 
 def product(m1, m2, mode="intersect"):
     """Reachable product automaton; transition predicates are pairwise
-    conjunctions, infeasible ones dropped, and the output gets the
-    pairwise intersections as its edge table.  Every pair of edges is
+    conjunctions, infeasible ones dropped, and each transition's
+    denotation is the pairwise intersection.  Every pair of edges is
     intersected in a nested loop rather than swept as in includes: every
     guard of the output is built, and intersect mode accepts
     nondeterministic inputs, whose pieces may overlap."""
@@ -31,7 +31,7 @@ def product(m1, m2, mode="intersect"):
         raise ValueError("algebra mismatch")
     alg = m1.algebra
     accept = _ACCEPT[mode]
-    e1, e2 = m1.edges, m2.edges
+    g1, g2 = m1._guards, m2._guards
 
     def name(q1, q2):
         return "(%s,%s)" % (q1, q2)
@@ -40,32 +40,26 @@ def product(m1, m2, mode="intersect"):
     seen = {start}
     order = [start]
     queue = deque([start])
-    trans = []
-    edges = {}
+    rows = []
     while queue:
         q1, q2 = queue.popleft()
         src = name(q1, q2)
-        row = []
-        for p1, s1, d1 in e1[q1]:
+        for p1, s1, d1 in g1[q1]:
             if not s1:
                 continue
-            for p2, s2, d2 in e2[q2]:
+            for p2, s2, d2 in g2[q2]:
                 sem = alg.intersect(s1, s2)
                 if not sem:
                     continue
-                pred = And(p1, p2)
-                dst = name(d1, d2)
-                trans.append((src, pred, dst))
-                row.append((pred, sem, dst))
+                rows.append(((src, sem, name(d1, d2)), And(p1, p2)))
                 if (d1, d2) not in seen:
                     seen.add((d1, d2))
                     order.append((d1, d2))
                     queue.append((d1, d2))
-        edges[src] = tuple(row)
     accepting = [name(a, b) for a, b in order
                  if accept(a in m1.accepting, b in m2.accepting)]
-    return _adopt_edges(Sfa(alg, [name(a, b) for a, b in order], name(*start),
-                            accepting, trans), edges)
+    return Sfa._from_rows(alg, [name(a, b) for a, b in order], name(*start),
+                          accepting, rows)
 
 
 def complement(m):
@@ -73,19 +67,18 @@ def complement(m):
     if not m._shape[0]:
         raise ValueError("complement needs a deterministic input")
     c = complete_sfa(m)
-    return _adopt_edges(Sfa(c.algebra, c.states, c.initial,
-                            frozenset(c.states) - c.accepting, c.transitions),
-                        c.edges)
+    return Sfa._from_rows(c.algebra, c.states, c.initial,
+                          frozenset(c.states) - c.accepting, c._rows.items())
 
 
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
     minterm of the outgoing predicates: the letters on which every
     predicate holds or fails alike, grouped from the algebra's regions.
-    Minterms are listed with positive signs first, predicate by predicate.
-    The output gets the minterm regions as its edge table."""
+    Minterms are listed with positive signs first, predicate by predicate,
+    and each one's denotation is the union of its regions."""
     alg = m.algebra
-    table = m.edges
+    table = m._guards
 
     def name(subset):
         return "{%s}" % ",".join(sorted(subset))
@@ -94,8 +87,7 @@ def determinize(m):
     seen = {start}
     order = [start]
     queue = deque([start])
-    trans = []
-    edges = {}
+    rows = []
     while queue:
         subset = queue.popleft()
         src = name(subset)
@@ -116,23 +108,21 @@ def determinize(m):
             a = alg.min(region)
             minterms.setdefault(tuple(not alg.contains(s, a) for s in sems),
                                 []).append(region)
-        row = []
         for neg in sorted(minterms):
             if all(neg):
                 continue
             target = frozenset().union(*(ds for ds, n in zip(dst_map, neg)
                                          if not n))
             label = and_all([Not(p) if n else p for p, n in zip(preds, neg)])
-            trans.append((src, label, name(target)))
-            row.append((label, alg.union_all(minterms[neg]), name(target)))
+            rows.append(((src, alg.union_all(minterms[neg]), name(target)),
+                         label))
             if target not in seen:
                 seen.add(target)
                 order.append(target)
                 queue.append(target)
-        edges[src] = tuple(row)
     accepting = [name(s) for s in order if s & m.accepting]
-    return _adopt_edges(Sfa(alg, [name(s) for s in order], name(start),
-                            accepting, trans), edges)
+    return Sfa._from_rows(alg, [name(s) for s in order], name(start),
+                          accepting, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -149,39 +139,36 @@ def minimize(m, form="neat"):
     """Minimal-state deterministic complete SFA for L(m), canonical.  m is
     read as a DFA with one letter per region of its guards' common
     refinement (the algebra's regions), as integer rows that dfa_learn's
-    _minimize_table minimizes, and each output guard is rebuilt from the
-    regions leading to one destination (the algebra's by_owner and
-    guards), so it depends on L(m) alone, never on the input's guard
-    syntax.  form=neat emits one transition per piece (an interval piece,
-    or a prop cube fixing the leading propositions), so the output is
-    deterministic; form=normalized one disjunction of those pieces per
-    state pair.  Transitions leave each state ordered by destination.
-    States are renamed s0, s1, ... in ascending-letter depth-first order
-    from the initial state."""
+    _minimize_table minimizes, and each output denotation is the union of
+    the regions leading to one destination (the algebra's by_owner), so
+    it depends on L(m) alone, never on the input's guard syntax.
+    form=neat emits one transition per piece (an interval piece, or a
+    prop cube fixing the leading propositions), so the output is
+    deterministic; form=normalized one per state pair.  Guards print by
+    the algebra's to_pred.  Transitions leave each state ordered by
+    destination.  States are renamed s0, s1, ... in ascending-letter
+    depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
     if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
     table = m.edges
-    regions = alg.regions([sem for row in table.values() for _, sem, _ in row])
+    regions = alg.regions([sem for row in table.values() for sem, _ in row])
     letters = [alg.min(r) for r in regions]
     reps, rows = _minimize_table(
         m.initial, m.accepting.__contains__,
         lambda q: alg.row_successors(table[q], letters))
     names = ["s%d" % i for i in range(len(rows))]
-    neat, built = form == "neat", {}
-    trans = []
-    edges = {}
+    out = []
     for q, row in zip(names, rows):
         sems = alg.by_owner(regions, letters, row)
-        out = [(p, s, names[dst]) for dst in sorted(sems)
-               for p, s in alg.guards(sems[dst], neat, built)]
-        trans.extend((q, p, dst) for p, _, dst in out)
-        edges[q] = tuple(out)
-    return _adopt_edges(Sfa(alg, names, names[0],
-                            [names[i] for i, q in enumerate(reps)
-                             if q in m.accepting], trans), edges)
+        out += [((q, s, names[dst]), None) for dst in sorted(sems)
+                for s in (alg.pieces(sems[dst]) if form == "neat"
+                          else [sems[dst]])]
+    return Sfa._from_rows(alg, names, names[0],
+                          [names[i] for i, q in enumerate(reps)
+                           if q in m.accepting], out)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,7 @@ def _shortest_accepted(m):
     def steps(q):
         # stable, so edges of a nondeterministic m that share a least
         # letter keep their order
-        return sorted(((alg.min(sem), dst) for _, sem, dst in m.edges[q]
+        return sorted(((alg.min(sem), dst) for sem, dst in m.edges[q]
                        if sem), key=operator.itemgetter(0))
 
     return _first_word(m.initial, m.accepting.__contains__, steps)
@@ -250,7 +237,7 @@ class _Rows(dict):
         super().__init__()
         self.m, self.complete = m, complete
         if complete:
-            self[_SINK] = self._build(((None, m.algebra.full(), _SINK),))
+            self[_SINK] = self._build(((m.algebra.full(), _SINK),))
 
     def __missing__(self, q):
         row = self[q] = self._build(self.m.edges[q])
@@ -258,7 +245,7 @@ class _Rows(dict):
 
     def _build(self, edges):
         alg = self.m.algebra
-        row = [(sem, dst) for _, sem, dst in edges if sem]
+        row = [(sem, dst) for sem, dst in edges if sem]
         if self.complete:
             gap = alg.complement(alg.union_all([s for s, _ in row]))
             if gap:

@@ -8,53 +8,96 @@ from functools import cached_property
 
 from .algebra import (
     Algebra, And, Interval, Lit, Not, Pred, Top, denote, format_letter,
-    format_pred, is_sat, or_all, parse_pred, pred_size,
+    format_pred, or_all, parse_pred, pred_size,
 )
 
 NEAT_TRANSITION_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
 class Sfa:
-    algebra: Algebra
-    states: tuple
-    initial: str
-    accepting: frozenset
-    transitions: tuple  # of (src, pred, dst)
+    """A symbolic finite automaton.  Its data are its transition rows
+    (src, denotation, dst), in order, each denotation a canonical interval
+    list or a set of valuations; edges[q] lists q's rows as (denotation,
+    dst) pairs.  Sfa(algebra, states, initial, accepting, transitions)
+    takes (src, guard, dst) triples and denotes each guard once.  Parallel
+    transitions with equal (src, denotation, dst) are one transition,
+    printed by the first guard given.  A row that an operation builds
+    without a guard prints as algebra.to_pred of its denotation: the guard
+    trees of transitions are built on its first read.  Two machines are
+    equal when their algebra, states, initial state, accepting set and
+    ordered rows are, however their guards are written.  A machine is
+    never changed once built, so what it computes on first use is kept."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        seen = set()
-        trans = []
-        for src, pred, dst in self.transitions:
-            if (src, pred, dst) in seen:
-                continue
-            seen.add((src, pred, dst))
-            trans.append((src, pred, dst))
-        object.__setattr__(self, "transitions", tuple(trans))
-        states = set(self.states)
-        if len(states) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if self.initial not in states:
-            raise ValueError("initial state not in states")
-        if not self.accepting <= states:
-            raise ValueError("accepting states not in states")
-        for src, pred, dst in self.transitions:
-            if src not in states or dst not in states:
-                raise ValueError("transition endpoint not in states")
+    def __init__(self, algebra, states, initial, accepting, transitions):
+        rows = []
+        for src, pred, dst in transitions:
             if not isinstance(pred, Pred):
                 raise ValueError("transition label is not a predicate")
+            rows.append(((src, denote(algebra, pred), dst), pred))
+        self._set(algebra, states, initial, accepting, rows)
+
+    @classmethod
+    def _from_rows(cls, algebra, states, initial, accepting, rows):
+        """The operations' constructor: rows of ((src, denotation, dst),
+        guard or None)."""
+        m = cls.__new__(cls)
+        m._set(algebra, states, initial, accepting, rows)
+        return m
+
+    def _set(self, algebra, states, initial, accepting, rows):
+        self.algebra, self.initial = algebra, initial
+        self.states, self.accepting = tuple(states), frozenset(accepting)
+        names = set(self.states)
+        if len(names) != len(self.states):
+            raise ValueError("duplicate state ids")
+        if initial not in names:
+            raise ValueError("initial state not in states")
+        if not self.accepting <= names:
+            raise ValueError("accepting states not in states")
+        self._rows = {}  # (src, denotation, dst) -> first guard, or None
+        for row, pred in rows:
+            if row[0] not in names or row[2] not in names:
+                raise ValueError("transition endpoint not in states")
+            self._rows.setdefault(row, pred)
+        self._key = (algebra, self.states, initial, self.accepting,
+                     tuple(self._rows))
+        self.edges = {q: [] for q in self.states}
+        for src, sem, dst in self._rows:
+            self.edges[src].append((sem, dst))
 
     @cached_property
-    def edges(self):
-        """State -> tuple of (guard, denotation, dst), in transition order.
-        Every guard is denoted once per machine, on first use; keeping the
-        table is safe because the machine is frozen."""
+    def transitions(self):
+        """(src, guard, dst) triples, in order; equal denotations without a
+        guard share one built tree."""
+        built = {}
+        for (_, sem, _), pred in self._rows.items():
+            if pred is None and sem not in built:
+                built[sem] = self.algebra.to_pred(sem)
+        return tuple((src, built[sem] if pred is None else pred, dst)
+                     for (src, sem, dst), pred in self._rows.items())
+
+    @cached_property
+    def _guards(self):
+        """State -> list of (guard, denotation, dst), in transition order."""
         rows = {q: [] for q in self.states}
-        for src, pred, dst in self.transitions:
-            rows[src].append((pred, denote(self.algebra, pred), dst))
-        return {q: tuple(row) for q, row in rows.items()}
+        for row, (src, pred, dst) in zip(self._rows, self.transitions):
+            rows[src].append((pred, row[1], dst))
+        return rows
+
+    def out(self, q):
+        """(guard, dst) pairs of q's transitions, in order."""
+        return [(p, dst) for p, _, dst in self._guards[q]]
+
+    def __eq__(self, other):
+        return isinstance(other, Sfa) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "Sfa(%r, %r, %r, %r, %r)" % (
+            self.algebra, self.states, self.initial, self.accepting,
+            self.transitions)
 
     @cached_property
     def _shape(self):
@@ -63,7 +106,7 @@ class Sfa:
         flags = self.algebra.partition_flags
         deterministic = complete = True
         for row in self.edges.values():
-            disjoint, covering = flags([s for _, s, _ in row])
+            disjoint, covering = flags([s for s, _ in row])
             deterministic = deterministic and disjoint
             complete = complete and covering
         return deterministic, complete
@@ -72,28 +115,14 @@ class Sfa:
     def flags(self):
         """SfaFlags, computed on first use (see classify)."""
         deterministic, complete = self._shape
-        trans = self.transitions
         return SfaFlags(
             deterministic=deterministic,
             complete=complete,
-            neat=all(_is_basic(p) for _, p, _ in trans),
-            normalized=len({(s, d) for s, _, d in trans}) == len(trans),
-            feasible=all(s for row in self.edges.values()
-                         for _, s, _ in row),
+            neat=all(_is_basic(p) for _, p, _ in self.transitions),
+            normalized=len({(s, d) for s, _, d in self._rows})
+            == len(self._rows),
+            feasible=all(sem for _, sem, _ in self._rows),
         )
-
-    def out(self, q):
-        return [(p, dst) for p, _, dst in self.edges[q]]
-
-
-def _adopt_edges(m, edges):
-    """Hand m the edge table its builder already computed, so that m never
-    denotes those guards again.  Skipped when Sfa's deduplication dropped a
-    transition, since the table would still list it; m then builds its own
-    table on first use."""
-    if sum(map(len, edges.values())) == len(m.transitions):
-        m.__dict__["edges"] = edges
-    return m
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,7 @@ def accepts(m, w):
     frontier = {m.initial}
     for d in w:
         alg.check_letter(d)
-        frontier = {dst for q in frontier for _, sem, dst in edges[q]
+        frontier = {dst for q in frontier for sem, dst in edges[q]
                     if alg.contains(sem, d)}
         if not frontier:
             return False
@@ -152,17 +181,14 @@ def _is_basic(pred):
 
 def classify(m):
     """Deterministic, complete, neat, normalized and feasible flags of m,
-    computed once per machine from its edge table."""
+    computed once per machine from its rows (neat from its guards)."""
     return m.flags
 
 
 def size_metrics(m):
-    out_deg = {q: 0 for q in m.states}
-    for src, _, _ in m.transitions:
-        out_deg[src] += 1
     return SizeMetrics(
         n=len(m.states),
-        m=max(out_deg.values()) if out_deg else 0,
+        m=max(map(len, m.edges.values())),
         l=max((pred_size(p) for _, p, _ in m.transitions), default=0),
     )
 
@@ -178,34 +204,30 @@ def to_neat(m):
     transition per canonical piece.  Prop: one per cube that fixes the
     leading propositions.  Unsatisfiable guards vanish."""
     alg = m.algebra
-    trans = []
-    for src, pred, dst in m.transitions:
-        for basic, _ in alg.pieces(denote(alg, pred)):
-            trans.append((src, basic, dst))
-        if len(trans) > NEAT_TRANSITION_CAP:
+    rows = []
+    for src, sem, dst in m._rows:
+        rows += [((src, piece, dst), None) for piece in alg.pieces(sem)]
+        if len(rows) > NEAT_TRANSITION_CAP:
             raise ValueError("neat expansion exceeds %d transitions"
                              % NEAT_TRANSITION_CAP)
-    return Sfa(alg, m.states, m.initial, m.accepting, trans)
+    return Sfa._from_rows(alg, m.states, m.initial, m.accepting, rows)
 
 
 def to_normalized(m):
     """Merge parallel transitions into one disjunction per state pair."""
-    order = []
     merged = {}
-    for src, pred, dst in m.transitions:
-        key = (src, dst)
-        if key not in merged:
-            merged[key] = []
-            order.append(key)
-        merged[key].append(pred)
-    trans = [(src, or_all(merged[(src, dst)]), dst) for src, dst in order]
-    return Sfa(m.algebra, m.states, m.initial, m.accepting, trans)
+    for (src, pred, dst), (_, sem, _) in zip(m.transitions, m._rows):
+        merged.setdefault((src, dst), []).append((pred, sem))
+    rows = [((src, m.algebra.union_all([s for _, s in pairs]), dst),
+             or_all(p for p, _ in pairs))
+            for (src, dst), pairs in merged.items()]
+    return Sfa._from_rows(m.algebra, m.states, m.initial, m.accepting, rows)
 
 
 def make_feasible(m):
     """Drop transitions with unsatisfiable predicates."""
-    trans = [(s, p, d) for s, p, d in m.transitions if is_sat(m.algebra, p)]
-    return Sfa(m.algebra, m.states, m.initial, m.accepting, trans)
+    return Sfa._from_rows(m.algebra, m.states, m.initial, m.accepting,
+                          [row for row in m._rows.items() if row[0][1]])
 
 
 def _fresh_state(states, base="sink"):
@@ -224,26 +246,17 @@ def complete_sfa(m):
     gap intervals, at most one more than the state's out-degree."""
     alg = m.algebra
     sink = _fresh_state(m.states)
-    edges = dict(m.edges)
     extra = []
     for q in m.states:
-        row = edges[q]
-        gap = alg.complement(alg.union_all([s for _, s, _ in row]))
-        if not gap:
-            continue
-        added = tuple((p, s, sink) for p, s in
-                      alg.gap_guards([p for p, _, _ in row], gap))
-        edges[q] = row + added
-        extra.extend((q, p, dst) for p, _, dst in added)
+        gap = alg.complement(alg.union_all([s for s, _ in m.edges[q]]))
+        if gap:
+            extra += [((q, s, sink), p) for p, s in alg.gap_guards(
+                lambda: [p for p, _ in m.out(q)], gap)]
     if not extra:
         return m
-    # the full domain is one piece: [dmin,inf), or the empty cube true
-    (loop, full), = alg.pieces(alg.full())
-    extra.append((sink, loop, sink))
-    edges[sink] = ((loop, full, sink),)
-    return _adopt_edges(Sfa(alg, tuple(m.states) + (sink,), m.initial,
-                            m.accepting, tuple(m.transitions) + tuple(extra)),
-                        edges)
+    extra.append(((sink, alg.full(), sink), None))
+    return Sfa._from_rows(alg, m.states + (sink,), m.initial, m.accepting,
+                          [*m._rows.items(), *extra])
 
 
 # ---------------------------------------------------------------------------

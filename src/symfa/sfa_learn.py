@@ -12,7 +12,7 @@ from .dfa_learn import (
     Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _walk_sorted,
     _word_id, char_dfa,
 )
-from .sfa import Sfa, _adopt_edges, classify, sample_dict, transition_table
+from .sfa import Sfa, classify, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
@@ -57,18 +57,14 @@ def _generalized(alg, states, initial, accepting, runs):
     of its (letter, destination) pairs (see IntervalAlgebra.runs), given in
     states' order, one transition per destination in ascending destination
     order.  A state without pairs gets a full-domain self-loop, which
-    keeps the language and makes the result complete.  Each distinct
-    guard is built once (IntervalAlgebra.guards), and the guards'
-    denotations are adopted as the edge table, so none is denoted again."""
-    built = {}
-    trans = []
-    edges = {}
+    keeps the language and makes the result complete.  The transitions
+    carry the runs' interval lists, and their guards are built only when
+    read."""
+    rows = []
     for q, pairs in zip(states, runs):
         sems = alg.runs(pairs) or {q: alg.full()}
-        row = edges[q] = tuple((*alg.guards(sems[dst], False, built)[0], dst)
-                               for dst in sorted(sems))
-        trans.extend((q, pred, dst) for pred, _, dst in row)
-    return _adopt_edges(Sfa(alg, states, initial, accepting, trans), edges)
+        rows += [((q, sems[dst], dst), None) for dst in sorted(sems)]
+    return Sfa._from_rows(alg, states, initial, accepting, rows)
 
 
 def concretize_sfa(m):
@@ -84,7 +80,7 @@ def concretize_sfa(m):
         raise ValueError("concretize_sfa needs a feasible input")
     alg = m.algebra
     alphabet = sorted({alg.min(sem) for row in m.edges.values()
-                       for _, sem, _ in row})
+                       for sem, _ in row})
     return Dfa(alg, alphabet, m.states, m.initial, m.accepting,
                transition_table(m, alphabet))
 
@@ -165,7 +161,7 @@ def agrees(m, sample):
         nxt = memo.get((states, d))
         if nxt is None:
             nxt = memo[states, d] = frozenset(
-                dst for q in states for _, sem, dst in edges[q]
+                dst for q in states for sem, dst in edges[q]
                 if alg.contains(sem, d))
         return nxt
 

@@ -117,6 +117,12 @@ def machines(draw, alg):
     return Sfa(alg, names, "q0", accepting, trans)
 
 
+def identical(m, *others):
+    """The machines are equal and print alike: == compares their
+    denotations, and their guard trees are compared as well."""
+    return all(m == o and m.transitions == o.transitions for o in others)
+
+
 def machine_pairs():
     """Two machines over one algebra."""
     return st.sampled_from(ALGEBRAS).flatmap(

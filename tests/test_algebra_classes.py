@@ -96,13 +96,13 @@ def test_regions_partition_the_domain(case):
 def test_pieces_split_the_set(case):
     alg, (psi,) = case
     pieces = alg.pieces(denote(alg, psi))
-    sets = [members(alg, s) for _, s in pieces]
+    sets = [members(alg, s) for s in pieces]
     assert all(sets)
     assert disjoint(sets)
     assert set().union(*sets) == truth(alg, psi)
     assert [min(s) for s in sets] == sorted(min(s) for s in sets)
-    for guard, s in pieces:
-        assert truth(alg, guard) == members(alg, s)
+    for s in pieces:
+        assert truth(alg, alg.to_pred(s)) == members(alg, s)
 
 
 @given(cases(0, 4))
@@ -124,7 +124,7 @@ def region_row(alg, preds, owners):
     for o, sem in joined.items():
         assert members(alg, sem) == set().union(*(
             members(alg, r) for r, ro in zip(regions, row_owners) if ro == o))
-    return [(None, sem, o) for o, sem in joined.items()]
+    return [(sem, o) for o, sem in joined.items()]
 
 
 @given(cases(0, 4), st.lists(st.sampled_from("xyz"), min_size=1))
@@ -132,7 +132,7 @@ def test_row_successors_match_a_scan(case, owners):
     alg, preds = case
     row = region_row(alg, preds, owners)
     letters = sorted(sample_letters(alg))
-    expected = [next(o for _, s, o in row if d in members(alg, s))
+    expected = [next(o for s, o in row if d in members(alg, s))
                 for d in letters]
     assert alg.row_successors(row, letters) == expected
 
@@ -144,7 +144,7 @@ def test_row_successors_match_a_scan(case, owners):
 def test_meet_matches_a_pairwise_scan(case, owners, gapped):
     alg, preds1, preds2 = case
     # with gapped, the first edge of each row goes, so rows need not cover
-    rows = [[(s, o) for _, s, o in region_row(alg, preds, owners)][gapped:]
+    rows = [region_row(alg, preds, owners)[gapped:]
             for preds in (preds1, preds2)]
     common = {(d1, d2): members(alg, s1) & members(alg, s2)
               for s1, d1 in rows[0] for s2, d2 in rows[1]}
@@ -162,17 +162,18 @@ def test_meet_matches_a_pairwise_scan(case, owners, gapped):
 def test_guards_and_gap_guards_denote_their_sets(case, neat):
     alg, preds = case
     sem = alg.union_all([denote(alg, p) for p in preds])
-    built = {}
-    for pairs in (alg.guards(sem, neat, built),
-                  alg.gap_guards(preds, alg.complement(sem))):
+    # minimize's guards: one per piece with neat, else one for the set
+    sems = alg.pieces(sem) if neat else [sem]
+    guards = [(alg.to_pred(s), s) for s in sems]
+    gaps = [(alg.to_pred(s) if p is None else p, s) for p, s in
+            alg.gap_guards(lambda: preds, alg.complement(sem))]
+    for pairs in (guards, gaps):
         sets = [members(alg, s) for _, s in pairs]
         assert disjoint(sets)
         for guard, s in pairs:
             assert truth(alg, guard) == members(alg, s)
-    assert set().union(*(members(alg, s) for _, s in alg.guards(
-        sem, neat, built))) == members(alg, sem)
-    if neat:
-        assert len(alg.guards(sem, neat, {})) == len(alg.pieces(sem))
+    assert set().union(*(members(alg, s) for s in sems)) \
+        == members(alg, sem)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS)

@@ -12,8 +12,11 @@ from symfa import (
     format_pred, format_sfa, minimize, or_all, parse_pred, parse_sfa,
     pred_size, prop_algebra, to_neat,
 )
-from symfa.algebra import INTERVAL_NAT, denote
+from symfa.algebra import INTERVAL_NAT, MAX_NEGATION_DEPTH, denote
+from symfa.cli import main
 from symfa.sfa_learn import generalize_alg
+
+from conftest import identical
 
 N = 3000
 DEEP_GUARD = " | ".join("[%d,%d)" % (2 * i, 2 * i + 1) for i in range(N))
@@ -44,7 +47,7 @@ def test_deep_guard_denotes_and_accepts(deep):
 
 def test_deep_guard_prints_and_parses_back(deep):
     assert format_pred(deep.transitions[0][1]) == DEEP_GUARD
-    assert parse_sfa(format_sfa(deep)) == deep
+    assert identical(parse_sfa(format_sfa(deep)), deep)
 
 
 def test_deep_guard_neat_and_minimized(deep):
@@ -83,3 +86,38 @@ def test_chain_shapes():
     assert or_all([a, b, c]) == Or(Or(a, b), c)
     assert and_all([a, b]) == And(a, b)
     assert or_all([a, b, c, a]) == Or(Or(a, b), Or(c, a))
+
+
+# Guards as deep as the parser takes: 3000 right-nested disjunctions, and
+# the most nested negations it accepts.  Nothing but printing walks a
+# tree, and denote keeps its own stack, so the CLI answers on both.
+NESTED_OR = "".join("([%d,%d) | " % (2 * i, 2 * i + 1)
+                    for i in range(N - 1)) \
+    + "[%d,%d)" % (2 * N - 2, 2 * N - 1) + ")" * (N - 1)
+NESTED_NOT = "!" * MAX_NEGATION_DEPTH + "[2,5)"
+
+
+@pytest.fixture(params=[NESTED_OR, NESTED_NOT], ids=["or", "not"])
+def nested_file(request, tmp_path):
+    path = tmp_path / "nested.sfa"
+    path.write_text("algebra interval-nat\nstates a b\ninitial a\n"
+                    "accepting b\ntrans a b %s\n" % request.param)
+    return request.param, str(path)
+
+
+def test_nested_guard_through_transform_neat(nested_file, capsys):
+    guard, path = nested_file
+    assert main(["transform", "neat", path]) == 0
+    pieces = [line.split(None, 3)[3] for line in
+              capsys.readouterr().out.splitlines() if line.startswith("trans")]
+    if guard is NESTED_OR:
+        assert pieces == ["[%d,%d)" % (2 * i, 2 * i + 1) for i in range(N)]
+    else:
+        assert pieces == ["[2,5)"]  # an even number of negations
+
+
+def test_nested_guard_through_decide_member(nested_file, capsys):
+    _, path = nested_file
+    assert main(["decide", "member", path, "4"]) == 0
+    assert main(["decide", "member", path, "5"]) == 1
+    assert capsys.readouterr().out == "member\nnonmember\n"

@@ -90,15 +90,11 @@ def ref_infer_sfa(alg, sample):
 
 
 def assert_adopted(m):
-    """m carries the edge table its builder computed, and each entry is
-    the guard's denotation."""
-    assert "edges" in m.__dict__
+    """m's edge table lists its transitions, state by state, each as the
+    denotation of its guard."""
     rows = m.edges
-    assert [(q, p, dst) for q in m.states for p, _, dst in rows[q]] \
-        == list(m.transitions)
-    for row in rows.values():
-        for pred, sem, _ in row:
-            assert sem == denote(m.algebra, pred)
+    assert [(q, sem, dst) for q in m.states for sem, dst in rows[q]] \
+        == [(q, denote(m.algebra, p), dst) for q, p, dst in m.transitions]
 
 
 def check_tree(alg, sample):
@@ -141,8 +137,8 @@ def test_symbolic_tree_negative_letters():
 
 def test_leaves_share_one_guard():
     tree = symbolic_prefix_tree(INTERVAL_NAT, {(1, 2): 1, (1, 3): 0, (4,): 1})
-    leaf_guards = [row[0][0] for q, row in tree.edges.items()
-                   if len(row) == 1]
+    leaf_guards = [out[0][0] for out in map(tree.out, tree.states)
+                   if len(out) == 1]
     assert len(leaf_guards) == 4  # three leaves and the sink
     assert all(g is leaf_guards[0] for g in leaf_guards)
 

@@ -15,7 +15,7 @@ from symfa import (
     complement, complete_sfa, determinize, includes, minimize,
 )
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra
-from symfa.sfa import _adopt_edges, transition_table
+from symfa.sfa import transition_table
 
 from conftest import exact_target, machine_pairs, random_prop_nfa
 
@@ -30,7 +30,6 @@ from conftest import exact_target, machine_pairs, random_prop_nfa
 def ref_product(m1, m2, accept):
     if m1.algebra != m2.algebra:
         raise ValueError("algebra mismatch")
-    e1, e2 = m1.edges, m2.edges
 
     def name(q1, q2):
         return "(%s,%s)" % (q1, q2)
@@ -40,30 +39,25 @@ def ref_product(m1, m2, accept):
     order = [start]
     queue = deque([start])
     trans = []
-    edges = {}
     while queue:
         q1, q2 = queue.popleft()
         src = name(q1, q2)
-        row = []
-        for p1, s1, d1 in e1[q1]:
+        for (p1, d1), (s1, _) in zip(m1.out(q1), m1.edges[q1]):
             if not s1:
                 continue
-            for p2, s2, d2 in e2[q2]:
+            for (p2, d2), (s2, _) in zip(m2.out(q2), m2.edges[q2]):
                 sem = m1.algebra.intersect(s1, s2)
                 if not sem:
                     continue
-                pred, dst = And(p1, p2), name(d1, d2)
-                trans.append((src, pred, dst))
-                row.append((pred, sem, dst))
+                trans.append((src, And(p1, p2), name(d1, d2)))
                 if (d1, d2) not in seen:
                     seen.add((d1, d2))
                     order.append((d1, d2))
                     queue.append((d1, d2))
-        edges[src] = tuple(row)
     accepting = [name(a, b) for a, b in order
                  if accept(a in m1.accepting, b in m2.accepting)]
-    return _adopt_edges(Sfa(m1.algebra, [name(a, b) for a, b in order],
-                            name(*start), accepting, trans), edges)
+    return Sfa(m1.algebra, [name(a, b) for a, b in order], name(*start),
+               accepting, trans)
 
 
 def ref_shortest_accepted(m):
@@ -75,7 +69,7 @@ def ref_shortest_accepted(m):
     while queue:
         q, w = queue.popleft()
         edges = []
-        for _, sem, dst in m.edges[q]:
+        for sem, dst in m.edges[q]:
             d = alg.min(sem)
             if d is not None:
                 edges.append((d, dst))
@@ -149,7 +143,7 @@ def concrete_shortest(m1, m2, mode):
     region of their guards' common refinement; None when there is none."""
     alg = m1.algebra
     letters = [alg.min(r) for r in alg.regions(
-        [s for m in (m1, m2) for row in m.edges.values() for _, s, _ in row])]
+        [s for m in (m1, m2) for row in m.edges.values() for s, _ in row])]
     t1, t2 = transition_table(m1, letters), transition_table(m2, letters)
 
     def differs(q1, q2):

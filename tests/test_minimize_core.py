@@ -17,7 +17,7 @@ from symfa import dfa_learn, sfa
 from symfa.query_learn import SfaTeacher
 from symfa.algebra import INTERVAL_NAT, or_all
 from symfa.dfa_learn import Dfa, minimize_dfa
-from symfa.sfa import Sfa, _adopt_edges, format_sfa
+from symfa.sfa import Sfa, format_sfa
 
 from conftest import (
     ALGEBRAS, build_four_state_target, build_two_state_target, exact_target,
@@ -82,7 +82,7 @@ def ref_minimize_dfa(d):
 
 def ref_transition_table(m, letters):
     alg = m.algebra
-    return {(q, a): next(dst for _, sem, dst in row
+    return {(q, a): next(dst for sem, dst in row
                          if alg.contains(sem, a))
             for q, row in m.edges.items() for a in letters}
 
@@ -92,30 +92,25 @@ def ref_minimize(m, form):
     assert flags.deterministic and flags.complete
     alg = m.algebra
     regions = alg.regions([sem for row in m.edges.values()
-                           for _, sem, _ in row])
+                           for sem, _ in row])
     letters = [alg.min(r) for r in regions]
     d = ref_minimize_dfa(Dfa(alg, letters, m.states, m.initial, m.accepting,
                              ref_transition_table(m, letters)))
     region_of = dict(zip(letters, regions))
     position = {q: i for i, q in enumerate(d.states)}
     trans = []
-    edges = {}
     for q in d.states:
         groups = {}
         for a in d.alphabet:
             groups.setdefault(d.delta[q, a], []).append(region_of[a])
-        row = []
         for dst in sorted(groups, key=position.__getitem__):
             sem = alg.union_all(groups[dst])
-            pieces = alg.pieces(sem)
+            pieces = [alg.to_pred(s) for s in alg.pieces(sem)]
             if form == "neat":
-                row.extend((p, s, dst) for p, s in pieces)
+                trans.extend((q, p, dst) for p in pieces)
             else:
-                row.append((or_all(p for p, _ in pieces), sem, dst))
-        trans.extend((q, p, dst) for p, _, dst in row)
-        edges[q] = tuple(row)
-    return _adopt_edges(Sfa(alg, d.states, d.initial, d.accepting, trans),
-                        edges)
+                trans.append((q, or_all(pieces), dst))
+    return Sfa(alg, d.states, d.initial, d.accepting, trans)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from symfa.algebra import INTERVAL_NAT
 from symfa.ops import equiv
 
 from conftest import (
-    ALGEBRAS, TWO_STATE_SAMPLE, build_two_state_target, guards, machines,
-    sample_letters,
+    ALGEBRAS, TWO_STATE_SAMPLE, build_two_state_target, guards, identical,
+    machines, sample_letters,
 )
 
 
@@ -167,7 +167,7 @@ def test_complete_bound_on_neat_partition(two_state_target):
 def test_format_parse_roundtrip(two_state_target):
     text = format_sfa(two_state_target)
     again = parse_sfa(text)
-    assert again == two_state_target
+    assert identical(again, two_state_target)
 
 
 def test_parse_sfa_reports_line_numbers():
@@ -181,7 +181,7 @@ def test_parse_sfa_prop():
     m = parse_sfa(text)
     assert accepts(m, ("10",))
     assert not accepts(m, ("11",))
-    assert parse_sfa(format_sfa(m)) == m
+    assert identical(parse_sfa(format_sfa(m)), m)
 
 
 def test_sample_roundtrip():

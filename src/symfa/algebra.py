@@ -50,7 +50,16 @@ SUP = _Sup()
 
 
 class Pred:
+    """A predicate tree: atoms compare as dataclasses, the rest by _key."""
+
     __slots__ = ()
+
+    def __eq__(self, other):
+        return (_key(self) == _key(other) if isinstance(other, Pred)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(_key(self))
 
 
 @dataclass(frozen=True)
@@ -81,21 +90,44 @@ class Lit(Pred):
     positive: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Pred):
     child: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Pred):
     left: Pred
     right: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Pred):
     left: Pred
     right: Pred
+
+
+def _nodes(psi):
+    """psi's nodes in preorder, each followed by its child or its left and
+    right subtrees: read backwards, psi in Polish notation.  The one walk
+    of predicate trees; it keeps its own stack, so depth costs no calls."""
+    out, stack = [], [psi]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        cls = type(node)  # the node classes are never subclassed
+        if cls is And or cls is Or:
+            stack += (node.right, node.left)
+        elif cls is Not:
+            stack.append(node.child)
+    return out
+
+
+def _key(psi):
+    """psi's preorder nodes, atoms as themselves and the rest as their
+    classes: with fixed arities, it spells psi alone."""
+    return tuple([type(node) if isinstance(node, (Not, And, Or)) else node
+                  for node in _nodes(psi)])
 
 
 TOP = Top()
@@ -129,11 +161,7 @@ def or_all(preds):
 
 def pred_size(psi):
     """Number of parse-tree nodes; atoms count one."""
-    if isinstance(psi, (Top, Bot, Interval, Lit)):
-        return 1
-    if isinstance(psi, Not):
-        return 1 + pred_size(psi.child)
-    return 1 + pred_size(psi.left) + pred_size(psi.right)
+    return len(_nodes(psi))
 
 
 def contains(alg, psi, d):
@@ -276,14 +304,19 @@ class IntervalAlgebra(Algebra):
         return ((self.dmin, SUP),)
 
     def intersect(self, a, b):
+        """A merge sweep, O(m1 + m2), whose piece overlaps are canonical."""
         out = []
-        for lo1, hi1 in a:
-            for lo2, hi2 in b:
-                lo = max(lo1, lo2)
-                hi = min(hi1, hi2)
-                if lo < hi:
-                    out.append((lo, hi))
-        return self.union_all((out,))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (lo1, hi1), (lo2, hi2) = a[i], b[j]
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo < hi:
+                out.append((lo, hi))
+            if hi1 <= hi2:
+                i += 1
+            else:
+                j += 1
+        return tuple(out)
 
     def union_all(self, sems):
         """One sort and merge pass: O(m log m) for m pieces."""
@@ -553,34 +586,25 @@ def prop_algebra(k):
 
 def denote(alg, psi):
     """The denotation of psi, and the only evaluator of predicate trees:
-    a walk whose leaves are an atom's canonical interval list or a
-    literal's valuation set (the algebra's denote_atom), with Not, And and
-    Or mapped to the algebra's complement, intersect and union_all.  It
-    keeps its own stack, so a deep tree costs no call stack.  Raises
-    ValueError on an atom of the other algebra family or a literal index
-    out of range."""
-    stack, vals = [psi], []
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node,): its children are denoted
-            node, = node
-            b = vals.pop()
-            if isinstance(node, Not):
-                vals.append(alg.complement(b))
-            elif isinstance(node, And):
-                vals.append(alg.intersect(vals.pop(), b))
-            else:
-                vals.append(alg.union_all([vals.pop(), b]))
-        elif isinstance(node, (Interval, Lit)):
+    psi's nodes read backwards as Polish notation, whose leaves are an
+    atom's canonical interval list or a literal's valuation set (the
+    algebra's denote_atom), with Not, And and Or mapped to the algebra's
+    complement, intersect and union_all.  Raises ValueError on an atom of
+    the other algebra family or a literal index out of range."""
+    if isinstance(psi, (Interval, Lit)):
+        return alg.denote_atom(psi)
+    vals = []
+    for node in reversed(_nodes(psi)):
+        if isinstance(node, (Interval, Lit)):
             vals.append(alg.denote_atom(node))
-        elif isinstance(node, Top):
-            vals.append(alg.full())
-        elif isinstance(node, Bot):
-            vals.append(alg.empty)
+        elif isinstance(node, And):
+            vals.append(alg.intersect(vals.pop(), vals.pop()))
+        elif isinstance(node, Or):
+            vals.append(alg.union_all([vals.pop(), vals.pop()]))
         elif isinstance(node, Not):
-            stack += ((node,), node.child)
-        elif isinstance(node, (And, Or)):
-            stack += ((node,), node.right, node.left)
+            vals.append(alg.complement(vals.pop()))
+        elif isinstance(node, (Top, Bot)):
+            vals.append(alg.full() if isinstance(node, Top) else alg.empty)
         else:
             raise TypeError("not a predicate: %r" % (node,))
     return vals[0]
@@ -640,12 +664,6 @@ def _parse_endpoint(tok):
     return int(tok)
 
 
-# Nested negations become nested Not nodes, and printing, pred_size and
-# the neat check recurse once per node level, so parse_pred rejects
-# deeper nesting.  Parentheses add no node, so any number of them parses.
-MAX_NEGATION_DEPTH = 1000
-
-
 class _PredParser:
     """Precedence parser for the grammar, looping over an explicit stack
     of open parentheses rather than recursing, so nesting depth costs no
@@ -674,19 +692,15 @@ class _PredParser:
         # each open parenthesis saves the enclosing or-operands, the
         # and-operands, and the negations in front of the parenthesis
         stack = []
-        ors, ands, nots, depth = [], [], 0, 0
+        ors, ands, nots = [], [], 0
         while True:
             tok = self.peek()
             self.pos += 1
             if tok == "!":
                 nots += 1
-                if depth + nots > MAX_NEGATION_DEPTH:
-                    raise ValueError("more than %d nested negations"
-                                     % MAX_NEGATION_DEPTH)
                 continue
             if tok == "(":
                 stack.append((ors, ands, nots))
-                depth += nots
                 ors, ands, nots = [], [], 0
                 continue
             psi = self.atom(tok)
@@ -712,7 +726,6 @@ class _PredParser:
                     return psi
                 self.take(")")
                 ors, ands, nots = stack.pop()
-                depth -= nots
 
     def atom(self, tok):
         if tok == "true":
@@ -732,8 +745,8 @@ class _PredParser:
 
 def parse_pred(alg, text):
     """The predicate tree of text over alg.  Raises ValueError on bad
-    syntax, on an atom of the other algebra family, on a literal index
-    out of range, and on more than MAX_NEGATION_DEPTH nested negations."""
+    syntax, on an atom of the other algebra family, and on a literal
+    index out of range."""
     return _PredParser(alg, _tokenize(text)).parse()
 
 
@@ -752,25 +765,26 @@ def format_letter(d):
 
 
 def format_pred(psi):
-    return _fmt(psi, 0)
-
-
-def _fmt(psi, prec):
-    # precedence: | is 1, & is 2, ! is 3, atoms are 4
-    if isinstance(psi, Top):
-        return "true"
-    if isinstance(psi, Bot):
-        return "false"
-    if isinstance(psi, Interval):
-        return "[%s,%s)" % (format_endpoint(psi.lo), format_endpoint(psi.hi))
-    if isinstance(psi, Lit):
-        return ("p%d" if psi.positive else "!p%d") % psi.index
-    if isinstance(psi, Not):
-        return "!" + _fmt(psi.child, 3)
-    if isinstance(psi, And):
-        text = "%s & %s" % (_fmt(psi.left, 2), _fmt(psi.right, 2))
-        return "(%s)" % text if prec > 2 else text
-    if isinstance(psi, Or):
-        text = "%s | %s" % (_fmt(psi.left, 1), _fmt(psi.right, 1))
-        return "(%s)" % text if prec > 1 else text
-    raise TypeError("not a predicate: %r" % (psi,))
+    """The text of psi: its nodes read backwards as Polish notation over
+    (text, precedence) pairs, | 1, & 2, ! 3 and atoms 4, where an operand
+    is parenthesized when it binds less tightly than its operator."""
+    vals = []
+    for node in reversed(_nodes(psi)):
+        if isinstance(node, Interval):
+            prec, text = 4, "[%s,%s)" % (format_endpoint(node.lo),
+                                         format_endpoint(node.hi))
+        elif isinstance(node, Lit):
+            prec, text = 4, ("p%d" if node.positive else "!p%d") % node.index
+        elif isinstance(node, (And, Or)):
+            prec, op = (2, " & ") if isinstance(node, And) else (1, " | ")
+            text = op.join(t if p >= prec else "(%s)" % t
+                           for t, p in (vals.pop(), vals.pop()))
+        elif isinstance(node, Not):
+            t, p = vals.pop()
+            prec, text = 3, "!" + (t if p >= 3 else "(%s)" % t)
+        elif isinstance(node, (Top, Bot)):
+            prec, text = 4, "true" if isinstance(node, Top) else "false"
+        else:
+            raise TypeError("not a predicate: %r" % (node,))
+        vals.append((text, prec))
+    return vals[0][0]

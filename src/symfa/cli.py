@@ -116,19 +116,14 @@ def build_parser():
 
 
 def _cmd_transform(args):
-    m = _read_sfa(args.input)
     fn = {
         "neat": to_neat,
         "normalize": to_normalized,
         "feasible": make_feasible,
         "complete": complete_sfa,
         "determinize": determinize,
-    }.get(args.kind)
-    if fn is not None:
-        out = fn(m)
-    else:
-        out = minimize(m, args.form)
-    _write(args.output, format_sfa(out))
+    }.get(args.kind, lambda m: minimize(m, args.form))
+    _write(args.output, format_sfa(fn(_read_sfa(args.input))))
     return 0
 
 

@@ -91,16 +91,11 @@ def determinize(m):
     while queue:
         subset = queue.popleft()
         src = name(subset)
-        preds = []
-        sems = []
-        dst_map = []
+        groups = {}  # guard tree -> (denotation, destinations)
         for q in sorted(subset):
             for p, sem, d in table[q]:
-                if p not in preds:
-                    preds.append(p)
-                    sems.append(sem)
-                    dst_map.append(set())
-                dst_map[preds.index(p)].add(d)
+                groups.setdefault(p, (sem, set()))[1].add(d)
+        sems = [sem for sem, _ in groups.values()]
         # keyed by the negated signature, so that sorting puts positive
         # signs first
         minterms = {}
@@ -111,9 +106,9 @@ def determinize(m):
         for neg in sorted(minterms):
             if all(neg):
                 continue
-            target = frozenset().union(*(ds for ds, n in zip(dst_map, neg)
-                                         if not n))
-            label = and_all([Not(p) if n else p for p, n in zip(preds, neg)])
+            target = frozenset().union(*(
+                ds for (_, ds), n in zip(groups.values(), neg) if not n))
+            label = and_all([Not(p) if n else p for p, n in zip(groups, neg)])
             rows.append(((src, alg.union_all(minterms[neg]), name(target)),
                          label))
             if target not in seen:

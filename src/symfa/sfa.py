@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    Algebra, And, Interval, Lit, Not, Pred, Top, denote, format_letter,
-    format_pred, or_all, parse_pred, pred_size,
+    Algebra, And, Interval, Lit, Not, Pred, Top, _nodes, denote,
+    format_letter, format_pred, or_all, parse_pred, pred_size,
 )
 
 NEAT_TRANSITION_CAP = 10 ** 5
@@ -170,13 +170,10 @@ def transition_table(m, letters):
 def _is_basic(pred):
     """A basic predicate: a conjunction of atoms and negated atoms (the
     empty conjunction, written true, is allowed)."""
-    if isinstance(pred, (Interval, Lit, Top)):
-        return True
-    if isinstance(pred, Not):
-        return isinstance(pred.child, (Interval, Lit))
-    if isinstance(pred, And):
-        return _is_basic(pred.left) and _is_basic(pred.right)
-    return False
+    return all(isinstance(node, (And, Interval, Lit, Top))
+               or isinstance(node, Not)
+               and isinstance(node.child, (Interval, Lit))
+               for node in _nodes(pred))
 
 
 def classify(m):

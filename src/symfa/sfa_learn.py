@@ -12,7 +12,7 @@ from .dfa_learn import (
     Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _walk_sorted,
     _word_id, char_dfa,
 )
-from .sfa import Sfa, classify, sample_dict, transition_table
+from .sfa import Sfa, sample_dict, transition_table
 
 
 def _require_monotonic(alg):
@@ -72,15 +72,14 @@ def concretize_sfa(m):
     same states, alphabet the least model of every transition predicate,
     transition map induced by predicate membership."""
     _require_monotonic(m.algebra)
-    flags = classify(m)
-    if not flags.deterministic or not flags.complete:
+    if not all(m._shape):
         raise ValueError("concretize_sfa needs a deterministic complete "
                          "input")
-    if not flags.feasible:
+    sems = [sem for row in m.edges.values() for sem, _ in row]
+    if not all(sems):
         raise ValueError("concretize_sfa needs a feasible input")
     alg = m.algebra
-    alphabet = sorted({alg.min(sem) for row in m.edges.values()
-                       for sem, _ in row})
+    alphabet = sorted({alg.min(sem) for sem in sems})
     return Dfa(alg, alphabet, m.states, m.initial, m.accepting,
                transition_table(m, alphabet))
 

@@ -1,7 +1,8 @@
 """Deep guards: and_all, or_all and the parser build balanced chains, so a
-guard of 3000 disjuncts is a tree of depth 13 that every tree walk
-(evaluation, printing, parsing, hashing, equality) handles without
-exhausting the call stack."""
+guard of 3000 disjuncts is a tree of depth 13.  Deeper trees, written
+with nested parentheses or negations, go through every command as well:
+no walk of a predicate tree (evaluation, printing, size, the neat check,
+hashing, equality) uses the call stack."""
 
 import math
 
@@ -12,7 +13,7 @@ from symfa import (
     format_pred, format_sfa, minimize, or_all, parse_pred, parse_sfa,
     pred_size, prop_algebra, to_neat,
 )
-from symfa.algebra import INTERVAL_NAT, MAX_NEGATION_DEPTH, denote
+from symfa.algebra import INTERVAL_NAT, denote
 from symfa.cli import main
 from symfa.sfa_learn import generalize_alg
 
@@ -88,20 +89,25 @@ def test_chain_shapes():
     assert or_all([a, b, c, a]) == Or(Or(a, b), Or(c, a))
 
 
-# Guards as deep as the parser takes: 3000 right-nested disjunctions, and
-# the most nested negations it accepts.  Nothing but printing walks a
-# tree, and denote keeps its own stack, so the CLI answers on both.
+# Trees as deep as their text: 3000 right-nested disjunctions, and 5000
+# nested negations.  Every walk of a tree keeps its own stack, so the CLI
+# answers on both, whatever the command.
 NESTED_OR = "".join("([%d,%d) | " % (2 * i, 2 * i + 1)
                     for i in range(N - 1)) \
     + "[%d,%d)" % (2 * N - 2, 2 * N - 1) + ")" * (N - 1)
-NESTED_NOT = "!" * MAX_NEGATION_DEPTH + "[2,5)"
+NESTED_NOT = "!" * 5000 + "[2,5)"
+# what each nested guard leaves out, written flat
+GAP = {NESTED_OR: " | ".join("[%d,%d)" % (2 * i + 1, 2 * i + 2)
+                             for i in range(N - 1))
+       + " | [%d,inf)" % (2 * N - 1),
+       NESTED_NOT: "[0,2) | [5,inf)"}
+HEADER = "algebra interval-nat\nstates a b\ninitial a\naccepting b\n"
 
 
 @pytest.fixture(params=[NESTED_OR, NESTED_NOT], ids=["or", "not"])
 def nested_file(request, tmp_path):
     path = tmp_path / "nested.sfa"
-    path.write_text("algebra interval-nat\nstates a b\ninitial a\n"
-                    "accepting b\ntrans a b %s\n" % request.param)
+    path.write_text(HEADER + "trans a b %s\n" % request.param)
     return request.param, str(path)
 
 
@@ -121,3 +127,46 @@ def test_nested_guard_through_decide_member(nested_file, capsys):
     assert main(["decide", "member", path, "4"]) == 0
     assert main(["decide", "member", path, "5"]) == 1
     assert capsys.readouterr().out == "member\nnonmember\n"
+
+
+@pytest.fixture
+def complete_file(nested_file):
+    """The nested guard and what it leaves out, out of a, and a loop on b:
+    a deterministic complete machine, which every command accepts."""
+    guard, path = nested_file
+    with open(path, "a") as fh:
+        fh.write("trans a a %s\ntrans b b true\n" % GAP[guard])
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", kind] for kind in ("neat", "normalize", "feasible",
+                                     "complete", "determinize", "minimize")
+] + [["op", "product"], ["op", "union"], ["op", "complement"]],
+    ids=lambda command: command[1])
+def test_nested_guard_through_every_command(complete_file, command,
+                                            tmp_path):
+    out = str(tmp_path / "out.sfa")
+    inputs = [complete_file] * (2 if command[1] in ("product", "union")
+                                else 1)
+    assert main(command + inputs + ["-o", out]) == 0
+    with open(out) as fh:
+        m = parse_sfa(fh.read())
+    # the guard takes 4 and not 5, so a takes (4,) into b for good
+    accepted = command[1] != "complement"
+    assert [accepts(m, w) for w in ((4,), (5,), (4, 7))] == [
+        accepted, not accepted, accepted]
+
+
+def test_equal_deep_guards_in_one_subset(nested_file, capsys):
+    """Two separately parsed equal guards out of one subset state are one
+    minterm: determinize compares the trees by their node lists."""
+    guard, path = nested_file
+    with open(path, "w") as fh:
+        fh.write(HEADER.replace("states a b", "states a b c")
+                 + "trans a b %s\ntrans a c %s\n" % (guard, guard))
+    assert main(["transform", "determinize", path]) == 0
+    trans = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("trans")]
+    printed = DEEP_GUARD if guard is NESTED_OR else guard
+    assert trans == ["trans {a} {b,c} %s" % printed]

@@ -1,17 +1,16 @@
 """Deeply nested predicate text: the parser keeps open parentheses on an
-explicit stack, so any number of them parses, and it rejects more than
-MAX_NEGATION_DEPTH nested negations with a ValueError.  A differential
-against the recursive parser it replaced shows that every text that
-parser read gives the same tree, and every text it rejected is still
-rejected."""
+explicit stack, so any number of them, and any number of nested
+negations, parses.  A differential against the recursive parser it
+replaced shows that every text that parser read gives the same tree, and
+every text it rejected is still rejected."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symfa.algebra import (
-    BOT, INTERVAL_INT, INTERVAL_NAT, MAX_NEGATION_DEPTH, TOP, And, Interval,
-    Lit, Not, Or, _parse_endpoint, _tokenize, and_all, format_pred, or_all,
-    parse_pred, prop_algebra,
+    BOT, INTERVAL_INT, INTERVAL_NAT, TOP, And, Interval, Lit, Not, Or,
+    _parse_endpoint, _tokenize, and_all, format_pred, or_all, parse_pred,
+    prop_algebra,
 )
 from symfa.cli import main
 from symfa.sfa import parse_sfa
@@ -182,28 +181,27 @@ def negations(psi):
     return n, psi
 
 
-@pytest.mark.parametrize("text", [
-    "!" * DEPTH + "[0,1)",
-    "!(" * DEPTH + "[0,1)" + ")" * DEPTH,
-    "(!" * DEPTH + "[0,1)" + ")" * DEPTH,
-    "!" * MAX_NEGATION_DEPTH + "(!true)",
+@pytest.mark.parametrize("text, atom", [
+    ("!" * DEPTH + "[0,1)", Interval(0, 1)),
+    ("!(" * DEPTH + "[0,1)" + ")" * DEPTH, Interval(0, 1)),
+    ("(!" * DEPTH + "[0,1)" + ")" * DEPTH, Interval(0, 1)),
+    ("!" * (DEPTH - 1) + "(!true)", TOP),
 ])
-def test_deep_negations_raise(text):
-    with pytest.raises(ValueError, match="nested negations"):
-        parse_pred(INTERVAL_NAT, text)
+def test_deep_negations_parse(text, atom):
+    assert negations(parse_pred(INTERVAL_NAT, text)) == (DEPTH, atom)
 
 
 def test_negations_up_to_the_bound_parse():
-    psi = parse_pred(INTERVAL_NAT, "!" * MAX_NEGATION_DEPTH + "[0,1)")
-    assert negations(psi) == (MAX_NEGATION_DEPTH, Interval(0, 1))
+    psi = parse_pred(INTERVAL_NAT, "!" * DEPTH + "[0,1)")
+    assert negations(psi) == (DEPTH, Interval(0, 1))
     # negations side by side do not nest
-    text = " & ".join(["!" * MAX_NEGATION_DEPTH + "p0"] * 2)
+    text = " & ".join(["!" * DEPTH + "p0"] * 2)
     psi = parse_pred(prop_algebra(1), text)
-    assert negations(psi.right) == (MAX_NEGATION_DEPTH, Lit(0))
+    assert negations(psi.right) == (DEPTH, Lit(0))
     # nor do negated groups side by side
-    text = " | ".join(["!([0,1))"] * (MAX_NEGATION_DEPTH + 1))
+    text = " | ".join(["!([0,1))"] * (DEPTH + 1))
     assert parse_pred(INTERVAL_NAT, text) == or_all(
-        [Not(Interval(0, 1))] * (MAX_NEGATION_DEPTH + 1))
+        [Not(Interval(0, 1))] * (DEPTH + 1))
 
 
 def test_deep_input_through_the_cli(tmp_path, capsys):
@@ -213,6 +211,6 @@ def test_deep_input_through_the_cli(tmp_path, capsys):
     assert parse_sfa(text).transitions[0][1] == Interval(0, 1)
     path = tmp_path / "deep.sfa"
     path.write_text(text.replace(deep, "!" * DEPTH + "[0,1)"))
-    assert main(["transform", "neat", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nested negations" in err
+    assert main(["transform", "neat", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "trans a b [0,1)"  # DEPTH is even

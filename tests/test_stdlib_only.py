@@ -84,3 +84,29 @@ def test_only_the_algebra_classes_tell_the_families_apart():
                   for func, line in _family_reads(tree)
                   if func not in FAMILY_CHECKS]
     assert found == []
+
+
+# Functions that call themselves by name, each with its recursion depth
+# bounded: _chain's inner build splits its range in halves (depth
+# ceil(log2 n)), and random_pred counts its depth argument down.
+# Predicate trees are walked by algebra._nodes alone, on an explicit stack.
+SELF_CALLS = {("algebra.py", "build"), ("generate.py", "random_pred")}
+
+
+def test_no_other_function_calls_itself():
+    # module-level functions and the functions nested in them; a method
+    # cannot call itself by its bare name, which names a global
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for top in module.body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for func in ast.walk(top):
+                if isinstance(func, ast.FunctionDef) and any(
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == func.name
+                        for node in ast.walk(func)):
+                    found.append((path.name, func.name))
+    assert sorted(found) == sorted(SELF_CALLS)

@@ -50,7 +50,9 @@ SUP = _Sup()
 
 
 class Pred:
-    """A predicate tree: atoms compare as dataclasses, the rest by _key."""
+    """A predicate tree.  Atoms compare and print as dataclasses.  The
+    rest compare by _key, and print the text the dataclasses would give
+    by one backward read of _nodes, so depth costs no calls."""
 
     __slots__ = ()
 
@@ -60,6 +62,19 @@ class Pred:
 
     def __hash__(self):
         return hash(_key(self))
+
+    def __repr__(self):
+        vals = []
+        for node in reversed(_nodes(self)):
+            cls = type(node)
+            if cls is Not:
+                vals.append("Not(child=%s)" % vals.pop())
+            elif cls is And or cls is Or:
+                vals.append("%s(left=%s, right=%s)"
+                            % (cls.__name__, vals.pop(), vals.pop()))
+            else:
+                vals.append(repr(node))
+        return vals[0]
 
 
 @dataclass(frozen=True)
@@ -90,18 +105,18 @@ class Lit(Pred):
     positive: bool = True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Pred):
     child: Pred
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Pred):
     left: Pred
     right: Pred
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Pred):
     left: Pred
     right: Pred
@@ -161,7 +176,7 @@ def or_all(preds):
 
 def pred_size(psi):
     """Number of parse-tree nodes; atoms count one."""
-    return len(_nodes(psi))
+    return 1 if isinstance(psi, (Interval, Lit)) else len(_nodes(psi))
 
 
 def contains(alg, psi, d):
@@ -589,25 +604,40 @@ def denote(alg, psi):
     psi's nodes read backwards as Polish notation, whose leaves are an
     atom's canonical interval list or a literal's valuation set (the
     algebra's denote_atom), with Not, And and Or mapped to the algebra's
-    complement, intersect and union_all.  Raises ValueError on an atom of
-    the other algebra family or a literal index out of range."""
+    complement, intersect and union_all, each run of Or nodes to one
+    union_all call.  Raises ValueError on an atom of the other algebra
+    family or a literal index out of range."""
     if isinstance(psi, (Interval, Lit)):
         return alg.denote_atom(psi)
+
+    def value():
+        # an Or's value is the list of its run's operands, unioned when
+        # an operator other than Or reads it
+        v = vals.pop()
+        return alg.union_all(v) if type(v) is list else v
+
     vals = []
     for node in reversed(_nodes(psi)):
         if isinstance(node, (Interval, Lit)):
             vals.append(alg.denote_atom(node))
         elif isinstance(node, And):
-            vals.append(alg.intersect(vals.pop(), vals.pop()))
+            vals.append(alg.intersect(value(), value()))
         elif isinstance(node, Or):
-            vals.append(alg.union_all([vals.pop(), vals.pop()]))
+            # a run of Or nodes is one union_all: the longer operand list
+            # takes in the shorter, so a chain of n costs O(n) appends
+            a, b = (v if type(v) is list else [v]
+                    for v in (vals.pop(), vals.pop()))
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            vals.append(a)
         elif isinstance(node, Not):
-            vals.append(alg.complement(vals.pop()))
+            vals.append(alg.complement(value()))
         elif isinstance(node, (Top, Bot)):
             vals.append(alg.full() if isinstance(node, Top) else alg.empty)
         else:
             raise TypeError("not a predicate: %r" % (node,))
-    return vals[0]
+    return value()
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +794,22 @@ def format_letter(d):
     return format_endpoint(d)
 
 
+def _atom_text(psi):
+    if isinstance(psi, Interval):
+        return "[%s,%s)" % (format_endpoint(psi.lo), format_endpoint(psi.hi))
+    return ("p%d" if psi.positive else "!p%d") % psi.index
+
+
 def format_pred(psi):
     """The text of psi: its nodes read backwards as Polish notation over
     (text, precedence) pairs, | 1, & 2, ! 3 and atoms 4, where an operand
     is parenthesized when it binds less tightly than its operator."""
+    if isinstance(psi, (Interval, Lit)):
+        return _atom_text(psi)
     vals = []
     for node in reversed(_nodes(psi)):
-        if isinstance(node, Interval):
-            prec, text = 4, "[%s,%s)" % (format_endpoint(node.lo),
-                                         format_endpoint(node.hi))
-        elif isinstance(node, Lit):
-            prec, text = 4, ("p%d" if node.positive else "!p%d") % node.index
+        if isinstance(node, (Interval, Lit)):
+            prec, text = 4, _atom_text(node)
         elif isinstance(node, (And, Or)):
             prec, op = (2, " & ") if isinstance(node, And) else (1, " | ")
             text = op.join(t if p >= prec else "(%s)" % t
@@ -788,3 +823,4 @@ def format_pred(psi):
             raise TypeError("not a predicate: %r" % (node,))
         vals.append((text, prec))
     return vals[0][0]
+

@@ -71,10 +71,13 @@ class SampleIndex:
     maps each letter to a child in ascending letter order, and label[q] is
     the prefix's label (-1 if no sample word).  Equal subtrees share one
     class, (label, {letter: child class}); class 0 is the empty tree's,
-    that of every word that is no sample prefix.  Given an algebra, each
-    distinct sample letter is checked with its check_letter before
-    anything is sorted, so a letter outside the algebra raises ValueError
-    rather than failing a comparison."""
+    that of every word that is no sample prefix.  The learner asks its
+    queries on class ids: cls(w) is a word's class, same(x, y) the
+    memoized class-pair test, and agrees_with a search over (class,
+    state) pairs.  Given an algebra, each distinct sample letter is
+    checked with its check_letter before anything is sorted, so a letter
+    outside the algebra raises ValueError rather than failing a
+    comparison."""
 
     def __init__(self, sample, algebra=None):
         self.words = sample_dict(sample)
@@ -86,16 +89,26 @@ class SampleIndex:
         self._build(sorted(self.words.items()))
 
     def _build(self, order):
+        """The tree of order in one walk: each word resumes from the node of
+        its longest common prefix with the word before, so every distinct
+        prefix is stepped once.  Then the class pass."""
         self.order = order  # (word, label), ascending
-        kids = [{}]
-
-        def add(q, d):
-            c = kids[q][d] = len(kids)
-            kids.append({})
-            return c
-
-        ends = dict(_walk_sorted(order, 0, add))
-        label = [ends.get(q, -1) for q in range(len(kids))]
+        kids, label = [{}], [-1]
+        path, prev = [0], ()  # path[i]: the node of prev's first i letters
+        for w, b in order:
+            # prev < w, so w is no proper prefix of prev and w[i] exists
+            i, n = 0, len(prev)
+            while i < n and prev[i] == w[i]:
+                i += 1
+            del path[i + 1:]
+            q = path[i]
+            for d in w[i:]:
+                kids[q][d] = q = len(kids)
+                kids.append({})
+                label.append(-1)
+                path.append(q)
+            label[q] = b
+            prev = w
         self.kids, self.label, self._known = kids, label, {}
         # children are numbered above parents, so each subtree is done first
         cls, ids = [0] * len(kids), {(-1,): 0}
@@ -122,16 +135,28 @@ class SampleIndex:
         """The distinct sample letters, ascending."""
         return self._letters
 
-    def equiv(self, w1, w2):
-        kids, x, y = self._class_kids, self._root, self._root
-        for d in w1:
+    def cls(self, w):
+        """The class of word w, read letter by letter off the classes'
+        children from the root's class."""
+        kids, x = self._class_kids, self._root
+        for d in w:
             x = kids[x].get(d, 0)
-        for d in w2:
-            y = kids[y].get(d, 0)
+        return x
+
+    def same(self, x, y):
+        """True unless the sample tells classes x and y apart: a word of
+        one and a word of the other have some common extension labeled 0
+        after one and 1 after the other.  Each answer is kept."""
+        if x == y:
+            return True
         top = (x, y) if x < y else (y, x)
-        if top not in self._known:
-            self._known[top] = x == y or self._walk(top)
-        return self._known[top]
+        known = self._known.get(top)
+        if known is None:
+            known = self._known[top] = self._walk(top)
+        return known
+
+    def equiv(self, w1, w2):
+        return self.same(self.cls(w1), self.cls(w2))
 
     def _walk(self, top):
         """False at the first pair labeled 0 and 1 that a lockstep walk from
@@ -151,6 +176,27 @@ class SampleIndex:
                         seen.add(pair)
                         stack.append(pair)
         known.update(dict.fromkeys(seen, True))
+        return True
+
+    def agrees_with(self, start, accepts, step):
+        """True iff every sample word is labeled 1 exactly where accepts
+        holds of the state that step reaches from start over its letters.
+        A search over the pairs (class of a sample prefix, state it
+        reaches), from (root's class, start), that fails at a labeled class
+        whose label is not the state's acceptance: at most classes x
+        states steps, however many letters the sample has."""
+        labels, kids = self._class_label, self._class_kids
+        top = (self._root, start)
+        seen, stack = {top}, [top]
+        while stack:
+            x, q = stack.pop()
+            if labels[x] >= 0 and labels[x] != accepts(q):
+                return False
+            for a, c in kids[x].items():
+                pair = (c, step(q, a))
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
         return True
 
 
@@ -294,33 +340,38 @@ class RowFrontier:
     """Rows grown one at a time from the empty word, and their live
     frontier: each extension r.a of a row (a among the letters) that the
     sample tells apart from every row; one that is no sample prefix matches
-    every row.  The least member is the next row.  Adding a row drops the
-    members that match it and tests each extension of it; adding letters
-    tests each extension by them: at most one equiv per extension and row."""
+    every row.  The least member is the next row.  rows and live map each
+    word to its class, so an extension's class is one lookup among its
+    row's class children, and each test is one SampleIndex.same.  Adding a
+    row drops the members that match it and tests each extension of it;
+    adding letters tests each extension by them: at most one test per
+    extension and row."""
 
     def __init__(self, idx, letters):
         self.idx = idx
-        self.rows = []
+        self.rows = {}
         self.letters = list(letters)
-        self.live = set()
+        self.live = {}
 
     def _offer(self, r, letters):
-        equiv, rows = self.idx.equiv, self.rows
+        same, rows = self.idx.same, self.rows.values()
+        kids = self.idx._class_kids[self.rows[r]]
         # neighbouring letters mostly lead to the same row, so the row the
         # last extension matched is tried first
         hint = None
         for a in letters:
-            w = r + (a,)
-            if hint is not None and equiv(w, hint):
+            x = kids.get(a, 0)
+            if hint is not None and same(x, hint):
                 continue
-            hint = next((r2 for r2 in rows if equiv(w, r2)), None)
+            hint = next((y for y in rows if same(x, y)), None)
             if hint is None:
-                self.live.add(w)
+                self.live[r + (a,)] = x
 
     def add_row(self, r):
-        equiv = self.idx.equiv
-        self.live = {w for w in self.live if not equiv(w, r)}
-        self.rows.append(r)
+        c = self.live[r] if r in self.live else self.idx.cls(r)
+        same = self.idx.same
+        self.live = {w: x for w, x in self.live.items() if not same(x, c)}
+        self.rows[r] = c
         self._offer(r, self.letters)
 
     def add_letters(self, letters):
@@ -332,27 +383,6 @@ class RowFrontier:
         return min(self.live, default=None)
 
 
-def _walk_sorted(items, start, step):
-    """(state, label) per (word, label) of the ascending list items, state
-    reached from start by step(state, letter) over the word.  Each word
-    resumes from the state at its longest common prefix with the word
-    before, so every distinct prefix is stepped once."""
-    path = [start]  # path[i]: the state after the previous word's i letters
-    prev = ()
-    for w, b in items:
-        # prev < w, so w is no proper prefix of prev and w[i] exists
-        i, n = 0, len(prev)
-        while i < n and prev[i] == w[i]:
-            i += 1
-        del path[i + 1:]
-        q = path[i]
-        for d in w[i:]:
-            q = step(q, d)
-            path.append(q)
-        yield q, b
-        prev = w
-
-
 def infer_dfa(sample, algebra, alphabet=None, index=None):
     """Infer a DFA from a consistent sample.  Grows a set of pairwise
     distinguished prefixes from the empty word, always adopting the least
@@ -361,14 +391,14 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
     sample words, when some alphabet letter cannot be assigned a unique
     state (the sample then subsumes no characteristic sample over its own
     alphabet), or when the built automaton disagrees with the sample,
-    which one walk of the sorted sample checks.  When the sample contains
-    a characteristic sample of a minimal complete DFA over the same
-    alphabet, the result recognizes that DFA's language.  The alphabet
-    defaults to the letters appearing in the sample; pass it explicitly
-    when it is known and larger.  index, when given, is the sample's
-    SampleIndex, so none is built.  The row growing is _grow_rows, which
-    sfa_learn.infer_sfa calls directly, so that it falls back to state
-    merging rather than to the concrete prefix tree."""
+    which one search of (sample class, state) pairs checks.  When the
+    sample contains a characteristic sample of a minimal complete DFA over
+    the same alphabet, the result recognizes that DFA's language.  The
+    alphabet defaults to the letters appearing in the sample; pass it
+    explicitly when it is known and larger.  index, when given, is the
+    sample's SampleIndex, so none is built.  The row growing is
+    _grow_rows, which sfa_learn.infer_sfa calls directly, so that it falls
+    back to state merging rather than to the concrete prefix tree."""
     idx = SampleIndex(sample) if index is None else index
     if not idx.words:
         raise ValueError("empty sample")
@@ -382,12 +412,14 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
 def _grow_rows(idx, algebra, alphabet):
     """infer_dfa's row growing over the non-empty sample of idx: the DFA on
     the grown rows, or None where infer_dfa falls back to the prefix
-    tree.  A DFA returned has passed the closing walk of idx.order, so it
-    agrees with every sample word; sfa_learn.infer_sfa relies on this
-    walk as its only agreement check of the generalized rows, which send
-    every letter of the alphabet where the DFA does."""
-    sample = idx.words
-    equiv = idx.equiv
+    tree.  Every query reads class ids: an extension r.a's class is one
+    lookup among the class children of r's class.  A DFA returned has
+    passed the closing search of idx.agrees_with from (root's class,
+    initial state), so it agrees with every sample word;
+    sfa_learn.infer_sfa relies on this search as its only agreement
+    check of the cleaned words, which the generalized rows send where
+    the DFA does."""
+    sample, same, kids = idx.words, idx.same, idx._class_kids
     # always adopt the lexicographically least distinguished extension, so
     # each class is represented by its least access word
     front = RowFrontier(idx, alphabet)
@@ -395,12 +427,14 @@ def _grow_rows(idx, algebra, alphabet):
     while row is not None:
         front.add_row(row)
         row = front.least()
-    rows = sorted(front.rows)
+    cls = front.rows
+    rows = sorted(cls)
     if any(r not in sample for r in rows):
         return None
     # rows are pairwise separated, so a row matches itself only
     for a in alphabet:
-        if sum(equiv((a,), r2) for r2 in rows) != 1:
+        x = kids[cls[()]].get(a, 0)
+        if sum(same(x, cls[r2]) for r2 in rows) != 1:
             return None
     # prefer staying in the source state, then the most specific (longest,
     # then lexicographically least) matching row
@@ -409,19 +443,19 @@ def _grow_rows(idx, algebra, alphabet):
     delta = {}
     for r in rows:
         for a in alphabet:
-            w = r + (a,)
-            if equiv(w, r):
+            x = kids[cls[r]].get(a, 0)
+            if same(x, cls[r]):
                 tgt = r
             else:
-                tgt = next((r2 for r2 in preferred if equiv(w, r2)), None)
+                tgt = next((r2 for r2 in preferred if same(x, cls[r2])), None)
                 if tgt is None:
                     return None
             delta[names[r], a] = names[tgt]
     accepting = [names[r] for r in rows if sample[r] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
               accepting, delta)
-    if not all((q in out.accepting) == b for q, b in _walk_sorted(
-            idx.order, out.initial, lambda q, d: delta[q, d])):
+    if not idx.agrees_with(out.initial, out.accepting.__contains__,
+                           lambda q, a: delta[q, a]):
         return None
     return out
 

@@ -1,13 +1,9 @@
 """Random instance generators used by the benchmark subcommand and the
-test suite."""
+test suite; those only the tests use live in tests/conftest.py."""
 
 from __future__ import annotations
 
-from .algebra import (
-    And, BOT, INF, INTERVAL_NAT, Interval, Not, Or, TOP, interval_piece_pred,
-    or_all, to_canonical_intervals,
-)
-from .dfa_learn import Dfa, minimize_dfa
+from .algebra import And, BOT, INF, INTERVAL_NAT, Interval, Not, Or, TOP
 from .ops import minimize
 from .sfa import Sfa, accepts
 
@@ -37,18 +33,6 @@ def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
     return minimize(m, "neat")
 
 
-def random_dfa(rng, max_states=6, max_alpha=4):
-    """Random minimal complete DFA over a small integer alphabet."""
-    size = rng.randint(1, max_alpha)
-    alphabet = sorted(rng.sample(range(0, 10), size))
-    n = rng.randint(1, max_states)
-    states = ["q%d" % i for i in range(n)]
-    delta = {(q, a): rng.choice(states) for q in states for a in alphabet}
-    accepting = [q for q in states if rng.random() < 0.5]
-    d = Dfa(INTERVAL_NAT, alphabet, states, "q0", accepting, delta)
-    return minimize_dfa(d)
-
-
 def random_noise_for_sfa(rng, m, count, max_letter=2000, max_len=4):
     """Labeled words consistent with m, over arbitrary domain letters."""
     out = {}
@@ -57,27 +41,6 @@ def random_noise_for_sfa(rng, m, count, max_letter=2000, max_len=4):
         w = tuple(rng.choice(choices) for _ in range(rng.randint(0, max_len)))
         out[w] = 1 if accepts(m, w) else 0
     return out
-
-
-def random_noise_for_dfa(rng, d, count, max_len=4):
-    """Labeled words consistent with d, over d's own alphabet."""
-    out = {}
-    for _ in range(count):
-        w = tuple(rng.choice(d.alphabet)
-                  for _ in range(rng.randint(0, max_len)))
-        out[w] = 1 if d.accepts(w) else 0
-    return out
-
-
-def random_partition(rng, alg, max_blocks=5, max_endpoint=1000):
-    """Random covering interval predicate partition with at most max_blocks
-    blocks, one interval per block; every block is satisfiable."""
-    blocks = rng.randint(1, max_blocks)
-    cuts = sorted(rng.sample(range(1, max_endpoint + 1), blocks - 1))
-    bounds = [alg.dmin] + cuts + [INF]
-    preds = [Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    rng.shuffle(preds)
-    return preds
 
 
 def random_pred(rng, alg, depth=4, max_endpoint=1000):
@@ -97,36 +60,3 @@ def random_pred(rng, alg, depth=4, max_endpoint=1000):
     ctor = And if op < 0.625 else Or
     return ctor(random_pred(rng, alg, depth - 1, max_endpoint),
                 random_pred(rng, alg, depth - 1, max_endpoint))
-
-
-def rebracket(rng, alg, pred):
-    """Semantics-preserving syntactic variation of an interval predicate:
-    split atoms, add double negations, swap operand order."""
-    ivls = to_canonical_intervals(alg, pred)
-    parts = []
-    for lo, hi in ivls:
-        if (isinstance(lo, int) and isinstance(hi, int) and hi - lo > 1
-                and rng.random() < 0.5):
-            mid = rng.randint(lo + 1, hi - 1)
-            parts.extend([Interval(lo, mid), Interval(mid, hi)])
-        else:
-            parts.append(interval_piece_pred(lo, hi))
-    rng.shuffle(parts)
-    out = or_all(parts)
-    if rng.random() < 0.3:
-        out = Not(Not(out))
-    return out
-
-
-def rename_and_rebracket(rng, m):
-    """Language-equivalent variant of m: renamed states, re-bracketed
-    predicates."""
-    names = ["r%d" % i for i in range(len(m.states))]
-    rng.shuffle(names)
-    ren = dict(zip(m.states, names))
-    trans = [(ren[s], rebracket(rng, m.algebra, p), ren[d])
-             for s, p, d in m.transitions]
-    states = list(ren.values())
-    rng.shuffle(states)
-    return Sfa(m.algebra, states, ren[m.initial],
-               [ren[q] for q in m.accepting], trans)

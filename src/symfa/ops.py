@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 
-from .algebra import And, Not, and_all, denote
+from .algebra import And, Not, and_all
 from .dfa_learn import _minimize_table
 from .sfa import Sfa, complete_sfa
 
@@ -122,12 +122,6 @@ def determinize(m):
 
 # ---------------------------------------------------------------------------
 # Minimization
-
-
-def _representative_letters(alg, preds):
-    """Finite letter set hitting every region distinguishable by the given
-    predicates: each region's least letter, ascending."""
-    return [alg.min(r) for r in alg.regions([denote(alg, p) for p in preds])]
 
 
 def minimize(m, form="neat"):

@@ -5,14 +5,13 @@ generalizing, sample decontamination, and the char_sfa / infer_sfa pair."""
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _walk_sorted,
-    _word_id, char_dfa,
+    Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _word_id,
+    char_dfa,
 )
-from .sfa import Sfa, sample_dict, transition_table
+from .sfa import Sfa, transition_table
 
 
 def _require_monotonic(alg):
@@ -107,14 +106,15 @@ def decontaminate(alg, sample, index=None):
     access word once: in ascending order, a letter is kept when the
     sample tells its extension apart from that of the last letter kept
     for the word (the least domain letter to begin with).  The scan reads
-    the word and the sample alone.  Every word using a letter that no
-    scan kept is dropped; the rest keep the sample's order.  When the
-    sample contains a characteristic sample produced by char_sfa, the
-    kept letters are exactly that sample's concrete alphabet and the
-    result still contains the characteristic sample.  Each distinct
-    sample letter is checked against alg first, so a letter outside it
-    raises ValueError.  index, when given, is the sample's SampleIndex
-    built with alg, so none is built."""
+    the extensions' classes off the word's class children
+    (SampleIndex.same).  Every word using a letter that no scan kept is
+    dropped; the rest keep the sample's order.  When the sample contains
+    a characteristic sample produced by char_sfa, the kept letters are
+    exactly that sample's concrete alphabet and the result still contains
+    the characteristic sample.  Each distinct sample letter is checked
+    against alg first, so a letter outside it raises ValueError.  index,
+    when given, is the sample's SampleIndex built with alg, so none is
+    built."""
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg) if index is None else index
     kept = {alg.dmin}
@@ -122,16 +122,20 @@ def decontaminate(alg, sample, index=None):
     row = ()
     while row is not None:
         front.add_row(row)
-        rep = alg.dmin
+        kids = idx._class_kids[front.rows[row]]
+        rep = kids.get(alg.dmin, 0)
         new = []
         for a in idx.letters():
-            if not idx.equiv(row + (a,), row + (rep,)):
+            x = kids.get(a, 0)
+            if not idx.same(x, rep):
                 if a not in kept:
                     new.append(a)
-                rep = a
+                rep = x
         kept.update(new)
         front.add_letters(new)
         row = front.least()
+    if kept.issuperset(idx.letters()):
+        return dict(idx.words)
     return {w: b for w, b in idx.words.items() if kept.issuperset(w)}
 
 
@@ -145,16 +149,17 @@ def char_sfa(m):
 
 def agrees(m, sample):
     """True iff m accepts exactly the positive words of the sample.
-    Raises ValueError when a sample letter is not a letter of m's algebra;
-    each distinct letter is checked once.  One walk of the sorted sample
-    (see dfa_learn._walk_sorted) over sets of states, which memoizes the
-    successor set per (state set, letter), so every guard is looked up at
-    most once per distinct step."""
-    alg = m.algebra
-    sample = sample_dict(sample)
-    for d in set(chain.from_iterable(sample)):
-        alg.check_letter(d)
-    edges, memo = m.edges, {}
+    Raises ValueError when a sample letter is not a letter of m's algebra
+    (see SampleIndex)."""
+    return _agrees(m, SampleIndex(sample, m.algebra))
+
+
+def _agrees(m, idx):
+    """agrees on idx's sample: one search of its (class, state set) pairs
+    (SampleIndex.agrees_with) that memoizes the successor set per (state
+    set, letter), so every guard is looked up at most once per distinct
+    step."""
+    alg, edges, memo = m.algebra, m.edges, {}
 
     def step(states, d):
         nxt = memo.get((states, d))
@@ -164,9 +169,9 @@ def agrees(m, sample):
                 if alg.contains(sem, d))
         return nxt
 
-    return all((not m.accepting.isdisjoint(states)) == b for states, b in
-               _walk_sorted(sorted(sample.items()), frozenset((m.initial,)),
-                            step))
+    return idx.agrees_with(frozenset((m.initial,)),
+                           lambda states: not m.accepting.isdisjoint(states),
+                           step)
 
 
 def symbolic_prefix_tree(alg, sample, index=None):
@@ -315,22 +320,21 @@ def infer_sfa(alg, sample):
     L(M).  Where row growing gives up, or the cleaned sample's result
     disagrees with a removed word, the full sample's merged_prefix_tree
     is returned.  A letter outside alg raises ValueError before any sort.
-    Row growing ends with a walk of its sample (dfa_learn._grow_rows), so
-    agrees walks only the removed words.  decontaminate shares the one
-    index; the cleaned one is cut from it (SampleIndex.restrict)."""
+    decontaminate shares the one index; the cleaned one is cut from it
+    (SampleIndex.restrict).  No word is walked: row growing ends with a
+    search of its index's (class, state) pairs (dfa_learn._grow_rows),
+    and where words were removed, one search of the full index's pairs
+    against the candidate's edges (_agrees) checks the rest."""
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg)
     sample = idx.words
     if not sample:
         raise ValueError("empty sample")
     cleaned = decontaminate(alg, sample, index=idx)
-    sub = idx
-    if len(cleaned) < len(sample):
-        removed = {w: b for w, b in sample.items() if w not in cleaned}
-        sub = idx.restrict(cleaned)
+    sub = idx if len(cleaned) == len(sample) else idx.restrict(cleaned)
     rows = _grow_rows(sub, alg, sub.letters()) if cleaned else None
     if rows is not None:
         candidate = generalize_dfa(rows)
-        if sub is idx or agrees(candidate, removed):
+        if sub is idx or _agrees(candidate, idx):
             return candidate
     return merged_prefix_tree(alg, sample, index=idx)

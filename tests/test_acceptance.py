@@ -17,11 +17,7 @@ from symfa.dfa_learn import (
     SampleIndex, char_dfa, dfa_equiv, infer_dfa, lex_access_words,
     minimize_dfa, prefix_tree_dfa,
 )
-from symfa.generate import (
-    random_dfa, random_noise_for_dfa, random_noise_for_sfa, random_partition,
-    random_pred, random_sfa, rename_and_rebracket,
-)
-from symfa.ops import _representative_letters
+from symfa.generate import random_noise_for_sfa, random_pred, random_sfa
 from symfa.query_learn import (
     adversarial_prop_teacher, enumerating_predicate_learner,
 )
@@ -29,7 +25,11 @@ from symfa.sfa_learn import (
     char_sfa, concretize_alg, decontaminate, generalize_alg, infer_sfa,
 )
 
-from conftest import FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, identical
+from conftest import (
+    FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, identical, random_dfa,
+    random_noise_for_dfa, random_partition, rename_and_rebracket,
+    representative_letters,
+)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_07_operations_agree_with_concrete_walks():
         comp = complement(m1)
         det = determinize(m1)
         mini = minimize(m1, "neat")
-        letters = sorted(set(_representative_letters(
+        letters = sorted(set(representative_letters(
             INTERVAL_NAT,
             [p for mm in (m1, m2) for _, p, _ in mm.transitions]))
             | {INF})

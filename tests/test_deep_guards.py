@@ -2,9 +2,11 @@
 guard of 3000 disjuncts is a tree of depth 13.  Deeper trees, written
 with nested parentheses or negations, go through every command as well:
 no walk of a predicate tree (evaluation, printing, size, the neat check,
-hashing, equality) uses the call stack."""
+hashing, equality, repr) uses the call stack, and a chain of nested
+disjunctions is one union."""
 
 import math
+import time
 
 import pytest
 
@@ -156,6 +158,36 @@ def test_nested_guard_through_every_command(complete_file, command,
     accepted = command[1] != "complement"
     assert [accepts(m, w) for w in ((4,), (5,), (4, 7))] == [
         accepted, not accepted, accepted]
+
+
+def test_nested_or_is_one_union():
+    guard = parse_pred(INTERVAL_NAT, NESTED_OR)
+    start = time.perf_counter()
+    sem = denote(INTERVAL_NAT, guard)
+    # about 0.01 s; a union_all per Or node took 1.2 s (quadratic)
+    assert time.perf_counter() - start < 0.5
+    assert sem == denote(INTERVAL_NAT, parse_pred(INTERVAL_NAT, DEEP_GUARD))
+    # the gathered operands are unioned where Not and And read them
+    assert denote(INTERVAL_NAT, And(Not(guard), guard)) == ()
+    # over prop: the union of the operands, one by one
+    p9 = prop_algebra(9)
+    cubes = [And(Lit(i % 9), Lit((i + 1) % 9, False)) for i in range(N)]
+    chain = cubes[-1]
+    for cube in reversed(cubes[:-1]):
+        chain = Or(cube, chain)
+    assert denote(p9, chain) == frozenset().union(
+        *(denote(p9, cube) for cube in cubes))
+
+
+def test_nested_guard_repr(nested_file):
+    guard, path = nested_file
+    with open(path) as fh:
+        m = parse_sfa(fh.read())
+    pred = m.transitions[0][1]
+    assert repr(pred) == str(pred) and repr(pred) in repr(m)
+    if guard is NESTED_NOT:
+        assert repr(pred) == ("Not(child=" * 5000 + "Interval(lo=2, hi=5)"
+                              + ")" * 5000)
 
 
 def test_equal_deep_guards_in_one_subset(nested_file, capsys):

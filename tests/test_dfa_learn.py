@@ -7,9 +7,10 @@ from symfa.dfa_learn import (
     Dfa, SampleIndex, char_dfa, dfa_equiv, distinguishing_word, infer_dfa,
     lex_access_words, minimize_dfa, prefix_tree_dfa, sample_equiv,
 )
-from symfa.generate import random_dfa, random_noise_for_dfa
 
-from conftest import FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE
+from conftest import (
+    FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, random_dfa, random_noise_for_dfa,
+)
 
 
 def two_state_dfa():

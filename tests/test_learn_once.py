@@ -1,9 +1,9 @@
 """The learner checks each sample word once: infer_sfa against the order
 that walked the whole sample with agrees on both paths (wherever that
-order returns no prefix tree), the removed words as agrees' only input,
-char_dfa's per-state labels against the per-word loop, the cleaned index
-cut from the full one, and letters outside the algebra rejected before
-anything is sorted."""
+order returns no prefix tree), one class search of the full index as the
+only check of the removed words, char_dfa's per-state labels against the
+per-word loop, the cleaned index cut from the full one, and letters
+outside the algebra rejected before anything is sorted."""
 
 import random
 
@@ -135,7 +135,8 @@ def test_infer_sfa_matches_reference_at_16_states():
 
 
 # ---------------------------------------------------------------------------
-# agrees runs on the removed words only
+# The removed words are checked by one class search of the full index,
+# which decides as agrees on exactly those words; infer_sfa walks no word
 
 
 def watch_agrees(monkeypatch):
@@ -146,15 +147,31 @@ def watch_agrees(monkeypatch):
     return calls
 
 
+def watch_searches(monkeypatch):
+    """(words, verdict) of each SampleIndex.agrees_with call, in order."""
+    calls = []
+    search = SampleIndex.agrees_with
+
+    def watched(idx, start, accepts, step):
+        verdict = search(idx, start, accepts, step)
+        calls.append((idx.words, verdict))
+        return verdict
+
+    monkeypatch.setattr(SampleIndex, "agrees_with", watched)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_no_agrees_walk_when_nothing_is_removed(seed, monkeypatch):
     rng = random.Random(seed)
     target = random_sfa(rng, max_states=6, max_endpoint=40)
     sample = char_sfa(target)
     assert decontaminate(INTERVAL_NAT, sample) == sample
-    calls = watch_agrees(monkeypatch)
+    calls, searches = watch_agrees(monkeypatch), watch_searches(monkeypatch)
     infer_sfa(INTERVAL_NAT, sample)
     assert not calls
+    # row growing's closing search is the only one
+    assert searches == [(sample, True)]
 
 
 @pytest.mark.parametrize("honest", [True, False])
@@ -165,16 +182,26 @@ def test_agrees_sees_exactly_the_removed_words(seed, honest, monkeypatch):
     sample = noisy(rng, target, 20, 60, honest)
     cleaned = decontaminate(INTERVAL_NAT, sample)
     removed = {w: b for w, b in sample.items() if w not in cleaned}
-    calls = watch_agrees(monkeypatch)
+    calls, searches = watch_agrees(monkeypatch), watch_searches(monkeypatch)
     infer_sfa(INTERVAL_NAT, sample)
+    monkeypatch.undo()
     sub = SampleIndex(cleaned) if cleaned else None
     rows = sub and _grow_rows(sub, INTERVAL_NAT, sub.letters())
+    assert not calls
     if removed and rows is not None:
-        assert calls == [removed]
+        # the cleaned words pass row growing's search; the full index's
+        # search then checks the removed words too, as agrees did alone
+        assert searches[0] == (cleaned, True)
+        (words, verdict), = searches[1:]
+        assert words == sample
+        assert {w: b for w, b in words.items() if w not in cleaned} \
+            == removed
+        assert verdict == agrees(generalize_dfa(rows), removed)
     else:
         # no rows on the cleaned words: the full sample's states are
-        # merged at once, and the merged tree needs no walk
-        assert not calls
+        # merged at once, and the merged tree needs no check; or nothing
+        # was removed, and row growing's search was the only one
+        assert len(searches) <= 1
 
 
 def test_removed_words_only_and_the_fallback_when_they_disagree(
@@ -183,9 +210,10 @@ def test_removed_words_only_and_the_fallback_when_they_disagree(
     # accepts (150, 0), which the contaminant labels 0
     sample = dict(TWO_STATE_SAMPLE)
     sample[(150, 0)] = 0
-    calls = watch_agrees(monkeypatch)
+    calls, searches = watch_agrees(monkeypatch), watch_searches(monkeypatch)
     learned = infer_sfa(INTERVAL_NAT, sample)
-    assert calls == [{(150, 0): 0}]
+    assert not calls
+    assert searches == [(TWO_STATE_SAMPLE, True), (sample, False)]
     assert ref_infer_sfa(INTERVAL_NAT, sample) is None
     assert_fallback(learned, INTERVAL_NAT, sample)
 

@@ -10,9 +10,11 @@ from symfa import (
     product,
 )
 from symfa.algebra import INTERVAL_NAT, prop_algebra, Lit
-from symfa.generate import random_sfa, rename_and_rebracket
+from symfa.generate import random_sfa
 
-from conftest import ALGEBRAS, identical, machine_pairs, machines
+from conftest import (
+    ALGEBRAS, identical, machine_pairs, machines, rename_and_rebracket,
+)
 
 
 def one_letter_machine(lo, hi):

@@ -1,17 +1,19 @@
-"""SampleIndex answers sample equivalence from its prefix tree: equiv
-against a brute-force search for a conflicting extension, on full and
-restricted indices, a word thousands of letters long, and the memory
-infer_sfa peaks at on a characteristic sample."""
+"""SampleIndex answers sample equivalence from its prefix tree: equiv and
+the class-id test same(cls(w1), cls(w2)) against a brute-force search for
+a conflicting extension, on full and restricted indices; the class search
+of agrees_with against one flipped label; a word thousands of letters
+long; and the memory infer_sfa peaks at on a characteristic sample."""
 
 import tracemalloc
 
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from symfa.algebra import INTERVAL_NAT
 from symfa.dfa_learn import SampleIndex
-from symfa.sfa_learn import agrees, char_sfa, infer_sfa
+from symfa.sfa import transition_table
+from symfa.sfa_learn import _agrees, agrees, char_sfa, infer_sfa
 
-from conftest import minimal_target, samples
+from conftest import interval_samples, minimal_target, samples
 
 
 def brute_equiv(words, w1, w2):
@@ -26,7 +28,9 @@ def assert_equiv_is_brute(idx):
     words = prefixes + [prefixes[-1] + (0,)]
     for w1 in words:
         for w2 in words:
-            assert idx.equiv(w1, w2) == brute_equiv(idx.words, w1, w2)
+            brute = brute_equiv(idx.words, w1, w2)
+            assert idx.equiv(w1, w2) == brute
+            assert idx.same(idx.cls(w1), idx.cls(w2)) == brute
 
 
 @given(samples())
@@ -36,6 +40,28 @@ def test_equiv_is_the_brute_force_check(case):
     assert_equiv_is_brute(idx)
     half = {w: b for i, (w, b) in enumerate(idx.order) if i % 2 == 0}
     assert_equiv_is_brute(idx.restrict(half))
+
+
+def dfa_search(idx, m):
+    """The search of dfa_learn._grow_rows: m's transition table, state by
+    state."""
+    table = transition_table(m, idx.letters())
+    return idx.agrees_with(m.initial, m.accepting.__contains__,
+                           lambda q, a: table[q, a])
+
+
+@given(interval_samples(), st.data())
+def test_class_search_fails_on_one_flipped_label(case, data):
+    target, sample = case
+    assume(sample)
+    idx = SampleIndex(sample, INTERVAL_NAT)
+    assert agrees(target, sample)
+    assert dfa_search(idx, target) and _agrees(target, idx)
+    w = data.draw(st.sampled_from(sorted(sample)))
+    flipped = dict(sample)
+    flipped[w] = 1 - flipped[w]
+    idx = SampleIndex(flipped, INTERVAL_NAT)
+    assert not dfa_search(idx, target) and not _agrees(target, idx)
 
 
 def test_long_words_need_no_recursion():

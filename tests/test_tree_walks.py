@@ -1,12 +1,13 @@
 """One walk for predicate trees: denote, format_pred, pred_size, the neat
-check and tree equality all read algebra._nodes, a preorder list built on
-an explicit stack.  Each is checked here against the recursive code it
-replaced, kept below as a reference, on hypothesis trees over every
-algebra, Not-heavy ones included.  The interval intersection sweep is
-checked against the nested loop it replaced."""
+check, tree equality and repr all read algebra._nodes, a preorder list
+built on an explicit stack.  Each is checked here against the recursive
+code it replaced, kept below as a reference, on hypothesis trees over
+every algebra, Not-heavy ones included; repr against the dataclass text.
+The interval intersection sweep is checked against the nested loop it
+replaced."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 from hypothesis import given, strategies as st
 
@@ -77,23 +78,12 @@ def ref_denote(alg, psi):
     return alg.union_all([left, right])
 
 
-# The node classes as frozen dataclasses with generated (recursive)
-# equality and hashing, which trees are compared by after ref_tree.
-@dataclass(frozen=True)
-class RNot:
-    child: object
-
-
-@dataclass(frozen=True)
-class RAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class ROr:
-    left: object
-    right: object
+# The node classes as frozen dataclasses of the same names with generated
+# (recursive) equality, hashing and repr, which trees are compared by
+# after ref_tree.
+RNot = make_dataclass("Not", ["child"], frozen=True)
+RAnd = make_dataclass("And", ["left", "right"], frozen=True)
+ROr = make_dataclass("Or", ["left", "right"], frozen=True)
 
 
 def ref_tree(psi):
@@ -163,6 +153,7 @@ def test_walks_agree_with_the_recursive_references(case):
     assert pred_size(psi) == ref_size(psi)
     assert _is_basic(psi) == ref_basic(psi)
     assert denote(alg, psi) == ref_denote(alg, psi)
+    assert repr(psi) == str(psi) == repr(ref_tree(psi))
 
 
 @given(PAIRS)
@@ -186,6 +177,18 @@ def test_equality_tells_shapes_and_atoms_apart():
         deep = [Not(psi) for psi in deep]
     assert deep[0] == deep[1] and hash(deep[0]) == hash(deep[1])
     assert deep[0] != Not(deep[1])
+
+
+def test_repr_of_a_deep_tree_is_the_dataclass_text():
+    atom = Interval(2, 5)
+    text = "Not(child=" * 5000 + "Interval(lo=2, hi=5)" + ")" * 5000
+    assert repr(negated(atom, 5000)) == text
+    chain = atom
+    for i in range(3000):
+        chain = Or(Lit(i % 7), chain)
+    assert repr(chain) == "".join(
+        "Or(left=Lit(index=%d, positive=True), right=" % (i % 7)
+        for i in reversed(range(3000))) + repr(atom) + ")" * 3000
 
 
 def canonical(alg):

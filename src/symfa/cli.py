@@ -192,6 +192,8 @@ def _cmd_qlearn(args):
 
 
 def _cmd_bench(args):
+    if args.count < 0 or args.max_states < 1:
+        raise ValueError("need --count >= 0 and --max-states >= 1")
     rng = random.Random(args.seed)
     passed = 0
     for _ in range(args.count):

@@ -66,18 +66,18 @@ class Dfa:
 
 
 class SampleIndex:
-    """One sample, indexed for repeated sample_equiv queries as its prefix
-    tree: node q is the q-th sample prefix in ascending order, kids[q]
-    maps each letter to a child in ascending letter order, and label[q] is
-    the prefix's label (-1 if no sample word).  Equal subtrees share one
-    class, (label, {letter: child class}); class 0 is the empty tree's,
-    that of every word that is no sample prefix.  The learner asks its
-    queries on class ids: cls(w) is a word's class, same(x, y) the
-    memoized class-pair test, and agrees_with a search over (class,
-    state) pairs.  Given an algebra, each distinct sample letter is
-    checked with its check_letter before anything is sorted, so a letter
-    outside the algebra raises ValueError rather than failing a
-    comparison."""
+    """One sample, indexed for repeated sample_equiv queries as its minimal
+    acyclic automaton: one class per distinct subtree of its prefix tree,
+    keyed (label, (letter, child class), ...), letters ascending, label -1
+    for a prefix that is no sample word.  Class 0 is (-1,), the empty
+    tree's, that of every word that is no sample prefix; a class's children
+    are numbered below it.  The learner asks its queries on class ids:
+    cls(w) is a word's class, same(x, y) the memoized class-pair test, and
+    agrees_with a search over (class, state) pairs.  No tree node is kept:
+    tree() unfolds the tree for the builders that read nodes.  Given an
+    algebra, each distinct sample letter is checked with its check_letter
+    before anything is sorted, so a letter outside the algebra raises
+    ValueError rather than failing a comparison."""
 
     def __init__(self, sample, algebra=None):
         self.words = sample_dict(sample)
@@ -86,54 +86,83 @@ class SampleIndex:
             for d in letters:
                 algebra.check_letter(d)
         self._letters = tuple(sorted(letters))
-        self._build(sorted(self.words.items()))
+        # one walk of the words in ascending order, each resumed from its
+        # longest common prefix with the word before; a node left is done
+        ids = {(-1,): 0}
+        path, prev = [[-1]], ()  # path[i]: the key so far of prev[:i]
 
-    def _build(self, order):
-        """The tree of order in one walk: each word resumes from the node of
-        its longest common prefix with the word before, so every distinct
-        prefix is stepped once.  Then the class pass."""
-        self.order = order  # (word, label), ascending
-        kids, label = [{}], [-1]
-        path, prev = [0], ()  # path[i]: the node of prev's first i letters
-        for w, b in order:
+        def leave(i):  # register prev's nodes deeper than i
+            for j in range(len(prev), i, -1):
+                key = tuple(path.pop())
+                path[-1].append((prev[j - 1], ids.setdefault(key, len(ids))))
+
+        for w, b in sorted(self.words.items()):
             # prev < w, so w is no proper prefix of prev and w[i] exists
             i, n = 0, len(prev)
             while i < n and prev[i] == w[i]:
                 i += 1
-            del path[i + 1:]
-            q = path[i]
-            for d in w[i:]:
-                kids[q][d] = q = len(kids)
-                kids.append({})
-                label.append(-1)
-                path.append(q)
-            label[q] = b
+            if i < n:  # else prev is a prefix of w, and no node is left
+                leave(i)
+            for _ in w[i:]:
+                path.append([-1])
+            path[-1][0] = b
             prev = w
-        self.kids, self.label, self._known = kids, label, {}
-        # children are numbered above parents, so each subtree is done first
-        cls, ids = [0] * len(kids), {(-1,): 0}
-        for q in reversed(range(len(kids))):
-            row, key = kids[q], (label[q],)
-            if row:  # a leaf's class is its label's
-                key += tuple(zip(row, map(cls.__getitem__, row.values())))
-            cls[q] = ids.setdefault(key, len(ids))
-        self._root, self._class_label = cls[0], [key[0] for key in ids]
+        leave(0)
+        self._set_classes(ids, ids.setdefault(tuple(path[0]), len(ids)))
+
+    def _set_classes(self, ids, root):
+        self._root, self._known = root, {}
+        self._class_label = [key[0] for key in ids]
         self._class_kids = [dict(key[1:]) for key in ids]
 
     def restrict(self, words):
-        """The index of words, a sub-dict of this sample such as decontaminate
-        returns, cut from this one: its order and letters are this index's
-        filtered, so nothing is validated or sorted again."""
+        """The index of words, every sample word over the letters they use
+        (as decontaminate returns): this one with each edge on another
+        letter cut.  One pass over the classes in id order keys each anew
+        without those edges and edges into class 0, and counts the labeled
+        nodes kept: ValueError unless they are as many as the words."""
+        used = set(chain.from_iterable(words))
+        ids, new, count = {(-1,): 0}, [], []
+        for b, kids in zip(self._class_label, self._class_kids):
+            key, total = [b], b >= 0
+            for a, c in kids.items():
+                if a in used and new[c]:
+                    key.append((a, new[c]))
+                    total += count[c]
+            new.append(ids.setdefault(tuple(key), len(ids)))
+            count.append(total)
+        if count[self._root] != len(words):
+            raise ValueError("not every sample word over their letters")
         sub = SampleIndex.__new__(SampleIndex)
         sub.words = words
-        used = set(chain.from_iterable(words))
         sub._letters = tuple(a for a in self._letters if a in used)
-        sub._build([p for p in self.order if p[0] in words])
+        sub._set_classes(ids, new[self._root])
         return sub
 
     def letters(self):
         """The distinct sample letters, ascending."""
         return self._letters
+
+    def tree(self):
+        """The sample's prefix tree, unfolded from the classes by an
+        explicit-stack preorder: (kids, label, up), where node q is the
+        q-th sample prefix in ascending order, kids[q] maps each letter to
+        a child in ascending letter order, label[q] is the prefix's label
+        (-1 if no sample word), and up[q] is (parent, letter), None at 0."""
+        ckids, clabel = self._class_kids, self._class_label
+        kids, label, up = [], [], []
+        stack = [(self._root, None)]
+        while stack:
+            x, link = stack.pop()
+            q = len(kids)
+            if link is not None:
+                kids[link[0]][link[1]] = q
+            kids.append({})
+            label.append(clabel[x])
+            up.append(link)
+            for a, c in reversed(ckids[x].items()):
+                stack.append((c, (q, a)))
+        return kids, label, up
 
     def cls(self, w):
         """The class of word w, read letter by letter off the classes'
@@ -228,23 +257,16 @@ def lex_access_words(d):
 
 
 def distinguishing_word(d, q1, q2):
-    """Shortest word accepted from exactly one of q1, q2, by breadth-first
-    search over the self-product; length is at most |Q| squared."""
+    """Shortest word accepted from exactly one of q1, q2, least letter by
+    letter among the shortest, by breadth-first search over the
+    self-product; length is at most |Q| squared."""
     if q1 == q2:
         raise ValueError("states are identical")
-    start = (q1, q2)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (p1, p2), w = queue.popleft()
-        if (p1 in d.accepting) != (p2 in d.accepting):
-            return w
-        for a in d.alphabet:
-            nxt = (d.delta[p1, a], d.delta[p2, a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w + (a,)))
-    raise ValueError("states %r and %r are not distinguishable" % (q1, q2))
+    w = _separating_word(d, q1, d, q2)
+    if w is None:
+        raise ValueError("states %r and %r are not distinguishable"
+                         % (q1, q2))
+    return w
 
 
 def char_dfa(d):
@@ -299,24 +321,20 @@ def _word_id(w):
     return "w:" + ".".join(format_letter(d) for d in w)
 
 
-def _node_names(idx):
-    """The _word_id of each node of idx's tree, extending its parent's."""
-    if not idx.words:
-        raise ValueError("empty sample")
-    names = [_word_id(())] * len(idx.kids)
-    for q, row in enumerate(idx.kids):
-        for d, c in row.items():
-            names[c] = (names[q] + "." if q else "w:") + format_letter(d)
-    return names
-
-
 def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
     """Tree automaton accepting exactly the positive sample words, made
-    total with a rejecting sink.  index, when given, is the sample's
-    SampleIndex, so none is built."""
+    total with a rejecting sink: one state per node of the sample's prefix
+    tree (SampleIndex.tree), in ascending prefix order.  index, when
+    given, is the sample's SampleIndex, so none is built."""
     idx = SampleIndex(sample) if index is None else index
+    if not idx.words:
+        raise ValueError("empty sample")
     alphabet = _resolve_alphabet(idx, alphabet)
-    kids, label, names = idx.kids, idx.label, _node_names(idx)
+    kids, label, _ = idx.tree()
+    names = [_word_id(())] * len(kids)  # each extends its parent's
+    for q, row in enumerate(kids):
+        for d, c in row.items():
+            names[c] = (names[q] + "." if q else "w:") + format_letter(d)
     # the leaves have no children, so some letter goes to the sink
     states = names + ["sink"] if alphabet else names
     delta = {}
@@ -419,7 +437,7 @@ def _grow_rows(idx, algebra, alphabet):
     sfa_learn.infer_sfa relies on this search as its only agreement
     check of the cleaned words, which the generalized rows send where
     the DFA does."""
-    sample, same, kids = idx.words, idx.same, idx._class_kids
+    same, kids, labels = idx.same, idx._class_kids, idx._class_label
     # always adopt the lexicographically least distinguished extension, so
     # each class is represented by its least access word
     front = RowFrontier(idx, alphabet)
@@ -429,7 +447,7 @@ def _grow_rows(idx, algebra, alphabet):
         row = front.least()
     cls = front.rows
     rows = sorted(cls)
-    if any(r not in sample for r in rows):
+    if any(labels[cls[r]] < 0 for r in rows):
         return None
     # rows are pairwise separated, so a row matches itself only
     for a in alphabet:
@@ -451,7 +469,7 @@ def _grow_rows(idx, algebra, alphabet):
                 if tgt is None:
                     return None
             delta[names[r], a] = names[tgt]
-    accepting = [names[r] for r in rows if sample[r] == 1]
+    accepting = [names[r] for r in rows if labels[cls[r]] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
               accepting, delta)
     if not idx.agrees_with(out.initial, out.accepting.__contains__,
@@ -461,8 +479,9 @@ def _grow_rows(idx, algebra, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Concrete minimization: the partition-refinement core, also behind
-# ops.minimize
+# Concrete minimization and search: the partition-refinement core, also
+# behind ops.minimize, and the shortest-word search, also behind ops'
+# emptiness and inclusion checks
 
 
 def minimize_dfa(d):
@@ -528,25 +547,48 @@ def dfa_equiv(d1, d2):
     """Language equality of two complete DFAs.  The alphabets may differ:
     a word using a letter outside a machine's alphabet is rejected by that
     machine."""
+    return _separating_word(d1, d1.initial, d2, d2.initial) is None
+
+
+def _separating_word(d1, q1, d2, q2):
+    """Shortest word, least letter by letter, that d1 accepts from q1 and
+    d2 rejects from q2 or the other way round; None when there is none.
+    The letters are the sorted union of both alphabets, and a letter
+    without a transition leads to an absorbing rejecting dead state."""
     alphabet = sorted(set(d1.alphabet) | set(d2.alphabet))
-    dead = object()  # absorbing rejecting state for unknown letters
-    known1, known2 = frozenset(d1.alphabet), frozenset(d2.alphabet)
+    t1, t2, f1, f2 = d1.delta, d2.delta, d1.accepting, d2.accepting
+    dead = object()  # equal to no state of either machine
 
-    def step(d, known, q, a):
-        if q is dead or a not in known:
-            return dead
-        return d.delta[q, a]
+    def steps(pair):
+        p1, p2 = pair
+        return [(a, (t1.get((p1, a), dead), t2.get((p2, a), dead)))
+                for a in alphabet]
 
-    start = (d1.initial, d2.initial)
-    seen = {start}
+    return _first_word((q1, q2), lambda p: (p[0] in f1) != (p[1] in f2),
+                       steps)
+
+
+def _first_word(start, accepting, steps):
+    """Breadth-first search from start for a state where accepting holds.
+    steps(q) lists (letter, successor) pairs by ascending letter, and a
+    successor is claimed by the first pair that reaches it, so the word
+    found is shortest, and least letter by letter among the shortest
+    ones.  None when no such state is reachable."""
+    if accepting(start):
+        return ()
+    back = {start: None}
     queue = deque([start])
     while queue:
-        q1, q2 = queue.popleft()
-        if (q1 in d1.accepting) != (q2 in d2.accepting):
-            return False
-        for a in alphabet:
-            nxt = (step(d1, known1, q1, a), step(d2, known2, q2, a))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+        q = queue.popleft()
+        for a, dst in steps(q):
+            if dst in back:
+                continue
+            back[dst] = (q, a)
+            if accepting(dst):
+                word = [a]
+                while back[q] is not None:
+                    q, a = back[q]
+                    word.append(a)
+                return tuple(reversed(word))
+            queue.append(dst)
+    return None

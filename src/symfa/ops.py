@@ -8,7 +8,7 @@ import operator
 from collections import deque
 
 from .algebra import And, Not, and_all
-from .dfa_learn import _minimize_table
+from .dfa_learn import _first_word, _minimize_table
 from .sfa import Sfa, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
@@ -182,32 +182,6 @@ def _shortest_accepted(m):
                        if sem), key=operator.itemgetter(0))
 
     return _first_word(m.initial, m.accepting.__contains__, steps)
-
-
-def _first_word(start, accepting, steps):
-    """Breadth-first search from start for a state where accepting holds.
-    steps(q) lists (letter, successor) pairs by ascending letter, and a
-    successor is claimed by the first pair that reaches it, so the word
-    found is shortest, and least letter by letter among the shortest
-    ones.  None when no such state is reachable."""
-    if accepting(start):
-        return ()
-    back = {start: None}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for a, dst in steps(q):
-            if dst in back:
-                continue
-            back[dst] = (q, a)
-            if accepting(dst):
-                word = [a]
-                while back[q] is not None:
-                    q, a = back[q]
-                    word.append(a)
-                return tuple(reversed(word))
-            queue.append(dst)
-    return None
 
 
 # The implicit rejecting sink of a virtually completed machine: it takes

@@ -283,13 +283,15 @@ def parse_sfa(text):
         parts = line.split()
         try:
             if parts[0] == "algebra":
-                if parts[1] == "prop":
-                    alg = Algebra("prop", int(parts[2]))
-                else:
-                    alg = Algebra(parts[1])
+                if len(parts) != (3 if parts[1:2] == ["prop"] else 2):
+                    raise ValueError("expected algebra NAME or algebra "
+                                     "prop K")
+                alg = Algebra(parts[1], *map(int, parts[2:]))
             elif parts[0] == "states":
                 states.extend(parts[1:])
             elif parts[0] == "initial":
+                if len(parts) != 2:
+                    raise ValueError("expected initial STATE")
                 initial = parts[1]
             elif parts[0] == "accepting":
                 accepting.extend(parts[1:])
@@ -351,9 +353,12 @@ def parse_sample(alg, text):
         if not line:
             continue
         sign, _, rest = line.partition(" ")
-        if sign not in ("+", "-"):
-            raise ValueError("line %d: expected + or -" % lineno)
-        pairs.append((parse_word(alg, rest), 1 if sign == "+" else 0))
+        try:
+            if sign not in ("+", "-"):
+                raise ValueError("expected + or -")
+            pairs.append((parse_word(alg, rest), 1 if sign == "+" else 0))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from exc
     return sample_dict(pairs)
 
 

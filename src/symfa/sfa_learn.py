@@ -8,8 +8,8 @@ from heapq import heapify, heappop, heappush
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _grow_rows, _node_names, _word_id,
-    char_dfa,
+    Dfa, RowFrontier, SampleIndex, _grow_rows, _word_id, char_dfa,
+    prefix_tree_dfa,
 )
 from .sfa import Sfa, transition_table
 
@@ -175,49 +175,25 @@ def _agrees(m, idx):
 
 
 def symbolic_prefix_tree(alg, sample, index=None):
-    """Generalized prefix-tree automaton; always agrees with the sample.
-    It is generalize_dfa(prefix_tree_dfa(sample, alg)), built without the
-    states x letters table: a state's runs over the sample's ascending
-    letters are its child letters, each on its own, and the runs of the
-    rejecting sink between them, so the work is proportional to the
-    number of sample prefixes.  Each distinct sample letter is checked
-    against alg first, so a letter outside it raises ValueError.  index,
-    when given, is the sample's SampleIndex built with alg, so none is
-    built."""
+    """Generalized prefix-tree automaton, generalize_dfa(prefix_tree_dfa(
+    sample, alg)); always agrees with the sample.  Each distinct sample
+    letter is checked against alg first, so a letter outside it raises
+    ValueError.  index, when given, is the sample's SampleIndex built with
+    alg, so none is built."""
     _require_monotonic(alg)
     idx = SampleIndex(sample, alg) if index is None else index
-    letters = idx.letters()
-    kids, label, names = idx.kids, idx.label, _node_names(idx)
-    pos = {a: i for i, a in enumerate(letters)}
-
-    def runs_of(row):
-        runs = []
-        nxt = 0  # position of the first letter not yet in a run
-        for a, child in row.items():
-            if pos[a] > nxt:
-                runs.append((letters[nxt], "sink"))
-            runs.append((a, names[child]))
-            nxt = pos[a] + 1
-        if nxt < len(letters):
-            runs.append((letters[nxt], "sink"))
-        return runs
-
-    return _generalized(alg, names + ["sink"] if letters else names, names[0],
-                        [names[q] for q, b in enumerate(label) if b == 1],
-                        map(runs_of, kids + [{}]))
+    return generalize_dfa(prefix_tree_dfa(idx.words, alg, index=idx))
 
 
 class _RedBlue:
-    """Red-blue state merging (RPNI; Oncina and Garcia 1992) on a copy of
-    idx's prefix tree.  Node classes are a union-find forest, rep, whose
-    roots hold their class's label and children; up holds each node's
-    parent and the letter leading to it."""
+    """Red-blue state merging (RPNI; Oncina and Garcia 1992) on idx's
+    prefix tree, unfolded for it (SampleIndex.tree).  Node classes are a
+    union-find forest, rep, whose roots hold their class's label and
+    children; up holds each node's parent and the letter leading to it."""
 
     def __init__(self, idx):
-        self.kids, self.label = list(map(dict, idx.kids)), list(idx.label)
+        self.kids, self.label, self.up = idx.tree()
         self.rep = list(range(len(self.kids)))
-        self.up = {c: (q, a) for q, row in enumerate(idx.kids)
-                   for a, c in row.items()}
 
     def name(self, q):
         """_word_id of node q's access word, read up the parent links."""

@@ -155,3 +155,31 @@ def test_qlearn_demo(capsys):
 def test_bench_roundtrip(capsys):
     assert main(["bench", "roundtrip", "--seed", "1", "--count", "5"]) == 0
     assert "5/5 passed" in capsys.readouterr().out
+
+
+def test_sample_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("+ 1\n- 3 x\n")
+    assert main(["learn", "infer", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line, text", [
+    (1, "algebra interval-nat extra\nstates a\ninitial a\n"),
+    (1, "algebra prop 2 extra\nstates a\ninitial a\n"),
+    (1, "algebra prop\nstates a\ninitial a\n"),
+    (3, "algebra interval-nat\nstates a b\ninitial a b\n"),
+])
+def test_trailing_tokens_exit_2(tmp_path, capsys, line, text):
+    bad = tmp_path / "bad.sfa"
+    bad.write_text(text + "accepting a\ntrans a a [0,inf)\n")
+    assert main(["transform", "neat", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line %d:" % line)
+
+
+@pytest.mark.parametrize("args", [["--count", "-1"], ["--max-states", "0"]])
+def test_bench_rejects_bad_sizes(capsys, args):
+    assert main(["bench", "roundtrip", *args]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error:")

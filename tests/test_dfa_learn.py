@@ -112,6 +112,14 @@ def test_infer_dfa_ambiguous_letter_falls_back(four_state_target):
     assert out == prefix_tree_dfa(s, INTERVAL_NAT)
 
 
+def test_infer_dfa_unlabeled_row_falls_back():
+    # the empty word is a row but no sample word, so the rows are no
+    # states; a one-state rejecting DFA would agree with the sample
+    s = {(0,): 0}
+    assert infer_dfa(s, INTERVAL_NAT) == prefix_tree_dfa(s, INTERVAL_NAT)
+    assert len(prefix_tree_dfa(s, INTERVAL_NAT).states) == 3
+
+
 def test_infer_dfa_agrees_with_arbitrary_samples():
     rng = random.Random(4)
     for _ in range(50):
@@ -164,3 +172,14 @@ def test_dfa_equiv():
     assert dfa_equiv(d, minimize_dfa(d))
     other = Dfa(d.algebra, d.alphabet, d.states, d.initial, ("q0",), d.delta)
     assert not dfa_equiv(d, other)
+
+
+def test_dfa_equiv_rejects_letters_outside_the_alphabet():
+    zeros = Dfa(INTERVAL_NAT, (0,), ("a",), "a", ("a",), {("a", 0): "a"})
+    loops = {("a", 0): "a", ("a", 5): "a"}
+    everything = Dfa(INTERVAL_NAT, (0, 5), ("a",), "a", ("a",), loops)
+    delta = {**loops, ("a", 5): "b", ("b", 0): "b", ("b", 5): "b"}
+    only_zeros = Dfa(INTERVAL_NAT, (0, 5), ("a", "b"), "a", ("a",), delta)
+    assert dfa_equiv(zeros, only_zeros) and dfa_equiv(only_zeros, zeros)
+    assert not dfa_equiv(zeros, everything)
+    assert not dfa_equiv(everything, zeros)

@@ -1,4 +1,4 @@
-"""The prefix tree built symbolically: symbolic_prefix_tree and
+"""The generalized prefix tree: symbolic_prefix_tree and
 generalize_dfa against the states x letters construction they replaced,
 infer_sfa against the pipeline that fell back to the tree wherever that
 pipeline returns no tree, letter checks ahead of the fallback path, and a
@@ -250,7 +250,7 @@ def test_merger_names_only_the_red_states(monkeypatch):
     monkeypatch.setattr(dfa_learn, "format_letter",
                         lambda d: calls.append(d) or real(d))
     learned = sfa_learn.merged_prefix_tree(INTERVAL_NAT, sample, index=idx)
-    assert len(calls) < len(idx.kids)
+    assert len(calls) < len(idx.tree()[0])
     # one letter per letter of each state's access word (named e, w:a.b..)
     assert len(calls) == sum(q.count(".") + 1 for q in learned.states
                              if q != "e")

@@ -255,10 +255,8 @@ def sample_prefixes(idx):
 
 def assert_same_index(sub, fresh):
     assert list(sub.words.items()) == list(fresh.words.items())
-    assert sub.order == fresh.order
     assert sub.letters() == fresh.letters()
-    assert sub.kids == fresh.kids
-    assert sub.label == fresh.label
+    assert sub.tree() == fresh.tree()
     prefixes = sample_prefixes(fresh)
     assert sample_prefixes(sub) == prefixes
     for p in prefixes:

@@ -1,11 +1,14 @@
-"""SampleIndex answers sample equivalence from its prefix tree: equiv and
-the class-id test same(cls(w1), cls(w2)) against a brute-force search for
-a conflicting extension, on full and restricted indices; the class search
-of agrees_with against one flipped label; a word thousands of letters
-long; and the memory infer_sfa peaks at on a characteristic sample."""
+"""SampleIndex answers sample equivalence from its subtree classes: equiv
+and the class-id test same(cls(w1), cls(w2)) against a brute-force search
+for a conflicting extension, on full and restricted indices; restrict
+against a fresh index, and its check of the words it is given; the class
+search of agrees_with against one flipped label; a word thousands of
+letters long; and the memory the index retains and infer_sfa peaks at on
+a characteristic sample."""
 
 import tracemalloc
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from symfa.algebra import INTERVAL_NAT
@@ -38,8 +41,44 @@ def test_equiv_is_the_brute_force_check(case):
     alg, sample = case
     idx = SampleIndex(sample, alg)
     assert_equiv_is_brute(idx)
-    half = {w: b for i, (w, b) in enumerate(idx.order) if i % 2 == 0}
-    assert_equiv_is_brute(idx.restrict(half))
+    kept = set(idx.letters()[::2])
+    half = {w: b for w, b in idx.words.items() if kept.issuperset(w)}
+    if half:  # assert_equiv_is_brute needs a word
+        assert_equiv_is_brute(idx.restrict(half))
+
+
+def over(words, letters):
+    """The words over the given letters, with their labels."""
+    return {w: b for w, b in words.items() if letters.issuperset(w)}
+
+
+@given(samples(), st.data())
+def test_restrict_equals_a_fresh_index(case, data):
+    alg, sample = case
+    idx = SampleIndex(sample, alg)
+    kept = set(data.draw(st.sets(st.sampled_from(idx.letters())))
+               if idx.letters() else ())
+    words = over(idx.words, kept)
+    sub, fresh = idx.restrict(words), SampleIndex(words)
+    assert sub.words == fresh.words
+    assert sub.letters() == fresh.letters()
+    assert sub.tree() == fresh.tree()
+    prefixes = sorted({w[:i] for w in idx.words for i in range(len(w) + 1)})
+    for p in prefixes:
+        for q in prefixes:
+            assert sub.equiv(p, q) == fresh.equiv(p, q)
+
+
+def test_restrict_checks_its_words():
+    sample = {(): 0, (1,): 1, (1, 2): 0, (2,): 1, (3,): 0}
+    idx = SampleIndex(sample)
+    assert idx.restrict(over(sample, {1, 2})).tree() \
+        == SampleIndex(over(sample, {1, 2})).tree()
+    for words in ({(1,): 1, (2,): 1}, {(): 0, (1,): 1, (2,): 1},
+                  {(): 0, (1, 2): 0, (2,): 1}, {}):
+        # a word over the letters these words use is missing
+        with pytest.raises(ValueError):
+            idx.restrict(words)
 
 
 def dfa_search(idx, m):
@@ -70,12 +109,29 @@ def test_long_words_need_no_recursion():
     sample = {(0, 0) + chain: 1, (1, 0) + chain: 1, (1,) + chain + (7,): 0,
               (2,) + chain + (7,): 1}
     idx = SampleIndex(sample)
-    assert len(idx.kids) == 3 * n + 2
+    # the unfolding is as deep as the words
+    kids, label, up = idx.tree()
+    assert len(kids) == len(label) == len(up) == 3 * n + 2
     # each walk pairs two chains node by node, n deep: the first passes,
     # the second fails at the last pair
     assert idx.equiv((0,), (1,)) and brute_equiv(sample, (0,), (1,))
     assert not idx.equiv((1,), (2,)) and not brute_equiv(sample, (1,), (2,))
     assert agrees(infer_sfa(INTERVAL_NAT, sample), sample)
+
+
+def test_index_retains_its_classes_only():
+    # 48317 words, whose prefix tree has 54977 nodes in 94 classes: about
+    # 2.6 MiB on CPython 3.11, most of it the words' dict; an index with
+    # one dict per node retained 14.5 MiB
+    sample = char_sfa(minimal_target(32, 32))
+    tracemalloc.start()
+    try:
+        idx = SampleIndex(sample, INTERVAL_NAT)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(idx.tree()[0]) == 54977 and len(idx._class_label) == 94
+    assert retained < 4 * 2 ** 20
 
 
 def test_infer_sfa_peak_memory():

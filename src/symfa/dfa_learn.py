@@ -115,26 +115,25 @@ class SampleIndex:
         self._class_label = [key[0] for key in ids]
         self._class_kids = [dict(key[1:]) for key in ids]
 
-    def restrict(self, words):
-        """The index of words, every sample word over the letters they use
-        (as decontaminate returns): this one with each edge on another
-        letter cut.  One pass over the classes in id order keys each anew
-        without those edges and edges into class 0, and counts the labeled
-        nodes kept: ValueError unless they are as many as the words."""
-        used = set(chain.from_iterable(words))
-        ids, new, count = {(-1,): 0}, [], []
+    def restrict(self, letters):
+        """The index of the sample words over letters, a set, in the
+        sample's order: this one when every sample letter is among them,
+        else this one with each edge on another letter cut.  One pass over
+        the classes in id order keys each anew without those edges and
+        edges into class 0."""
+        if letters.issuperset(self._letters):
+            return self
+        ids, new = {(-1,): 0}, []
         for b, kids in zip(self._class_label, self._class_kids):
-            key, total = [b], b >= 0
+            key = [b]
             for a, c in kids.items():
-                if a in used and new[c]:
+                if a in letters and new[c]:
                     key.append((a, new[c]))
-                    total += count[c]
             new.append(ids.setdefault(tuple(key), len(ids)))
-            count.append(total)
-        if count[self._root] != len(words):
-            raise ValueError("not every sample word over their letters")
         sub = SampleIndex.__new__(SampleIndex)
-        sub.words = words
+        sub.words = {w: b for w, b in self.words.items()
+                     if letters.issuperset(w)}
+        used = set(chain.from_iterable(sub.words))
         sub._letters = tuple(a for a in self._letters if a in used)
         sub._set_classes(ids, new[self._root])
         return sub
@@ -321,15 +320,17 @@ def _word_id(w):
     return "w:" + ".".join(format_letter(d) for d in w)
 
 
-def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
+def prefix_tree_dfa(sample, algebra, alphabet=None):
     """Tree automaton accepting exactly the positive sample words, made
     total with a rejecting sink: one state per node of the sample's prefix
-    tree (SampleIndex.tree), in ascending prefix order.  index, when
-    given, is the sample's SampleIndex, so none is built."""
-    idx = SampleIndex(sample) if index is None else index
-    if not idx.words:
-        raise ValueError("empty sample")
-    alphabet = _resolve_alphabet(idx, alphabet)
+    tree (SampleIndex.tree), in ascending prefix order."""
+    idx, alphabet = _index_and_alphabet(sample, alphabet)
+    return _tree_dfa(idx, algebra, alphabet)
+
+
+def _tree_dfa(idx, algebra, alphabet):
+    """prefix_tree_dfa of idx's non-empty sample, over alphabet, which
+    holds the sample's letters."""
     kids, label, _ = idx.tree()
     names = [_word_id(())] * len(kids)  # each extends its parent's
     for q, row in enumerate(kids):
@@ -345,13 +346,19 @@ def prefix_tree_dfa(sample, algebra, alphabet=None, index=None):
                [names[q] for q, b in enumerate(label) if b == 1], delta)
 
 
-def _resolve_alphabet(idx, alphabet):
+def _index_and_alphabet(sample, alphabet):
+    """The SampleIndex of a non-empty sample, and alphabet sorted, by
+    default the sample's letters; ValueError on an empty sample or a
+    sample letter outside alphabet."""
+    idx = SampleIndex(sample)
+    if not idx.words:
+        raise ValueError("empty sample")
     if alphabet is None:
-        return idx.letters()
+        return idx, idx.letters()
     alphabet = tuple(sorted(alphabet))
     if not set(idx.letters()) <= set(alphabet):
         raise ValueError("sample uses letters outside the given alphabet")
-    return alphabet
+    return idx, alphabet
 
 
 class RowFrontier:
@@ -401,7 +408,7 @@ class RowFrontier:
         return min(self.live, default=None)
 
 
-def infer_dfa(sample, algebra, alphabet=None, index=None):
+def infer_dfa(sample, algebra, alphabet=None):
     """Infer a DFA from a consistent sample.  Grows a set of pairwise
     distinguished prefixes from the empty word, always adopting the least
     member of a RowFrontier; these become the states.  Falls back to the
@@ -413,18 +420,12 @@ def infer_dfa(sample, algebra, alphabet=None, index=None):
     sample contains a characteristic sample of a minimal complete DFA over
     the same alphabet, the result recognizes that DFA's language.  The
     alphabet defaults to the letters appearing in the sample; pass it
-    explicitly when it is known and larger.  index, when given, is the
-    sample's SampleIndex, so none is built.  The row growing is
+    explicitly when it is known and larger.  The row growing is
     _grow_rows, which sfa_learn.infer_sfa calls directly, so that it falls
     back to state merging rather than to the concrete prefix tree."""
-    idx = SampleIndex(sample) if index is None else index
-    if not idx.words:
-        raise ValueError("empty sample")
-    alphabet = _resolve_alphabet(idx, alphabet)
+    idx, alphabet = _index_and_alphabet(sample, alphabet)
     out = _grow_rows(idx, algebra, alphabet)
-    if out is None:
-        return prefix_tree_dfa(idx.words, algebra, alphabet, index=idx)
-    return out
+    return _tree_dfa(idx, algebra, alphabet) if out is None else out
 
 
 def _grow_rows(idx, algebra, alphabet):

@@ -5,13 +5,27 @@ equivalence)."""
 from __future__ import annotations
 
 import operator
-from collections import deque
 
 from .algebra import And, Not, and_all
 from .dfa_learn import _first_word, _minimize_table
 from .sfa import Sfa, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
+
+
+def _reachable(alg, start, name, steps, accepts):
+    """The Sfa on the states reachable from start, numbered breadth first:
+    steps(q) lists q's (denotation, guard tree, destination) rows in
+    order, name(q) names q, and accepts(q) tells acceptance."""
+    names, order, rows = {start: name(start)}, [start], []
+    for q in order:
+        for sem, tree, dst in steps(q):
+            if dst not in names:
+                names[dst] = name(dst)
+                order.append(dst)
+            rows.append(((names[q], sem, names[dst]), tree))
+    return Sfa._from_rows(alg, list(names.values()), names[start],
+                          [names[q] for q in order if accepts(q)], rows)
 
 
 def product(m1, m2, mode="intersect"):
@@ -33,33 +47,18 @@ def product(m1, m2, mode="intersect"):
     accept = _ACCEPT[mode]
     g1, g2 = m1._guards, m2._guards
 
-    def name(q1, q2):
-        return "(%s,%s)" % (q1, q2)
+    def steps(pair):
+        for p1, s1, d1 in g1[pair[0]]:
+            if s1:
+                for p2, s2, d2 in g2[pair[1]]:
+                    sem = alg.intersect(s1, s2)
+                    if sem:
+                        yield sem, And(p1, p2), (d1, d2)
 
-    start = (m1.initial, m2.initial)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    rows = []
-    while queue:
-        q1, q2 = queue.popleft()
-        src = name(q1, q2)
-        for p1, s1, d1 in g1[q1]:
-            if not s1:
-                continue
-            for p2, s2, d2 in g2[q2]:
-                sem = alg.intersect(s1, s2)
-                if not sem:
-                    continue
-                rows.append(((src, sem, name(d1, d2)), And(p1, p2)))
-                if (d1, d2) not in seen:
-                    seen.add((d1, d2))
-                    order.append((d1, d2))
-                    queue.append((d1, d2))
-    accepting = [name(a, b) for a, b in order
-                 if accept(a in m1.accepting, b in m2.accepting)]
-    return Sfa._from_rows(alg, [name(a, b) for a, b in order], name(*start),
-                          accepting, rows)
+    return _reachable(alg, (m1.initial, m2.initial),
+                      lambda pair: "(%s,%s)" % pair,
+                      steps, lambda pair: accept(pair[0] in m1.accepting,
+                                                 pair[1] in m2.accepting))
 
 
 def complement(m):
@@ -80,17 +79,7 @@ def determinize(m):
     alg = m.algebra
     table = m._guards
 
-    def name(subset):
-        return "{%s}" % ",".join(sorted(subset))
-
-    start = frozenset([m.initial])
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    rows = []
-    while queue:
-        subset = queue.popleft()
-        src = name(subset)
+    def steps(subset):
         groups = {}  # guard tree -> (denotation, destinations)
         for q in sorted(subset):
             for p, sem, d in table[q]:
@@ -109,15 +98,11 @@ def determinize(m):
             target = frozenset().union(*(
                 ds for (_, ds), n in zip(groups.values(), neg) if not n))
             label = and_all([Not(p) if n else p for p, n in zip(groups, neg)])
-            rows.append(((src, alg.union_all(minterms[neg]), name(target)),
-                         label))
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-    accepting = [name(s) for s in order if s & m.accepting]
-    return Sfa._from_rows(alg, [name(s) for s in order], name(start),
-                          accepting, rows)
+            yield alg.union_all(minterms[neg]), label, target
+
+    return _reachable(alg, frozenset([m.initial]),
+                      lambda subset: "{%s}" % ",".join(sorted(subset)),
+                      steps, lambda subset: subset & m.accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,12 @@ def parse_sfa(text):
             elif parts[0] == "accepting":
                 accepting.extend(parts[1:])
             elif parts[0] == "trans":
-                pred_text = line.split(None, 3)[3]
-                raw_trans.append((parts[1], parts[2], pred_text))
+                if len(parts) < 4:
+                    raise ValueError("expected trans SRC DST PREDICATE")
+                raw_trans.append((parts[1], parts[2], line.split(None, 3)[3]))
             else:
                 raise ValueError("unknown directive %r" % parts[0])
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from exc
     if alg is None:
         raise ValueError("missing algebra directive")
@@ -323,15 +324,15 @@ def format_sfa(m):
 
 
 def sample_dict(pairs):
-    """Normalize labeled words into a dict, rejecting inconsistency."""
+    """Normalize labeled words into a dict, rejecting inconsistency.  A
+    label must equal 0 or 1 (False and True included)."""
     if isinstance(pairs, dict):
         pairs = pairs.items()
     out = {}
     for w, b in pairs:
-        w = tuple(w)
-        b = int(b)
         if b not in (0, 1):
-            raise ValueError("label must be 0 or 1")
+            raise ValueError("label must be 0 or 1, not %r" % (b,))
+        w, b = tuple(w), int(b)
         if out.get(w, b) != b:
             raise ValueError("inconsistent sample at word %r" % (w,))
         out[w] = b

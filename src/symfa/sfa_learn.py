@@ -8,8 +8,7 @@ from heapq import heapify, heappop, heappush
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _grow_rows, _word_id, char_dfa,
-    prefix_tree_dfa,
+    Dfa, RowFrontier, SampleIndex, _grow_rows, _tree_dfa, _word_id, char_dfa,
 )
 from .sfa import Sfa, transition_table
 
@@ -98,25 +97,38 @@ def generalize_dfa(d):
                          for q in d.states))
 
 
-def decontaminate(alg, sample, index=None):
-    """Restrict a sample to words over the letters that matter.
+def _checked_index(alg, sample):
+    """The SampleIndex of a non-empty sample for a monotonic alg, its
+    letters checked against alg; ValueError otherwise."""
+    _require_monotonic(alg)
+    idx = SampleIndex(sample, alg)
+    if not idx.words:
+        raise ValueError("empty sample")
+    return idx
 
+
+def decontaminate(alg, sample):
+    """Restrict a sample to words over the letters that matter
+    (_kept_letters); the words kept keep the sample's order.  When the
+    sample contains a characteristic sample produced by char_sfa, the kept
+    letters are exactly that sample's concrete alphabet and the result
+    still contains the characteristic sample.  Each distinct sample letter
+    is checked against alg first, so a letter outside it raises
+    ValueError."""
+    _require_monotonic(alg)
+    idx = SampleIndex(sample, alg)
+    return idx.restrict(_kept_letters(alg, idx)).words
+
+
+def _kept_letters(alg, idx):
+    """The letters of idx's sample that matter, with alg's least letter.
     Grows access words from the empty word as infer_dfa grows rows (the
     least member of a RowFrontier over the kept letters), and scans each
     access word once: in ascending order, a letter is kept when the
     sample tells its extension apart from that of the last letter kept
     for the word (the least domain letter to begin with).  The scan reads
     the extensions' classes off the word's class children
-    (SampleIndex.same).  Every word using a letter that no scan kept is
-    dropped; the rest keep the sample's order.  When the sample contains
-    a characteristic sample produced by char_sfa, the kept letters are
-    exactly that sample's concrete alphabet and the result still contains
-    the characteristic sample.  Each distinct sample letter is checked
-    against alg first, so a letter outside it raises ValueError.  index,
-    when given, is the sample's SampleIndex built with alg, so none is
-    built."""
-    _require_monotonic(alg)
-    idx = SampleIndex(sample, alg) if index is None else index
+    (SampleIndex.same)."""
     kept = {alg.dmin}
     front = RowFrontier(idx, kept)
     row = ()
@@ -134,9 +146,7 @@ def decontaminate(alg, sample, index=None):
         kept.update(new)
         front.add_letters(new)
         row = front.least()
-    if kept.issuperset(idx.letters()):
-        return dict(idx.words)
-    return {w: b for w, b in idx.words.items() if kept.issuperset(w)}
+    return kept
 
 
 def char_sfa(m):
@@ -174,15 +184,13 @@ def _agrees(m, idx):
                            step)
 
 
-def symbolic_prefix_tree(alg, sample, index=None):
+def symbolic_prefix_tree(alg, sample):
     """Generalized prefix-tree automaton, generalize_dfa(prefix_tree_dfa(
     sample, alg)); always agrees with the sample.  Each distinct sample
     letter is checked against alg first, so a letter outside it raises
-    ValueError.  index, when given, is the sample's SampleIndex built with
-    alg, so none is built."""
-    _require_monotonic(alg)
-    idx = SampleIndex(sample, alg) if index is None else index
-    return generalize_dfa(prefix_tree_dfa(idx.words, alg, index=idx))
+    ValueError."""
+    idx = _checked_index(alg, sample)
+    return generalize_dfa(_tree_dfa(idx, alg, idx.letters()))
 
 
 class _RedBlue:
@@ -267,16 +275,17 @@ class _RedBlue:
         return list(red)
 
 
-def merged_prefix_tree(alg, sample, index=None):
+def merged_prefix_tree(alg, sample):
     """The sample's prefix tree folded by _RedBlue: a deterministic
     complete SFA that agrees with the sample.  Each red node is a state
     named by _word_id of its access word, whose runs are its class's
     child letters, each to its child's class, so a letter without evidence
-    joins the run below it.  alg and index are as for symbolic_prefix_tree."""
-    _require_monotonic(alg)
-    idx = SampleIndex(sample, alg) if index is None else index
-    if not idx.words:
-        raise ValueError("empty sample")
+    joins the run below it.  alg is as for symbolic_prefix_tree."""
+    return _merged(alg, _checked_index(alg, sample))
+
+
+def _merged(alg, idx):
+    """merged_prefix_tree of idx's non-empty sample."""
     merger = _RedBlue(idx)
     reds = merger.run()
     kids, find = merger.kids, merger.find
@@ -296,21 +305,17 @@ def infer_sfa(alg, sample):
     L(M).  Where row growing gives up, or the cleaned sample's result
     disagrees with a removed word, the full sample's merged_prefix_tree
     is returned.  A letter outside alg raises ValueError before any sort.
-    decontaminate shares the one index; the cleaned one is cut from it
-    (SampleIndex.restrict).  No word is walked: row growing ends with a
-    search of its index's (class, state) pairs (dfa_learn._grow_rows),
-    and where words were removed, one search of the full index's pairs
-    against the candidate's edges (_agrees) checks the rest."""
-    _require_monotonic(alg)
-    idx = SampleIndex(sample, alg)
-    sample = idx.words
-    if not sample:
-        raise ValueError("empty sample")
-    cleaned = decontaminate(alg, sample, index=idx)
-    sub = idx if len(cleaned) == len(sample) else idx.restrict(cleaned)
-    rows = _grow_rows(sub, alg, sub.letters()) if cleaned else None
+    The stages share the sample's one index: the cleaned one is cut from
+    it (SampleIndex.restrict), or is it when no letter is dropped.  No
+    word is walked: row growing ends with a search of its index's (class,
+    state) pairs (dfa_learn._grow_rows), and where words were removed,
+    one search of the full index's pairs against the candidate's edges
+    (_agrees) checks the rest."""
+    idx = _checked_index(alg, sample)
+    sub = idx.restrict(_kept_letters(alg, idx))
+    rows = _grow_rows(sub, alg, sub.letters()) if sub.words else None
     if rows is not None:
         candidate = generalize_dfa(rows)
         if sub is idx or _agrees(candidate, idx):
             return candidate
-    return merged_prefix_tree(alg, sample, index=idx)
+    return _merged(alg, idx)

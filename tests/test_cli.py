@@ -178,6 +178,14 @@ def test_trailing_tokens_exit_2(tmp_path, capsys, line, text):
     assert capsys.readouterr().err.startswith("error: line %d:" % line)
 
 
+def test_short_trans_line_names_its_fields(tmp_path, capsys):
+    bad = tmp_path / "bad.sfa"
+    bad.write_text("algebra interval-nat\nstates a\ninitial a\ntrans a a\n")
+    assert main(["transform", "neat", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 4: expected trans SRC DST PREDICATE")
+
+
 @pytest.mark.parametrize("args", [["--count", "-1"], ["--max-states", "0"]])
 def test_bench_rejects_bad_sizes(capsys, args):
     assert main(["bench", "roundtrip", *args]) == 2

@@ -249,7 +249,7 @@ def test_merger_names_only_the_red_states(monkeypatch):
     real = dfa_learn.format_letter
     monkeypatch.setattr(dfa_learn, "format_letter",
                         lambda d: calls.append(d) or real(d))
-    learned = sfa_learn.merged_prefix_tree(INTERVAL_NAT, sample, index=idx)
+    learned = sfa_learn.merged_prefix_tree(INTERVAL_NAT, sample)
     assert len(calls) < len(idx.tree()[0])
     # one letter per letter of each state's access word (named e, w:a.b..)
     assert len(calls) == sum(q.count(".") + 1 for q in learned.states

@@ -42,7 +42,7 @@ def ref_hypothesis(alg, idx):
 def ref_infer_sfa(alg, sample):
     idx = SampleIndex(sample)
     sample = idx.words
-    cleaned = decontaminate(alg, sample, index=idx)
+    cleaned = decontaminate(alg, sample)
     if len(cleaned) < len(sample):
         if cleaned:
             candidate = ref_hypothesis(alg, SampleIndex(cleaned))
@@ -271,13 +271,14 @@ def test_restricted_index_equals_fresh_index(seed, honest):
     target = random_sfa(rng, max_states=4, max_endpoint=40)
     sample = noisy(rng, target, 10, 60, honest)
     idx = SampleIndex(sample, INTERVAL_NAT)
-    cleaned = decontaminate(INTERVAL_NAT, sample, index=idx)
-    assert_same_index(idx.restrict(cleaned), SampleIndex(cleaned))
+    kept = sfa_learn._kept_letters(INTERVAL_NAT, idx)
+    assert_same_index(idx.restrict(kept),
+                      SampleIndex(decontaminate(INTERVAL_NAT, sample)))
 
 
 def test_restrict_to_every_word_is_the_same_index():
     idx = SampleIndex(TWO_STATE_SAMPLE)
-    assert_same_index(idx.restrict(idx.words), idx)
+    assert idx.restrict(set(idx.letters())) is idx
 
 
 # ---------------------------------------------------------------------------

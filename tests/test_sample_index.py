@@ -1,14 +1,12 @@
 """SampleIndex answers sample equivalence from its subtree classes: equiv
 and the class-id test same(cls(w1), cls(w2)) against a brute-force search
 for a conflicting extension, on full and restricted indices; restrict
-against a fresh index, and its check of the words it is given; the class
-search of agrees_with against one flipped label; a word thousands of
-letters long; and the memory the index retains and infer_sfa peaks at on
-a characteristic sample."""
+against a fresh index; the class search of agrees_with against one
+flipped label; a word thousands of letters long; and the memory the index
+retains and infer_sfa peaks at on a characteristic sample."""
 
 import tracemalloc
 
-import pytest
 from hypothesis import assume, given, strategies as st
 
 from symfa.algebra import INTERVAL_NAT
@@ -41,15 +39,9 @@ def test_equiv_is_the_brute_force_check(case):
     alg, sample = case
     idx = SampleIndex(sample, alg)
     assert_equiv_is_brute(idx)
-    kept = set(idx.letters()[::2])
-    half = {w: b for w, b in idx.words.items() if kept.issuperset(w)}
-    if half:  # assert_equiv_is_brute needs a word
-        assert_equiv_is_brute(idx.restrict(half))
-
-
-def over(words, letters):
-    """The words over the given letters, with their labels."""
-    return {w: b for w, b in words.items() if letters.issuperset(w)}
+    half = idx.restrict(set(idx.letters()[::2]))
+    if half.words:  # assert_equiv_is_brute needs a word
+        assert_equiv_is_brute(half)
 
 
 @given(samples(), st.data())
@@ -58,27 +50,15 @@ def test_restrict_equals_a_fresh_index(case, data):
     idx = SampleIndex(sample, alg)
     kept = set(data.draw(st.sets(st.sampled_from(idx.letters())))
                if idx.letters() else ())
-    words = over(idx.words, kept)
-    sub, fresh = idx.restrict(words), SampleIndex(words)
-    assert sub.words == fresh.words
+    words = {w: b for w, b in idx.words.items() if kept.issuperset(w)}
+    sub, fresh = idx.restrict(kept), SampleIndex(words)
+    assert list(sub.words.items()) == list(words.items())
     assert sub.letters() == fresh.letters()
     assert sub.tree() == fresh.tree()
     prefixes = sorted({w[:i] for w in idx.words for i in range(len(w) + 1)})
     for p in prefixes:
         for q in prefixes:
             assert sub.equiv(p, q) == fresh.equiv(p, q)
-
-
-def test_restrict_checks_its_words():
-    sample = {(): 0, (1,): 1, (1, 2): 0, (2,): 1, (3,): 0}
-    idx = SampleIndex(sample)
-    assert idx.restrict(over(sample, {1, 2})).tree() \
-        == SampleIndex(over(sample, {1, 2})).tree()
-    for words in ({(1,): 1, (2,): 1}, {(): 0, (1,): 1, (2,): 1},
-                  {(): 0, (1, 2): 0, (2,): 1}, {}):
-        # a word over the letters these words use is missing
-        with pytest.raises(ValueError):
-            idx.restrict(words)
 
 
 def dfa_search(idx, m):

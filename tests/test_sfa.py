@@ -197,6 +197,18 @@ def test_sample_dict_rejects_conflicts():
         sample_dict([((1,), 1), ((1,), 0)])
 
 
+@pytest.mark.parametrize("label", [1.5, 0.9, None, 2, -1, "1"])
+def test_sample_dict_rejects_labels_other_than_0_and_1(label):
+    with pytest.raises(ValueError):
+        sample_dict([((1,), label)])
+
+
+def test_sample_dict_takes_labels_equal_to_0_and_1():
+    out = sample_dict([((0,), True), ((1,), False), ((2,), 1.0), ((), 0)])
+    assert out == {(0,): 1, (1,): 0, (2,): 1, (): 0}
+    assert all(type(b) is int for b in out.values())
+
+
 def test_transition_validation():
     with pytest.raises(ValueError):
         Sfa(INTERVAL_NAT, ("a",), "missing", (), ())

@@ -6,6 +6,7 @@ words, prefix-tree automata)."""
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from itertools import chain
 
 from .algebra import format_letter
@@ -323,8 +324,9 @@ def _word_id(w):
 def prefix_tree_dfa(sample, algebra, alphabet=None):
     """Tree automaton accepting exactly the positive sample words, made
     total with a rejecting sink: one state per node of the sample's prefix
-    tree (SampleIndex.tree), in ascending prefix order."""
-    idx, alphabet = _index_and_alphabet(sample, alphabet)
+    tree (SampleIndex.tree), in ascending prefix order.  Sample letters
+    are checked as by infer_dfa."""
+    idx, alphabet = _index_and_alphabet(sample, algebra, alphabet)
     return _tree_dfa(idx, algebra, alphabet)
 
 
@@ -346,11 +348,12 @@ def _tree_dfa(idx, algebra, alphabet):
                [names[q] for q, b in enumerate(label) if b == 1], delta)
 
 
-def _index_and_alphabet(sample, alphabet):
-    """The SampleIndex of a non-empty sample, and alphabet sorted, by
-    default the sample's letters; ValueError on an empty sample or a
-    sample letter outside alphabet."""
-    idx = SampleIndex(sample)
+def _index_and_alphabet(sample, algebra, alphabet):
+    """The SampleIndex of a non-empty sample, its letters checked against
+    algebra, and alphabet sorted, by default the sample's letters;
+    ValueError on an empty sample or a sample letter outside algebra or
+    alphabet."""
+    idx = SampleIndex(sample, algebra)
     if not idx.words:
         raise ValueError("empty sample")
     if alphabet is None:
@@ -361,57 +364,45 @@ def _index_and_alphabet(sample, alphabet):
     return idx, alphabet
 
 
-class RowFrontier:
-    """Rows grown one at a time from the empty word, and their live
-    frontier: each extension r.a of a row (a among the letters) that the
-    sample tells apart from every row; one that is no sample prefix matches
-    every row.  The least member is the next row.  rows and live map each
-    word to its class, so an extension's class is one lookup among its
-    row's class children, and each test is one SampleIndex.same.  Adding a
-    row drops the members that match it and tests each extension of it;
-    adding letters tests each extension by them: at most one test per
-    extension and row."""
+def _grow(idx, letters):
+    """Rows grown from the empty word over idx's sample, each yielded with
+    its class.  Each next row is the least extension r.a of a row (a among
+    letters) that no row matches (SampleIndex.same): candidates leave a
+    heap keyed by word, and since rows only grow, the first one left
+    unmatched is adopted.  One that is no sample prefix matches every row
+    and is never pushed.  A letter that the caller appends to letters
+    while a row is out extends every row.  Neighbouring letters mostly
+    lead to the same row, so the row that the last dropped candidate
+    matched is tried first."""
+    same, kids = idx.same, idx._class_kids
+    rows, heap, hint, n = [], [((), idx._root)], None, 0
 
-    def __init__(self, idx, letters):
-        self.idx = idx
-        self.rows = {}
-        self.letters = list(letters)
-        self.live = {}
+    def push(r, y, over):
+        for a in over:
+            c = kids[y].get(a, 0)
+            if c:
+                heappush(heap, (r + (a,), c))
 
-    def _offer(self, r, letters):
-        same, rows = self.idx.same, self.rows.values()
-        kids = self.idx._class_kids[self.rows[r]]
-        # neighbouring letters mostly lead to the same row, so the row the
-        # last extension matched is tried first
-        hint = None
-        for a in letters:
-            x = kids.get(a, 0)
-            if hint is not None and same(x, hint):
-                continue
-            hint = next((y for y in rows if same(x, y)), None)
-            if hint is None:
-                self.live[r + (a,)] = x
-
-    def add_row(self, r):
-        c = self.live[r] if r in self.live else self.idx.cls(r)
-        same = self.idx.same
-        self.live = {w: x for w, x in self.live.items() if not same(x, c)}
-        self.rows[r] = c
-        self._offer(r, self.letters)
-
-    def add_letters(self, letters):
-        for r in self.rows:
-            self._offer(r, letters)
-        self.letters.extend(letters)
-
-    def least(self):
-        return min(self.live, default=None)
+    while heap:
+        w, x = heappop(heap)
+        if hint is not None and same(x, hint):
+            continue
+        hint = next((y for _, y in rows if same(x, y)), None)
+        if hint is not None:
+            continue
+        yield w, x
+        new, n = letters[n:], len(letters)
+        for r, y in rows:
+            push(r, y, new)
+        rows.append((w, x))
+        push(w, x, letters)
 
 
 def infer_dfa(sample, algebra, alphabet=None):
     """Infer a DFA from a consistent sample.  Grows a set of pairwise
     distinguished prefixes from the empty word, always adopting the least
-    member of a RowFrontier; these become the states.  Falls back to the
+    one-letter extension of a prefix that the sample tells apart from
+    every prefix (_grow); these become the states.  Falls back to the
     prefix-tree automaton when the grown prefixes are not all labeled
     sample words, when some alphabet letter cannot be assigned a unique
     state (the sample then subsumes no characteristic sample over its own
@@ -420,17 +411,19 @@ def infer_dfa(sample, algebra, alphabet=None):
     sample contains a characteristic sample of a minimal complete DFA over
     the same alphabet, the result recognizes that DFA's language.  The
     alphabet defaults to the letters appearing in the sample; pass it
-    explicitly when it is known and larger.  The row growing is
-    _grow_rows, which sfa_learn.infer_sfa calls directly, so that it falls
-    back to state merging rather than to the concrete prefix tree."""
-    idx, alphabet = _index_and_alphabet(sample, alphabet)
+    explicitly when it is known and larger.  Each distinct sample letter
+    is checked against algebra first, so a letter outside it raises
+    ValueError.  The row growing is _grow_rows, which sfa_learn.infer_sfa
+    calls directly, so that it falls back to state merging rather than to
+    the concrete prefix tree."""
+    idx, alphabet = _index_and_alphabet(sample, algebra, alphabet)
     out = _grow_rows(idx, algebra, alphabet)
     return _tree_dfa(idx, algebra, alphabet) if out is None else out
 
 
 def _grow_rows(idx, algebra, alphabet):
     """infer_dfa's row growing over the non-empty sample of idx: the DFA on
-    the grown rows, or None where infer_dfa falls back to the prefix
+    _grow's rows, or None where infer_dfa falls back to the prefix
     tree.  Every query reads class ids: an extension r.a's class is one
     lookup among the class children of r's class.  A DFA returned has
     passed the closing search of idx.agrees_with from (root's class,
@@ -439,14 +432,8 @@ def _grow_rows(idx, algebra, alphabet):
     check of the cleaned words, which the generalized rows send where
     the DFA does."""
     same, kids, labels = idx.same, idx._class_kids, idx._class_label
-    # always adopt the lexicographically least distinguished extension, so
     # each class is represented by its least access word
-    front = RowFrontier(idx, alphabet)
-    row = ()
-    while row is not None:
-        front.add_row(row)
-        row = front.least()
-    cls = front.rows
+    cls = dict(_grow(idx, alphabet))
     rows = sorted(cls)
     if any(labels[cls[r]] < 0 for r in rows):
         return None

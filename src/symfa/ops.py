@@ -45,12 +45,13 @@ def product(m1, m2, mode="intersect"):
         raise ValueError("algebra mismatch")
     alg = m1.algebra
     accept = _ACCEPT[mode]
-    g1, g2 = m1._guards, m2._guards
+    t1, e1, t2, e2 = m1._trees, m1.edges, m2._trees, m2.edges
 
     def steps(pair):
-        for p1, s1, d1 in g1[pair[0]]:
+        q1, q2 = pair
+        for p1, (s1, d1) in zip(t1[q1], e1[q1]):
             if s1:
-                for p2, s2, d2 in g2[pair[1]]:
+                for p2, (s2, d2) in zip(t2[q2], e2[q2]):
                     sem = alg.intersect(s1, s2)
                     if sem:
                         yield sem, And(p1, p2), (d1, d2)
@@ -77,12 +78,12 @@ def determinize(m):
     Minterms are listed with positive signs first, predicate by predicate,
     and each one's denotation is the union of its regions."""
     alg = m.algebra
-    table = m._guards
+    trees, edges = m._trees, m.edges
 
     def steps(subset):
         groups = {}  # guard tree -> (denotation, destinations)
         for q in sorted(subset):
-            for p, sem, d in table[q]:
+            for p, (sem, d) in zip(trees[q], edges[q]):
                 groups.setdefault(p, (sem, set()))[1].add(d)
         sems = [sem for sem, _ in groups.values()]
         # keyed by the negated signature, so that sorting puts positive

@@ -77,16 +77,17 @@ class Sfa:
                      for (src, sem, dst), pred in self._rows.items())
 
     @cached_property
-    def _guards(self):
-        """State -> list of (guard, denotation, dst), in transition order."""
-        rows = {q: [] for q in self.states}
-        for row, (src, pred, dst) in zip(self._rows, self.transitions):
-            rows[src].append((pred, row[1], dst))
-        return rows
+    def _trees(self):
+        """State -> the guards of its transitions, in order, aligned with
+        edges[state]."""
+        trees = {q: [] for q in self.states}
+        for src, pred, _ in self.transitions:
+            trees[src].append(pred)
+        return trees
 
     def out(self, q):
         """(guard, dst) pairs of q's transitions, in order."""
-        return [(p, dst) for p, _, dst in self._guards[q]]
+        return [(p, dst) for p, (_, dst) in zip(self._trees[q], self.edges[q])]
 
     def __eq__(self, other):
         return isinstance(other, Sfa) and self._key == other._key

@@ -8,7 +8,8 @@ from heapq import heapify, heappop, heappush
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
-    Dfa, RowFrontier, SampleIndex, _grow_rows, _tree_dfa, _word_id, char_dfa,
+    Dfa, SampleIndex, _grow, _grow_rows, _index_and_alphabet, _tree_dfa,
+    _word_id, char_dfa,
 )
 from .sfa import Sfa, transition_table
 
@@ -101,10 +102,7 @@ def _checked_index(alg, sample):
     """The SampleIndex of a non-empty sample for a monotonic alg, its
     letters checked against alg; ValueError otherwise."""
     _require_monotonic(alg)
-    idx = SampleIndex(sample, alg)
-    if not idx.words:
-        raise ValueError("empty sample")
-    return idx
+    return _index_and_alphabet(sample, alg, None)[0]
 
 
 def decontaminate(alg, sample):
@@ -122,31 +120,24 @@ def decontaminate(alg, sample):
 
 def _kept_letters(alg, idx):
     """The letters of idx's sample that matter, with alg's least letter.
-    Grows access words from the empty word as infer_dfa grows rows (the
-    least member of a RowFrontier over the kept letters), and scans each
-    access word once: in ascending order, a letter is kept when the
-    sample tells its extension apart from that of the last letter kept
-    for the word (the least domain letter to begin with).  The scan reads
-    the extensions' classes off the word's class children
+    Grows access words from the empty word as infer_dfa grows rows
+    (dfa_learn._grow over the kept letters), and scans each access word
+    once: in ascending order, a letter is kept when the sample tells its
+    extension apart from that of the last letter kept for the word (the
+    least domain letter to begin with), and extends every access word.
+    The scan reads the extensions' classes off the word's class children
     (SampleIndex.same)."""
-    kept = {alg.dmin}
-    front = RowFrontier(idx, kept)
-    row = ()
-    while row is not None:
-        front.add_row(row)
-        kids = idx._class_kids[front.rows[row]]
+    kept = [alg.dmin]
+    for _, x in _grow(idx, kept):
+        kids = idx._class_kids[x]
         rep = kids.get(alg.dmin, 0)
-        new = []
         for a in idx.letters():
-            x = kids.get(a, 0)
-            if not idx.same(x, rep):
+            y = kids.get(a, 0)
+            if not idx.same(y, rep):
                 if a not in kept:
-                    new.append(a)
-                rep = x
-        kept.update(new)
-        front.add_letters(new)
-        row = front.least()
-    return kept
+                    kept.append(a)
+                rep = y
+    return set(kept)
 
 
 def char_sfa(m):

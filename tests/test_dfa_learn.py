@@ -142,6 +142,16 @@ def test_infer_dfa_noise_robust():
         assert dfa_equiv(infer_dfa(s, INTERVAL_NAT), d)
 
 
+@pytest.mark.parametrize("learn", [infer_dfa, prefix_tree_dfa])
+@pytest.mark.parametrize("sample", [{("a",): 1, (0,): 0},
+                                    {(-1,): 1, (0,): 0}])
+def test_sample_letters_are_checked_against_the_algebra(learn, sample):
+    # a string letter failed the sort with TypeError, and -1 became a
+    # letter of the Dfa's alphabet, over interval-nat
+    with pytest.raises(ValueError):
+        learn(sample, INTERVAL_NAT)
+
+
 def test_prefix_tree_shape():
     s = dict(FOUR_STATE_SAMPLE)
     s[(150,)] = 1

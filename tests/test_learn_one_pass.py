@@ -1,15 +1,18 @@
 """The one-pass learner: letter checks on the sample walk, a differential
-against the quadratic row search it replaced, and the paper's round trip
-at a size where that search took seconds."""
+against the quadratic row search it replaced, the paper's round trip at
+a size where that search took seconds, and a gate on the row search's
+query count."""
 
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from symfa import INF, accepts, includes
 from symfa.algebra import INTERVAL_NAT
-from symfa.dfa_learn import Dfa, _word_id, infer_dfa, prefix_tree_dfa
+from symfa.dfa_learn import (
+    Dfa, SampleIndex, _word_id, infer_dfa, prefix_tree_dfa,
+)
 from symfa.sfa import sample_dict
 from symfa.sfa_learn import agrees, char_sfa, decontaminate, infer_sfa
 
@@ -137,7 +140,23 @@ def ref_decontaminate(alg, sample):
     return {w: b for w, b in sample.items() if set(w) <= kept}
 
 
+# A letter found at a later row extends an earlier row: scanning (2,)
+# keeps 1, so (1,) is the next row, below (2,).  In the second sample the
+# scan of that late row (1,) is the only one that keeps 5.  Their targets
+# are only walked.
+LATE_LETTER_SAMPLE = {
+    (): 1, (0,): 1, (1,): 1, (1, 0): 0, (2,): 0, (2, 0): 0, (2, 1): 1,
+    (2, 3, 3): 0, (3,): 1,
+}
+LATE_ROW_SAMPLE = {
+    (): 1, (0, 7): 1, (1,): 0, (1, 0): 1, (1, 5): 0, (2,): 0, (2, 0): 0,
+    (2, 1): 1, (2, 7): 0,
+}
+
+
 @given(interval_samples())
+@example((build_two_state_target(), LATE_LETTER_SAMPLE))
+@example((build_two_state_target(), LATE_ROW_SAMPLE))
 def test_frontier_matches_quadratic_search(case):
     target, sample = case
     if not sample:
@@ -161,7 +180,7 @@ def test_frontier_matches_quadratic_search(case):
 
 
 # ---------------------------------------------------------------------------
-# The round trip at n = 32
+# The round trip at n = 32, and the row search's query count
 
 
 def test_round_trip_32_states():
@@ -175,3 +194,21 @@ def test_round_trip_32_states():
     # a gate: the quadratic row search took 4.3-7.2 s for this call on a
     # 2-vCPU host, the one-pass learner 1.0-1.5 s
     assert elapsed < 3.5
+
+
+def test_row_search_query_count(monkeypatch):
+    # SampleIndex.same calls of one infer_sfa, a count that does not vary
+    # with the host: 9,468 for the frontier that re-filtered its live
+    # extensions against each new row, 6,482 for the heap
+    calls = []
+    same = SampleIndex.same
+
+    def counted(self, x, y):
+        calls.append(None)
+        return same(self, x, y)
+
+    monkeypatch.setattr(SampleIndex, "same", counted)
+    target = minimal_target(16, 16)
+    learned = infer_sfa(INTERVAL_NAT, char_sfa(target))
+    assert includes(learned, target, "equiv") is True
+    assert len(calls) < 7500

@@ -238,6 +238,8 @@ class Algebra:
     (the least letter, None for the empty set), contains, regions (the
     common refinement of some sets: disjoint non-empty regions covering
     the domain, on each of which every set is constant, by least letter),
+    minterms (each negated membership signature over some sets mapped to
+    the union of the regions that carry it),
     pieces (the denotations of the basic predicates that split a set:
     disjoint and ascending), to_pred (the one print rule: the
     disjunction of the pieces' basic predicates), parse_atom and
@@ -370,6 +372,17 @@ class IntervalAlgebra(Algebra):
                                      for x in piece if x is not SUP})
         return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
 
+    def minterms(self, sems):
+        """The runs of the regions' negated signatures: each set clears a
+        slice of its column per piece, the regions indexed by lower end."""
+        starts = [r[0][0] for r in self.regions(sems)]
+        at = dict(zip(starts + [SUP], range(len(starts) + 1)))
+        columns = [[True] * len(starts) for _ in sems]
+        for column, s in zip(columns, sems):
+            for lo, hi in s:
+                column[at[lo]:at[hi]] = [False] * (at[hi] - at[lo])
+        return self.runs(zip(starts, zip(*columns) if sems else [()]))
+
     def pieces(self, a):
         """One per canonical piece."""
         return [(piece,) for piece in a]
@@ -410,9 +423,9 @@ class IntervalAlgebra(Algebra):
         return out
 
     def gap_guards(self, trees, gap):
-        """(guard or None, denotation) pairs for the edges to a sink that
-        take gap, what a state's guards leave uncovered: one per piece,
-        with no guard, so it prints by to_pred.  trees is not called."""
+        """(guard builder or None, denotation) pairs for the edges to a
+        sink that take gap, what a state's guards leave uncovered: one per
+        piece, with no guard, so it prints by to_pred.  trees is unread."""
         return [(None, piece) for piece in self.pieces(gap)]
 
     def runs(self, pairs):
@@ -527,11 +540,14 @@ class PropAlgebra(Algebra):
         return int(d, 2) in a
 
     def regions(self, sems):
-        """One region per membership signature."""
+        return list(self.minterms(sems).values())
+
+    def minterms(self, sems):
+        """One region per membership signature, keyed by its negation."""
         by_sig = {}
         for v in range(2 ** self.k):
-            by_sig.setdefault(tuple(v in s for s in sems), []).append(v)
-        return [frozenset(vs) for vs in by_sig.values()]
+            by_sig.setdefault(tuple(v not in s for s in sems), []).append(v)
+        return {sig: frozenset(vs) for sig, vs in by_sig.items()}
 
     def pieces(self, a):
         """The largest cubes that fix the leading propositions, p0 first."""
@@ -568,10 +584,10 @@ class PropAlgebra(Algebra):
                 for a in letters]
 
     def gap_guards(self, trees, gap):
-        """One guard, the negated disjunction of the state's guards, which
-        trees() lists."""
-        preds = trees()
-        return [(Not(or_all(preds)) if preds else TOP, gap)]
+        """One guard, built when read: the negated disjunction of the
+        state's guards, which trees() lists."""
+        return [(lambda: Not(or_all(preds)) if (preds := trees()) else TOP,
+                 gap)]
 
     def by_owner(self, regions, letters, owners):
         """The union of each owner's regions."""

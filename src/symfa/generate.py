@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .algebra import And, BOT, INF, INTERVAL_NAT, Interval, Not, Or, TOP
 from .ops import minimize
-from .sfa import Sfa, accepts
+from .sfa import Sfa
 
 
 def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
@@ -31,16 +31,6 @@ def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
     accepting = [q for q in states if rng.random() < 0.5]
     m = Sfa(alg, states, "q0", accepting, trans)
     return minimize(m, "neat")
-
-
-def random_noise_for_sfa(rng, m, count, max_letter=2000, max_len=4):
-    """Labeled words consistent with m, over arbitrary domain letters."""
-    out = {}
-    choices = list(range(0, max_letter + 1)) + [INF]
-    for _ in range(count):
-        w = tuple(rng.choice(choices) for _ in range(rng.randint(0, max_len)))
-        out[w] = 1 if accepts(m, w) else 0
-    return out
 
 
 def random_pred(rng, alg, depth=4, max_endpoint=1000):

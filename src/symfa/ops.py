@@ -5,6 +5,7 @@ equivalence)."""
 from __future__ import annotations
 
 import operator
+from functools import partial
 
 from .algebra import And, Not, and_all
 from .dfa_learn import _first_word, _minimize_table
@@ -30,11 +31,11 @@ def _reachable(alg, start, name, steps, accepts):
 
 def product(m1, m2, mode="intersect"):
     """Reachable product automaton; transition predicates are pairwise
-    conjunctions, infeasible ones dropped, and each transition's
-    denotation is the pairwise intersection.  Every pair of edges is
-    intersected in a nested loop rather than swept as in includes: every
-    guard of the output is built, and intersect mode accepts
-    nondeterministic inputs, whose pieces may overlap."""
+    conjunctions, built when read, infeasible ones dropped, and each
+    transition's denotation is the pairwise intersection.  Every pair of
+    edges is intersected in a nested loop rather than swept as in
+    includes: intersect mode accepts nondeterministic inputs, whose
+    pieces may overlap."""
     if mode not in _ACCEPT:
         raise ValueError("mode must be intersect or union")
     if mode == "union":
@@ -45,16 +46,17 @@ def product(m1, m2, mode="intersect"):
         raise ValueError("algebra mismatch")
     alg = m1.algebra
     accept = _ACCEPT[mode]
-    t1, e1, t2, e2 = m1._trees, m1.edges, m2._trees, m2.edges
+    e1, e2 = m1.edges, m2.edges
 
     def steps(pair):
         q1, q2 = pair
-        for p1, (s1, d1) in zip(t1[q1], e1[q1]):
+        for i, (s1, d1) in enumerate(e1[q1]):
             if s1:
-                for p2, (s2, d2) in zip(t2[q2], e2[q2]):
+                for j, (s2, d2) in enumerate(e2[q2]):
                     sem = alg.intersect(s1, s2)
                     if sem:
-                        yield sem, And(p1, p2), (d1, d2)
+                        yield sem, lambda i=i, j=j: And(
+                            m1._trees[q1][i], m2._trees[q2][j]), (d1, d2)
 
     return _reachable(alg, (m1.initial, m2.initial),
                       lambda pair: "(%s,%s)" % pair,
@@ -71,12 +73,17 @@ def complement(m):
                           frozenset(c.states) - c.accepting, c._rows.items())
 
 
+def _minterm(preds, neg):
+    """The conjunction of preds, each negated where neg is true."""
+    return and_all([Not(p) if n else p for p, n in zip(preds, neg)])
+
+
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
-    minterm of the outgoing predicates: the letters on which every
-    predicate holds or fails alike, grouped from the algebra's regions.
-    Minterms are listed with positive signs first, predicate by predicate,
-    and each one's denotation is the union of its regions."""
+    minterm of the outgoing predicates (the algebra's minterms: the letters
+    on which every predicate holds or fails alike), listed with positive
+    signs first, predicate by predicate.  Each one's guard, the signed
+    conjunction of the predicates, is built when read."""
     alg = m.algebra
     trees, edges = m._trees, m.edges
 
@@ -85,21 +92,15 @@ def determinize(m):
         for q in sorted(subset):
             for p, (sem, d) in zip(trees[q], edges[q]):
                 groups.setdefault(p, (sem, set()))[1].add(d)
-        sems = [sem for sem, _ in groups.values()]
-        # keyed by the negated signature, so that sorting puts positive
-        # signs first
-        minterms = {}
-        for region in alg.regions(sems):
-            a = alg.min(region)
-            minterms.setdefault(tuple(not alg.contains(s, a) for s in sems),
-                                []).append(region)
+        preds = list(groups)
+        # keyed by negated signature: sorting puts positive signs first
+        minterms = alg.minterms([sem for sem, _ in groups.values()])
         for neg in sorted(minterms):
             if all(neg):
                 continue
             target = frozenset().union(*(
                 ds for (_, ds), n in zip(groups.values(), neg) if not n))
-            label = and_all([Not(p) if n else p for p, n in zip(groups, neg)])
-            yield alg.union_all(minterms[neg]), label, target
+            yield minterms[neg], partial(_minterm, preds, neg), target
 
     return _reachable(alg, frozenset([m.initial]),
                       lambda subset: "{%s}" % ",".join(sorted(subset)),

@@ -22,11 +22,12 @@ class Sfa:
     takes (src, guard, dst) triples and denotes each guard once.  Parallel
     transitions with equal (src, denotation, dst) are one transition,
     printed by the first guard given.  A row that an operation builds
-    without a guard prints as algebra.to_pred of its denotation: the guard
-    trees of transitions are built on its first read.  Two machines are
-    equal when their algebra, states, initial state, accepting set and
-    ordered rows are, however their guards are written.  A machine is
-    never changed once built, so what it computes on first use is kept."""
+    carries a guard, a zero-argument builder of one, or None, which prints
+    as algebra.to_pred of its denotation: the guard trees of transitions
+    are built on its first read.  Two machines are equal when their
+    algebra, states, initial state, accepting set and ordered rows are,
+    however their guards are written.  A machine is never changed once
+    built, so what it computes on first use is kept."""
 
     def __init__(self, algebra, states, initial, accepting, transitions):
         rows = []
@@ -39,7 +40,7 @@ class Sfa:
     @classmethod
     def _from_rows(cls, algebra, states, initial, accepting, rows):
         """The operations' constructor: rows of ((src, denotation, dst),
-        guard or None)."""
+        guard, builder or None)."""
         m = cls.__new__(cls)
         m._set(algebra, states, initial, accepting, rows)
         return m
@@ -54,7 +55,7 @@ class Sfa:
             raise ValueError("initial state not in states")
         if not self.accepting <= names:
             raise ValueError("accepting states not in states")
-        self._rows = {}  # (src, denotation, dst) -> first guard, or None
+        self._rows = {}  # (src, denotation, dst) -> guard, builder or None
         for row, pred in rows:
             if row[0] not in names or row[2] not in names:
                 raise ValueError("transition endpoint not in states")
@@ -67,13 +68,14 @@ class Sfa:
 
     @cached_property
     def transitions(self):
-        """(src, guard, dst) triples, in order; equal denotations without a
-        guard share one built tree."""
+        """(src, guard, dst) triples, in order: builders are called, and
+        equal denotations without a guard share one built tree."""
         built = {}
         for (_, sem, _), pred in self._rows.items():
             if pred is None and sem not in built:
                 built[sem] = self.algebra.to_pred(sem)
-        return tuple((src, built[sem] if pred is None else pred, dst)
+        return tuple((src, built[sem] if pred is None else
+                      pred if isinstance(pred, Pred) else pred(), dst)
                      for (src, sem, dst), pred in self._rows.items())
 
     @cached_property
@@ -249,7 +251,7 @@ def complete_sfa(m):
         gap = alg.complement(alg.union_all([s for s, _ in m.edges[q]]))
         if gap:
             extra += [((q, s, sink), p) for p, s in alg.gap_guards(
-                lambda: [p for p, _ in m.out(q)], gap)]
+                lambda q=q: [p for p, _ in m.out(q)], gap)]
     if not extra:
         return m
     extra.append(((sink, alg.full(), sink), None))

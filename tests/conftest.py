@@ -12,8 +12,8 @@ from symfa.algebra import (
     to_canonical_intervals,
 )
 from symfa.dfa_learn import Dfa, minimize_dfa
-from symfa.generate import random_noise_for_sfa, random_sfa
-from symfa.sfa import classify
+from symfa.generate import random_sfa
+from symfa.sfa import accepts, classify
 from symfa.sfa_learn import agrees, char_sfa, symbolic_prefix_tree
 
 # Property tests run from a fixed seed and without a per-example deadline:
@@ -252,6 +252,16 @@ def random_dfa(rng, max_states=6, max_alpha=4):
     accepting = [q for q in states if rng.random() < 0.5]
     d = Dfa(INTERVAL_NAT, alphabet, states, "q0", accepting, delta)
     return minimize_dfa(d)
+
+
+def random_noise_for_sfa(rng, m, count, max_letter=2000, max_len=4):
+    """Labeled words consistent with m, over arbitrary domain letters."""
+    out = {}
+    choices = list(range(0, max_letter + 1)) + [INF]
+    for _ in range(count):
+        w = tuple(rng.choice(choices) for _ in range(rng.randint(0, max_len)))
+        out[w] = 1 if accepts(m, w) else 0
+    return out
 
 
 def random_noise_for_dfa(rng, d, count, max_len=4):

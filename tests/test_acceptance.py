@@ -17,7 +17,7 @@ from symfa.dfa_learn import (
     SampleIndex, char_dfa, dfa_equiv, infer_dfa, lex_access_words,
     minimize_dfa, prefix_tree_dfa,
 )
-from symfa.generate import random_noise_for_sfa, random_pred, random_sfa
+from symfa.generate import random_pred, random_sfa
 from symfa.query_learn import (
     adversarial_prop_teacher, enumerating_predicate_learner,
 )
@@ -27,8 +27,8 @@ from symfa.sfa_learn import (
 
 from conftest import (
     FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, identical, random_dfa,
-    random_noise_for_dfa, random_partition, rename_and_rebracket,
-    representative_letters,
+    random_noise_for_dfa, random_noise_for_sfa, random_partition,
+    rename_and_rebracket, representative_letters,
 )
 
 

@@ -165,7 +165,8 @@ def test_guards_and_gap_guards_denote_their_sets(case, neat):
     # minimize's guards: one per piece with neat, else one for the set
     sems = alg.pieces(sem) if neat else [sem]
     guards = [(alg.to_pred(s), s) for s in sems]
-    gaps = [(alg.to_pred(s) if p is None else p, s) for p, s in
+    # a gap guard is None or a builder, called here
+    gaps = [(alg.to_pred(s) if p is None else p(), s) for p, s in
             alg.gap_guards(lambda: preds, alg.complement(sem))]
     for pairs in (guards, gaps):
         sets = [members(alg, s) for _, s in pairs]

@@ -15,7 +15,7 @@ from symfa.algebra import INTERVAL_INT, INTERVAL_NAT
 from symfa.dfa_learn import (
     SampleIndex, _grow_rows, char_dfa, distinguishing_word, lex_access_words,
 )
-from symfa.generate import random_noise_for_sfa, random_sfa
+from symfa.generate import random_sfa
 from symfa.sfa import format_sfa, sample_dict
 from symfa.sfa_learn import (
     agrees, char_sfa, concretize_sfa, decontaminate, generalize_dfa,
@@ -24,6 +24,7 @@ from symfa.sfa_learn import (
 
 from conftest import (
     TWO_STATE_SAMPLE, assert_fallback, interval_samples, minimal_target,
+    random_noise_for_sfa,
 )
 
 

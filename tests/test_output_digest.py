@@ -12,10 +12,10 @@ from symfa import (
     product, to_neat, to_normalized,
 )
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT
-from symfa.generate import random_noise_for_sfa, random_pred, random_sfa
+from symfa.generate import random_pred, random_sfa
 from symfa.sfa import Sfa
 
-from conftest import minimal_target, random_prop_nfa
+from conftest import minimal_target, random_noise_for_sfa, random_prop_nfa
 from test_ops_concrete import nfa_union
 
 DIGEST = "20d27585e72170fc23f62b0bc9cb5a42f5e01e355527d7ca208743539e859070"

@@ -7,13 +7,13 @@ from symfa import (
 )
 from symfa.algebra import INTERVAL_NAT, prop_algebra
 from symfa.dfa_learn import dfa_equiv, prefix_tree_dfa
-from symfa.generate import random_sfa, random_noise_for_sfa
+from symfa.generate import random_sfa
 from symfa.sfa_learn import (
     agrees, char_sfa, concretize_alg, concretize_sfa, decontaminate,
     generalize_alg, generalize_dfa, infer_sfa, symbolic_prefix_tree,
 )
 
-from conftest import FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE
+from conftest import FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, random_noise_for_sfa
 
 
 def test_concretize_alg():

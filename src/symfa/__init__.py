@@ -17,12 +17,11 @@ from .ops import (
 )
 from .dfa_learn import (
     Dfa, char_dfa, dfa_equiv, distinguishing_word, infer_dfa,
-    lex_access_words, minimize_dfa, prefix_tree_dfa, sample_equiv,
+    lex_access_words, minimize_dfa, prefix_tree_dfa,
 )
 from .sfa_learn import (
     agrees, char_sfa, concretize_alg, concretize_sfa, decontaminate,
     generalize_alg, generalize_dfa, infer_sfa, merged_prefix_tree,
-    symbolic_prefix_tree,
 )
 from .query_learn import (
     Oracle, adversarial_prop_teacher, algebra_learner_from_sfa_learner,

@@ -67,7 +67,7 @@ class Dfa:
 
 
 class SampleIndex:
-    """One sample, indexed for repeated sample_equiv queries as its minimal
+    """One sample, indexed for repeated equivalence queries as its minimal
     acyclic automaton: one class per distinct subtree of its prefix tree,
     keyed (label, (letter, child class), ...), letters ascending, label -1
     for a prefix that is no sample word.  Class 0 is (-1,), the empty
@@ -75,17 +75,16 @@ class SampleIndex:
     are numbered below it.  The learner asks its queries on class ids:
     cls(w) is a word's class, same(x, y) the memoized class-pair test, and
     agrees_with a search over (class, state) pairs.  No tree node is kept:
-    tree() unfolds the tree for the builders that read nodes.  Given an
-    algebra, each distinct sample letter is checked with its check_letter
+    tree() unfolds the tree for the builders that read nodes.  Each
+    distinct sample letter is checked with the algebra's check_letter
     before anything is sorted, so a letter outside the algebra raises
     ValueError rather than failing a comparison."""
 
-    def __init__(self, sample, algebra=None):
+    def __init__(self, sample, algebra):
         self.words = sample_dict(sample)
         letters = set(chain.from_iterable(self.words))
-        if algebra is not None:
-            for d in letters:
-                algebra.check_letter(d)
+        for d in letters:
+            algebra.check_letter(d)
         self._letters = tuple(sorted(letters))
         # one walk of the words in ascending order, each resumed from its
         # longest common prefix with the word before; a node left is done
@@ -227,11 +226,6 @@ class SampleIndex:
                     seen.add(pair)
                     stack.append(pair)
         return True
-
-
-def sample_equiv(sample, w1, w2):
-    """True unless the sample distinguishes w1 from w2 by some extension."""
-    return SampleIndex(sample).equiv(w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +404,15 @@ def infer_dfa(sample, algebra, alphabet=None):
     which one search of (sample class, state) pairs checks.  When the
     sample contains a characteristic sample of a minimal complete DFA over
     the same alphabet, the result recognizes that DFA's language.  The
-    alphabet defaults to the letters appearing in the sample; pass it
-    explicitly when it is known and larger.  Each distinct sample letter
-    is checked against algebra first, so a letter outside it raises
-    ValueError.  The row growing is _grow_rows, which sfa_learn.infer_sfa
-    calls directly, so that it falls back to state merging rather than to
-    the concrete prefix tree."""
+    alphabet defaults to the letters appearing in the sample.  A given
+    alphabet matters only for a one-state target, whose char_dfa sample
+    is the empty word alone: it then gives the result its letters.  Once
+    there are two rows, a given letter that the sample lacks matches
+    every row, so row growing gives up and the prefix tree is returned.
+    Each distinct sample letter is checked against algebra first, so a
+    letter outside it raises ValueError.  The row growing is _grow_rows,
+    which sfa_learn.infer_sfa calls directly, so that it falls back to
+    state merging rather than to the concrete prefix tree."""
     idx, alphabet = _index_and_alphabet(sample, algebra, alphabet)
     out = _grow_rows(idx, algebra, alphabet)
     return _tree_dfa(idx, algebra, alphabet) if out is None else out

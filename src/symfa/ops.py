@@ -9,7 +9,7 @@ from functools import partial
 
 from .algebra import And, Not, and_all
 from .dfa_learn import _first_word, _minimize_table
-from .sfa import Sfa, complete_sfa
+from .sfa import Sfa, _fresh_state, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 
@@ -17,12 +17,15 @@ _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 def _reachable(alg, start, name, steps, accepts):
     """The Sfa on the states reachable from start, numbered breadth first:
     steps(q) lists q's (denotation, guard tree, destination) rows in
-    order, name(q) names q, and accepts(q) tells acceptance."""
+    order, name(q) names q, and accepts(q) tells acceptance.  A name
+    already taken gets _fresh_state's suffix."""
     names, order, rows = {start: name(start)}, [start], []
+    taken = {names[start]}
     for q in order:
         for sem, tree, dst in steps(q):
             if dst not in names:
-                names[dst] = name(dst)
+                names[dst] = _fresh_state(taken, name(dst))
+                taken.add(names[dst])
                 order.append(dst)
             rows.append(((names[q], sem, names[dst]), tree))
     return Sfa._from_rows(alg, list(names.values()), names[start],
@@ -157,18 +160,22 @@ def is_empty(m):
     return _shortest_accepted(m) is None
 
 
-def _shortest_accepted(m):
-    """Shortest word in L(m), edges taken by least satisfying letter;
-    None when L(m) is empty."""
+def _shortest_accepted(m, min_len=0):
+    """Shortest word of L(m) with at least min_len letters, edges taken by
+    least satisfying letter; None when there is none.  The search runs
+    over pairs (state, length capped at min_len)."""
     alg = m.algebra
 
-    def steps(q):
+    def steps(pair):
+        q, n = pair
         # stable, so edges of a nondeterministic m that share a least
         # letter keep their order
-        return sorted(((alg.min(sem), dst) for sem, dst in m.edges[q]
-                       if sem), key=operator.itemgetter(0))
+        return sorted(((alg.min(sem), (dst, min(n + 1, min_len)))
+                       for sem, dst in m.edges[q] if sem),
+                      key=operator.itemgetter(0))
 
-    return _first_word(m.initial, m.accepting.__contains__, steps)
+    return _first_word((m.initial, 0), lambda pair: pair[1] == min_len
+                       and pair[0] in m.accepting, steps)
 
 
 # The implicit rejecting sink of a virtually completed machine: it takes

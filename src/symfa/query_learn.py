@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import Lit, Not, TOP, and_all, denote, or_all, prop_algebra
-from .ops import includes
+from .ops import _shortest_accepted, includes
 from .sfa import Sfa, accepts
 
 
@@ -36,7 +36,7 @@ class Oracle:
 
     def mq(self, w):
         self.mq_count += 1
-        return self._mq(tuple(w))
+        return self._mq(w)
 
     def eq(self, hypothesis):
         self.eq_count += 1
@@ -76,8 +76,9 @@ def sfa_teacher(target):
 
 class AdversarialPropTeacher(Oracle):
     """Teacher over the prop algebra that commits to no target: every
-    answer removes at most one valuation from the undecided pool, so a
-    sound learner cannot be told "yes" before 2^k - 1 queries."""
+    answer removes at most one valuation from the undecided pool, and a
+    decided one keeps its label, so a sound learner cannot be told "yes"
+    before 2^k - 1 queries."""
 
     def __init__(self, k):
         super().__init__()
@@ -93,7 +94,7 @@ class AdversarialPropTeacher(Oracle):
         if len(w) == 1 and w[0] in self.pool:
             self.pool.remove(w[0])
             self.s_minus.append(w[0])
-        return 0
+        return 1 if len(w) == 1 and w[0] in self.s_plus else 0
 
     def _eq(self, hypothesis):
         for v in self.pool:
@@ -154,7 +155,8 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
     queries for words of length other than one are answered negatively;
     equivalence queries are forwarded only once the hypothesis denotes a
     one-letter-word language, otherwise the wrapper answers with the next
-    accepted word of length two (ascending, never repeating)."""
+    accepted word of length two (ascending, never repeating), or else
+    with a shortest accepted word of length three or more."""
     if alg.monotonic:
         raise ValueError("only the prop algebra is supported here")
     letters = alg.letters()
@@ -176,6 +178,9 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
                         and accepts(hypothesis, w):
                     state["last_long"] = w
                     return (w, 0)
+            w = _shortest_accepted(hypothesis, 3)
+            if w is not None:
+                return (w, 0)
             psi = or_all(_minterm_of(v) for v in letters
                          if accepts(hypothesis, (v,)))
             result = algebra_oracle.eq(psi)
@@ -203,10 +208,6 @@ class PredicateTeacher(Oracle):
 
     def _mq(self, d):
         return 1 if self.alg.contains(self._target_sem, d) else 0
-
-    def mq(self, d):
-        self.mq_count += 1
-        return self._mq(d)
 
     def _eq(self, psi):
         sem = denote(self.alg, psi)

@@ -230,10 +230,10 @@ def make_feasible(m):
                           [row for row in m._rows.items() if row[0][1]])
 
 
-def _fresh_state(states, base="sink"):
-    name = base
-    taken = set(states)
-    i = 0
+def _fresh_state(taken, base="sink"):
+    """base, or else base with the least numeric suffix that makes a name
+    not in the set taken."""
+    name, i = base, 0
     while name in taken:
         i += 1
         name = "%s%d" % (base, i)
@@ -245,7 +245,7 @@ def complete_sfa(m):
     outgoing predicates.  On neat interval input the new transitions are the
     gap intervals, at most one more than the state's out-degree."""
     alg = m.algebra
-    sink = _fresh_state(m.states)
+    sink = _fresh_state(set(m.states))
     extra = []
     for q in m.states:
         gap = alg.complement(alg.union_all([s for s, _ in m.edges[q]]))

@@ -8,8 +8,8 @@ from heapq import heapify, heappop, heappush
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
-    Dfa, SampleIndex, _grow, _grow_rows, _index_and_alphabet, _tree_dfa,
-    _word_id, char_dfa,
+    Dfa, SampleIndex, _grow, _grow_rows, _index_and_alphabet, _word_id,
+    char_dfa,
 )
 from .sfa import Sfa, transition_table
 
@@ -175,15 +175,6 @@ def _agrees(m, idx):
                            step)
 
 
-def symbolic_prefix_tree(alg, sample):
-    """Generalized prefix-tree automaton, generalize_dfa(prefix_tree_dfa(
-    sample, alg)); always agrees with the sample.  Each distinct sample
-    letter is checked against alg first, so a letter outside it raises
-    ValueError."""
-    idx = _checked_index(alg, sample)
-    return generalize_dfa(_tree_dfa(idx, alg, idx.letters()))
-
-
 class _RedBlue:
     """Red-blue state merging (RPNI; Oncina and Garcia 1992) on idx's
     prefix tree, unfolded for it (SampleIndex.tree).  Node classes are a
@@ -271,7 +262,8 @@ def merged_prefix_tree(alg, sample):
     complete SFA that agrees with the sample.  Each red node is a state
     named by _word_id of its access word, whose runs are its class's
     child letters, each to its child's class, so a letter without evidence
-    joins the run below it.  alg is as for symbolic_prefix_tree."""
+    joins the run below it.  ValueError for a prop alg, an empty sample
+    or a sample letter outside alg."""
     return _merged(alg, _checked_index(alg, sample))
 
 

@@ -11,10 +11,10 @@ from symfa.algebra import (
     INTERVAL_INT, INTERVAL_NAT, denote, interval_piece_pred, prop_algebra,
     to_canonical_intervals,
 )
-from symfa.dfa_learn import Dfa, minimize_dfa
+from symfa.dfa_learn import Dfa, minimize_dfa, prefix_tree_dfa
 from symfa.generate import random_sfa
 from symfa.sfa import accepts, classify
-from symfa.sfa_learn import agrees, char_sfa, symbolic_prefix_tree
+from symfa.sfa_learn import agrees, char_sfa, generalize_dfa
 
 # Property tests run from a fixed seed and without a per-example deadline:
 # on a shared host whose speed drifts, a deadline fails slow examples at
@@ -234,7 +234,7 @@ def assert_fallback(learned, alg, sample):
     assert flags.deterministic and flags.complete
     assert agrees(learned, sample)
     assert len(learned.states) \
-        <= len(symbolic_prefix_tree(alg, sample).states)
+        <= len(generalize_dfa(prefix_tree_dfa(sample, alg)).states)
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def test_03a_char_sample_is_exactly_eight_pairs(four_state_target):
     t0 = time.monotonic()
     s = char_sfa(four_state_target)
     assert s == expected
-    assert not SampleIndex(s).equiv((100, 0), ())
-    assert SampleIndex(FOUR_STATE_SAMPLE).equiv((100, 0), ())
+    assert not SampleIndex(s, INTERVAL_NAT).equiv((100, 0), ())
+    assert SampleIndex(FOUR_STATE_SAMPLE, INTERVAL_NAT).equiv((100, 0), ())
     assert time.monotonic() - t0 < 1
 
 
@@ -323,7 +323,7 @@ def test_11_dfa_roundtrip_and_sample_structure():
         base = char_dfa(d)
         if len(base) == 1:
             continue
-        idx = SampleIndex(base)
+        idx = SampleIndex(base, d.algebra)
         access = sorted(lex_access_words(d).values())
         # the access word of every state is a labeled word, prefix-closed
         for w in access:

@@ -1,6 +1,9 @@
 import pytest
 
-from symfa import format_sample, format_sfa, parse_sample, parse_sfa
+from symfa import (
+    Sfa, determinize, equiv, format_sample, format_sfa, parse_sample,
+    parse_sfa, product,
+)
 from symfa.algebra import INTERVAL_NAT
 from symfa.cli import main
 
@@ -124,6 +127,45 @@ def test_op_product_and_complement(model_file, tmp_path, capsys):
     assert main(["decide", "member", str(comp), "100"]) == 0
     # wrong arity is a usage error
     assert main(["op", "complement", model_file, model_file]) == 2
+
+
+# States whose names hold commas: a pair named (x,y,z) and a subset named
+# {a,b} can each be made in two ways
+COMMA_NAMES = {
+    "m1": "states x,y x\ninitial x,y\naccepting x\ntrans x,y x [0,5)\n"
+          "trans x,y x,y [5,inf)\ntrans x x true\n",
+    "m2": "states z y,z\ninitial z\naccepting y,z\ntrans z z [0,3)\n"
+          "trans z y,z [3,inf)\ntrans y,z y,z true\n",
+    "nfa": "states a,b a b\ninitial a,b\naccepting b\n"
+           "trans a,b a [0,5)\ntrans a,b b [0,10)\ntrans a a true\n"
+           "trans b b [2,inf)\n",
+}
+
+
+def without_commas(m):
+    def name(q):
+        return q.replace(",", "_")
+
+    return Sfa(m.algebra, map(name, m.states), name(m.initial),
+               map(name, m.accepting),
+               [(name(p), g, name(q)) for p, g, q in m.transitions])
+
+
+@pytest.mark.parametrize("args, op", [
+    (["op", "product", "m1", "m2"], product),
+    (["op", "union", "m1", "m2"], lambda a, b: product(a, b, "union")),
+    (["transform", "determinize", "nfa"], determinize),
+], ids=["product", "union", "determinize"])
+def test_ops_on_state_names_with_commas(tmp_path, capsys, args, op):
+    paths = {}
+    for key, text in COMMA_NAMES.items():
+        paths[key] = tmp_path / ("%s.sfa" % key)
+        paths[key].write_text("algebra interval-nat\n" + text)
+    assert main([str(paths.get(a, a)) for a in args]) == 0
+    out = parse_sfa(capsys.readouterr().out)
+    inputs = [without_commas(parse_sfa(paths[a].read_text()))
+              for a in args[2:]]
+    assert equiv(out, op(*inputs))
 
 
 def test_learn_char_and_infer(model_file, tmp_path, capsys):

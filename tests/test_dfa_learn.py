@@ -5,7 +5,7 @@ import pytest
 from symfa.algebra import INTERVAL_NAT
 from symfa.dfa_learn import (
     Dfa, SampleIndex, char_dfa, dfa_equiv, distinguishing_word, infer_dfa,
-    lex_access_words, minimize_dfa, prefix_tree_dfa, sample_equiv,
+    lex_access_words, minimize_dfa, prefix_tree_dfa,
 )
 
 from conftest import (
@@ -24,12 +24,12 @@ def two_state_dfa():
 
 
 def test_sample_equiv():
-    s = TWO_STATE_SAMPLE
-    assert sample_equiv(s, (100,), (200,))
-    assert not sample_equiv(s, (), (0,))
-    assert not sample_equiv(s, (0,), (100,))  # extension 100 disagrees
+    equiv = SampleIndex(TWO_STATE_SAMPLE, INTERVAL_NAT).equiv
+    assert equiv((100,), (200,))
+    assert not equiv((), (0,))
+    assert not equiv((0,), (100,))  # extension 100 disagrees
     # words without common labeled extensions are equivalent
-    assert sample_equiv(s, (999,), (0,))
+    assert equiv((999,), (0,))
 
 
 def test_lex_access_words():
@@ -70,7 +70,7 @@ def test_char_dfa_properties():
         if len(s) == 1:
             continue
         access = sorted(lex_access_words(d).values())
-        idx = SampleIndex(s)
+        idx = SampleIndex(s, d.algebra)
         # access word set is prefix-closed
         for w in access:
             for i in range(len(w)):

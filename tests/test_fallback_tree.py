@@ -1,5 +1,5 @@
-"""The generalized prefix tree: symbolic_prefix_tree and
-generalize_dfa against the states x letters construction they replaced,
+"""The generalized prefix tree, generalize_dfa of prefix_tree_dfa,
+against the states x letters construction it replaced,
 infer_sfa against the pipeline that fell back to the tree wherever that
 pipeline returns no tree, letter checks ahead of the fallback path, and a
 gate at a size where the table took seconds and the tree had 16067
@@ -20,7 +20,7 @@ from symfa.dfa_learn import SampleIndex, infer_dfa, prefix_tree_dfa
 from symfa.sfa import Sfa, format_sfa, sample_dict
 from symfa.sfa_learn import (
     agrees, char_sfa, decontaminate, generalize_dfa, infer_sfa,
-    symbolic_prefix_tree,
+    merged_prefix_tree,
 )
 
 from conftest import (
@@ -86,7 +86,7 @@ def ref_infer_sfa(alg, sample):
 
 
 # ---------------------------------------------------------------------------
-# The symbolic tree equals the generalized concrete tree
+# The generalized tree equals the reference generalization of the table
 
 
 def assert_adopted(m):
@@ -98,7 +98,7 @@ def assert_adopted(m):
 
 
 def check_tree(alg, sample):
-    tree = symbolic_prefix_tree(alg, sample)
+    tree = generalize_dfa(prefix_tree_dfa(sample, alg))
     concrete = prefix_tree_dfa(sample, alg)
     text = format_sfa(tree)
     assert text == format_sfa(generalize_dfa(concrete))
@@ -136,7 +136,8 @@ def test_symbolic_tree_negative_letters():
 
 
 def test_leaves_share_one_guard():
-    tree = symbolic_prefix_tree(INTERVAL_NAT, {(1, 2): 1, (1, 3): 0, (4,): 1})
+    tree = generalize_dfa(prefix_tree_dfa({(1, 2): 1, (1, 3): 0, (4,): 1},
+                                          INTERVAL_NAT))
     leaf_guards = [out[0][0] for out in map(tree.out, tree.states)
                    if len(out) == 1]
     assert len(leaf_guards) == 4  # three leaves and the sink
@@ -169,21 +170,21 @@ def test_bad_letters_raise_on_fallback_path(bad, monkeypatch):
     sample = {(0,): 0, (bad,): 1}
     # with a good letter in its place the sample takes the fallback path:
     # decontamination keeps every word and row growing gives up
-    idx = SampleIndex({(0,): 0, (3,): 1})
+    idx = SampleIndex({(0,): 0, (3,): 1}, INTERVAL_NAT)
     assert dfa_learn._grow_rows(idx, INTERVAL_NAT, idx.letters()) is None
     # the bad letter is rejected up front, so neither the rows nor the
-    # tree are built
+    # merged tree are built
     calls = []
-    tree = sfa_learn.symbolic_prefix_tree
-    monkeypatch.setattr(sfa_learn, "symbolic_prefix_tree",
-                        lambda *a, **k: calls.append(a) or tree(*a, **k))
+    merged = sfa_learn._merged
+    monkeypatch.setattr(sfa_learn, "_merged",
+                        lambda *a, **k: calls.append(a) or merged(*a, **k))
     monkeypatch.setattr(sfa_learn, "_grow_rows",
                         lambda *a: calls.append(a) or idx)
     with pytest.raises(ValueError):
         infer_sfa(INTERVAL_NAT, sample)
     assert not calls
     with pytest.raises(ValueError):
-        tree(INTERVAL_NAT, sample)
+        merged_prefix_tree(INTERVAL_NAT, sample)
 
 
 def test_whole_sample_fallback_skips_the_sample_walk(monkeypatch):
@@ -202,14 +203,14 @@ def test_whole_sample_fallback_skips_the_sample_walk(monkeypatch):
 
 def test_prop_algebra_raises():
     with pytest.raises(ValueError):
-        symbolic_prefix_tree(prop_algebra(2), {("01",): 1})
+        merged_prefix_tree(prop_algebra(2), {("01",): 1})
     with pytest.raises(ValueError):
         infer_sfa(prop_algebra(2), {("01",): 1, (): 0})
 
 
 def test_empty_sample_raises():
     with pytest.raises(ValueError):
-        symbolic_prefix_tree(INTERVAL_NAT, {})
+        merged_prefix_tree(INTERVAL_NAT, {})
     with pytest.raises(ValueError):
         prefix_tree_dfa({}, INTERVAL_NAT)
 

@@ -19,7 +19,7 @@ from symfa.generate import random_sfa
 from symfa.sfa import format_sfa, sample_dict
 from symfa.sfa_learn import (
     agrees, char_sfa, concretize_sfa, decontaminate, generalize_dfa,
-    infer_sfa, merged_prefix_tree, symbolic_prefix_tree,
+    infer_sfa, merged_prefix_tree,
 )
 
 from conftest import (
@@ -41,12 +41,12 @@ def ref_hypothesis(alg, idx):
 
 
 def ref_infer_sfa(alg, sample):
-    idx = SampleIndex(sample)
+    idx = SampleIndex(sample, alg)
     sample = idx.words
     cleaned = decontaminate(alg, sample)
     if len(cleaned) < len(sample):
         if cleaned:
-            candidate = ref_hypothesis(alg, SampleIndex(cleaned))
+            candidate = ref_hypothesis(alg, SampleIndex(cleaned, alg))
             if candidate is not None and agrees(candidate, sample):
                 return candidate
         return None
@@ -186,7 +186,7 @@ def test_agrees_sees_exactly_the_removed_words(seed, honest, monkeypatch):
     calls, searches = watch_agrees(monkeypatch), watch_searches(monkeypatch)
     infer_sfa(INTERVAL_NAT, sample)
     monkeypatch.undo()
-    sub = SampleIndex(cleaned) if cleaned else None
+    sub = SampleIndex(cleaned, INTERVAL_NAT) if cleaned else None
     rows = sub and _grow_rows(sub, INTERVAL_NAT, sub.letters())
     assert not calls
     if removed and rows is not None:
@@ -274,11 +274,12 @@ def test_restricted_index_equals_fresh_index(seed, honest):
     idx = SampleIndex(sample, INTERVAL_NAT)
     kept = sfa_learn._kept_letters(INTERVAL_NAT, idx)
     assert_same_index(idx.restrict(kept),
-                      SampleIndex(decontaminate(INTERVAL_NAT, sample)))
+                      SampleIndex(decontaminate(INTERVAL_NAT, sample),
+                                  INTERVAL_NAT))
 
 
 def test_restrict_to_every_word_is_the_same_index():
-    idx = SampleIndex(TWO_STATE_SAMPLE)
+    idx = SampleIndex(TWO_STATE_SAMPLE, INTERVAL_NAT)
     assert idx.restrict(set(idx.letters())) is idx
 
 
@@ -299,7 +300,7 @@ BAD_SAMPLES = [
 
 @pytest.mark.parametrize("alg, sample", BAD_SAMPLES)
 @pytest.mark.parametrize("entry", [infer_sfa, decontaminate,
-                                   symbolic_prefix_tree, merged_prefix_tree])
+                                   merged_prefix_tree])
 def test_letters_outside_the_algebra_raise_value_error(entry, alg, sample):
     with pytest.raises(ValueError):
         entry(alg, sample)

@@ -1,7 +1,8 @@
 import pytest
 
 from symfa import (
-    And, BOT, Lit, Not, Or, TOP, accepts, basic_sfa, pred_equiv,
+    And, BOT, Lit, Not, Or, Sfa, TOP, accepts, and_all, basic_sfa, or_all,
+    pred_equiv,
 )
 from symfa.algebra import prop_algebra
 from symfa.query_learn import (
@@ -84,6 +85,91 @@ def test_adversary_never_contradicts_itself():
         == len(teacher.algebra.letters())
 
 
+def minterm(v):
+    return and_all(Lit(i, bit == "1") for i, bit in enumerate(v))
+
+
+def eq_only_learner(k, oracle, labels):
+    """Asks equivalence queries only: starts from BOT, adds each positive
+    counterexample and drops each negative one.  Records each
+    counterexample's label in labels, which must never change."""
+    accepted = set()
+    while True:
+        psi = or_all(minterm(v) for v in sorted(accepted))
+        result = oracle.eq(basic_sfa(prop_algebra(k), psi))
+        if result is True:
+            return psi
+        (v,), b = result
+        assert labels.setdefault(v, b) == b
+        (accepted.add if b else accepted.discard)(v)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_adversary_forces_lower_bound_on_eq_only_learner(k):
+    teacher = adversarial_prop_teacher(k)
+    labels = {}
+    learned = eq_only_learner(k, teacher, labels)
+    assert teacher.mq_count == 0
+    assert teacher.eq_count - 1 >= 2 ** k - 1  # the final yes is free
+    # membership queries agree with every label the adversary gave
+    for v in teacher.algebra.letters():
+        assert teacher.mq((v,)) == labels.get(v, 0)
+    assert pred_equiv(teacher.algebra, learned, or_all(
+        minterm(v) for v, b in sorted(labels.items()) if b))
+
+
+def test_adversary_keeps_its_equivalence_answers():
+    t = adversarial_prop_teacher(2)
+    assert t.eq(basic_sfa(t.algebra, BOT)) == (("00",), 1)
+    assert t.mq(("00",)) == 1
+    assert t.mq(("01",)) == 0
+
+
+def test_adversary_equivalence_branches():
+    t = adversarial_prop_teacher(1)
+    alg = t.algebra
+    # an undecided valuation that the hypothesis accepts is labeled 0
+    assert t.eq(basic_sfa(alg, TOP)) == (("0",), 0)
+    # else the first undecided valuation is labeled 1
+    assert t.eq(basic_sfa(alg, BOT)) == (("1",), 1)
+    # with nothing undecided, the decided valuations are checked in turn
+    assert t.eq(basic_sfa(alg, BOT)) == (("1",), 1)
+    assert t.eq(basic_sfa(alg, TOP)) == (("0",), 0)
+    assert t.eq(basic_sfa(alg, minterm("1"))) is True
+    assert (t.mq(("0",)), t.mq(("1",))) == (0, 1)
+
+
+class Scripted(Oracle):
+    """Answers membership queries by member and equivalence queries from
+    a script."""
+
+    def __init__(self, member, script):
+        super().__init__()
+        self.member, self.script = member, list(script)
+
+    def _mq(self, w):
+        return self.member(w)
+
+    def _eq(self, hypothesis):
+        return self.script.pop(0)
+
+
+def test_enumerating_learner_takes_counterexamples():
+    def member(w):
+        return 1 if w == ("1",) else 0
+
+    # a counterexample with the label already known changes nothing
+    oracle = Scripted(member, [(("1",), 1), True])
+    learned = enumerating_predicate_learner(1, oracle)
+    assert pred_equiv(prop_algebra(1), learned, minterm("1"))
+    assert (oracle.mq_count, oracle.eq_count) == (2, 2)
+    with pytest.raises(ValueError, match="contradicted"):
+        enumerating_predicate_learner(1, Scripted(member, [(("1",), 0)]))
+    with pytest.raises(ValueError, match="length 2"):
+        enumerating_predicate_learner(1, Scripted(member,
+                                                  [(("0", "1"), 0)]))
+
+
 def test_adversary_rejects_bad_k():
     with pytest.raises(ValueError):
         adversarial_prop_teacher(0)
@@ -128,6 +214,42 @@ def test_wrapper_screens_out_bad_hypotheses():
     assert seen[0] == ((), 0)
     assert seen[1] is True
     assert oracle.mq_count == 0 and oracle.eq_count == 1
+
+
+def test_wrapper_screens_out_longer_words():
+    # a hypothesis that accepts exactly the three-letter words is answered
+    # by the wrapper with a shortest such word, least letter by letter
+    p2 = prop_algebra(2)
+    seen = []
+
+    def probing_learner(k, oracle):
+        states = ("q0", "q1", "q2", "q3", "q4")
+        seen.append(oracle.eq(Sfa(p2, states, "q0", ("q3",), [
+            (q, TOP, states[min(i + 1, 4)]) for i, q in enumerate(states)])))
+        return BOT
+
+    oracle = PredicateTeacher(p2, BOT)
+    algebra_learner_from_sfa_learner(probing_learner, oracle, p2)
+    assert seen == [(("00", "00", "00"), 0)]
+    assert oracle.mq_count == 0 and oracle.eq_count == 0
+
+
+def test_wrapper_forwards_counterexamples():
+    # a one-letter hypothesis goes to the predicate oracle, whose
+    # counterexample comes back as a one-letter word; a learner that gives
+    # up without a yes has its own result returned
+    p2 = prop_algebra(2)
+    seen = []
+
+    def one_shot_learner(k, oracle):
+        seen.append(oracle.eq(basic_sfa(p2, TOP)))
+        return "gave up"
+
+    oracle = PredicateTeacher(p2, Lit(0, True))
+    out = algebra_learner_from_sfa_learner(one_shot_learner, oracle, p2)
+    assert out == "gave up"
+    assert seen == [(("00",), 0)]
+    assert oracle.eq_count == 1
 
 
 def test_wrapper_counterexamples_never_repeat():

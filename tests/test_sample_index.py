@@ -51,7 +51,7 @@ def test_restrict_equals_a_fresh_index(case, data):
     kept = set(data.draw(st.sets(st.sampled_from(idx.letters())))
                if idx.letters() else ())
     words = {w: b for w, b in idx.words.items() if kept.issuperset(w)}
-    sub, fresh = idx.restrict(kept), SampleIndex(words)
+    sub, fresh = idx.restrict(kept), SampleIndex(words, alg)
     assert list(sub.words.items()) == list(words.items())
     assert sub.letters() == fresh.letters()
     assert sub.tree() == fresh.tree()
@@ -88,7 +88,7 @@ def test_long_words_need_no_recursion():
     chain = (0,) * (n - 2)
     sample = {(0, 0) + chain: 1, (1, 0) + chain: 1, (1,) + chain + (7,): 0,
               (2,) + chain + (7,): 1}
-    idx = SampleIndex(sample)
+    idx = SampleIndex(sample, INTERVAL_NAT)
     # the unfolding is as deep as the words
     kids, label, up = idx.tree()
     assert len(kids) == len(label) == len(up) == 3 * n + 2

@@ -10,7 +10,7 @@ from symfa.dfa_learn import dfa_equiv, prefix_tree_dfa
 from symfa.generate import random_sfa
 from symfa.sfa_learn import (
     agrees, char_sfa, concretize_alg, concretize_sfa, decontaminate,
-    generalize_alg, generalize_dfa, infer_sfa, symbolic_prefix_tree,
+    generalize_alg, generalize_dfa, infer_sfa,
 )
 
 from conftest import FOUR_STATE_SAMPLE, TWO_STATE_SAMPLE, random_noise_for_sfa
@@ -135,7 +135,7 @@ def test_infer_sfa_always_agrees():
 
 
 def test_symbolic_prefix_tree_one_letter():
-    m = symbolic_prefix_tree(INTERVAL_NAT, {(0,): 1, (100,): 0})
+    m = generalize_dfa(prefix_tree_dfa({(0,): 1, (100,): 0}, INTERVAL_NAT))
     assert accepts(m, (0,))
     assert accepts(m, (50,))
     assert not accepts(m, (100,))

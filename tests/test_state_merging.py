@@ -44,8 +44,8 @@ def test_failed_merge_is_undone_mid_cascade():
     # labels 0 with 0, unites 1 with 0, hands 3 to 0 as its 5-child, and
     # only then meets the pair (0, 2), labeled 0 and 1
     sample = {(0,): 0, (0, 0): 1, (0, 5): 1}
-    merger = _RedBlue(SampleIndex(sample))
-    fresh = _RedBlue(SampleIndex(sample))
+    merger = _RedBlue(SampleIndex(sample, INTERVAL_NAT))
+    fresh = _RedBlue(SampleIndex(sample, INTERVAL_NAT))
     merger.rep = Recorded(merger.rep)
     assert merger.merge(0, 1, {0: None}) is None
     assert merger.rep.writes == [(1, 0), (1, 1)]

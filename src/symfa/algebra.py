@@ -4,7 +4,9 @@ the propositional algebra over k atomic propositions.
 Predicates are immutable parse trees.  Interval predicates denote unions of
 half-open intervals [a,b); an interval whose upper endpoint is the infinity
 sentinel is closed at the top, so [a,inf) contains the letter inf and
-predicate partitions can cover the whole domain.
+predicate partitions can cover the whole domain.  Prop predicates denote
+sets of valuations, which are unions of intervals of the ascending
+bit-string letters, so both families denote a set the same way.
 """
 
 from __future__ import annotations
@@ -210,15 +212,23 @@ def intervals_to_pred(ivls):
     return or_all(interval_piece_pred(lo, hi) for lo, hi in ivls)
 
 
+def _span(k, v, size):
+    """The piece of the size valuations from v up over the k-bit letters."""
+    fmt = "0%db" % k
+    return format(v, fmt), format(v + size, fmt) if v + size < 2 ** k else SUP
+
+
 @functools.lru_cache(maxsize=None)
 def _literal_set(k, index, positive):
-    """Frozenset of the valuations, encoded as ints, that satisfy literal
-    p<index> (or !p<index>); bit order matches lexicographic order of the
-    bitstring letters.  At most 2k entries per k."""
+    """The canonical interval list of literal p<index> (or !p<index>) over
+    the k-bit letters: the aligned blocks of 2^(k-1-index) valuations in
+    which bit index is 1 (or 0), one every twice that.  The cache holds
+    at most 2k entries per k."""
     if not 0 <= index < k:
         raise ValueError("literal index out of range: %d" % index)
-    bit = 1 << (k - 1 - index)
-    return frozenset(v for v in range(2 ** k) if bool(v & bit) == positive)
+    size = 1 << (k - 1 - index)
+    return tuple(_span(k, v, size)
+                 for v in range(size if positive else 0, 2 ** k, 2 * size))
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +242,32 @@ class Algebra:
     """One effective Boolean algebra.  Algebra(kind, k) builds the class of
     the kind's family, IntervalAlgebra or PropAlgebra: a frozen dataclass
     of kind and k, which equality and hashing compare; a bad kind or k
-    raises ValueError.  Both classes implement one interface over
-    denotations (semantic sets), so the automaton code never asks which
-    family it has: full(), empty, intersect, union_all, complement, min
-    (the least letter, None for the empty set), contains, regions (the
-    common refinement of some sets: disjoint non-empty regions covering
-    the domain, on each of which every set is constant, by least letter),
-    minterms (each negated membership signature over some sets mapped to
-    the union of the regions that carry it),
-    pieces (the denotations of the basic predicates that split a set:
-    disjoint and ascending), to_pred (the one print rule: the
-    disjunction of the pieces' basic predicates), parse_atom and
-    denote_atom (the leaves of parse_pred and denote), check_letter and
-    parse_letter, and the per-state halves of classify, transition
-    tables, complete_sfa, minimize and includes.  monotonic tells the
-    families apart where only one is accepted."""
+    raises ValueError.
+
+    Both families have one denotation: a canonical interval list, a tuple
+    of (lo, hi) pairs, sorted, pairwise disjoint and non-adjacent
+    (maximal).  Both bounds live in the family's letter order extended
+    with SUP on top, from dmin up, and hi is exclusive.  So this class
+    holds every set operation and every per-state sweep, and the
+    automaton code never asks which family it has: full(), empty,
+    intersect, union_all, complement, min (the least letter, None for
+    the empty set), contains, regions (the common refinement of some
+    sets: disjoint non-empty regions covering the domain, on each of
+    which every set is constant, by least letter), minterms (each negated
+    membership signature over some sets mapped to the union of the
+    regions that carry it), runs, and the per-state halves of classify,
+    transition tables, minimize and includes.  The families supply their
+    letters (check_letter, parse_letter, dmin), their atoms (parse_atom
+    and denote_atom, the leaves of parse_pred and denote), pieces (the
+    denotations of the basic predicates that split a set: disjoint and
+    ascending), to_pred (the one print rule: the disjunction of the
+    pieces' basic predicates) and gap_guards (complete_sfa's half).
+    monotonic tells the families apart where only one is accepted."""
 
     kind: str
     k: int = 0
+
+    empty = ()
 
     def __new__(cls, kind=None, k=0):
         if cls is Algebra:
@@ -260,6 +278,148 @@ class Algebra:
         """The algebra as the algebra directive of SFA files names it."""
         return self.kind
 
+    def full(self):
+        return ((self.dmin, SUP),)
+
+    def intersect(self, a, b):
+        """A merge sweep, O(m1 + m2), whose piece overlaps are canonical."""
+        out = []
+        i = j = 0
+        n1, n2 = len(a), len(b)
+        while i < n1 and j < n2:
+            (lo1, hi1), (lo2, hi2) = a[i], b[j]
+            lo = lo1 if lo1 > lo2 else lo2
+            if hi1 <= hi2:
+                if lo < hi1:
+                    out.append((lo, hi1))
+                i += 1
+            else:
+                if lo < hi2:
+                    out.append((lo, hi2))
+                j += 1
+        return tuple(out)
+
+    def union_all(self, sems):
+        """One sort and merge pass: O(m log m) for m pieces."""
+        out = []
+        for lo, hi in sorted(piece for s in sems for piece in s):
+            if out and lo <= out[-1][1]:
+                if hi > out[-1][1]:
+                    out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return tuple(out)
+
+    def complement(self, a):
+        cursor = self.dmin
+        out = []
+        for lo, hi in a:
+            if cursor < lo:
+                out.append((cursor, lo))
+            cursor = hi
+        if cursor is not SUP:
+            out.append((cursor, SUP))
+        return tuple(out)
+
+    def min(self, a):
+        return a[0][0] if a else None
+
+    def contains(self, a, d):
+        """A scan to the first piece that ends above d."""
+        for lo, hi in a:
+            if d < hi:
+                return lo <= d
+        return False
+
+    def regions(self, sems):
+        """One region per segment between consecutive endpoints."""
+        ends = sorted({self.dmin} | {x for s in sems for piece in s
+                                     for x in piece if x is not SUP})
+        return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
+
+    def minterms(self, sems):
+        """The runs of the regions' negated signatures: each set clears a
+        slice of its column per piece, the regions indexed by lower end."""
+        starts = [r[0][0] for r in self.regions(sems)]
+        at = dict(zip(starts + [SUP], range(len(starts) + 1)))
+        columns = [[True] * len(starts) for _ in sems]
+        for column, s in zip(columns, sems):
+            for lo, hi in s:
+                column[at[lo]:at[hi]] = [False] * (at[hi] - at[lo])
+        return self.runs(zip(starts, zip(*columns) if sems else [()]))
+
+    def partition_flags(self, sems):
+        """(pairwise disjoint, covering the domain) for one state's guard
+        denotations: one sweep over the pieces sorted by lower end,
+        O(m log m) for m pieces."""
+        disjoint = gapless = True
+        reach = self.dmin  # every letter below reach is covered
+        for lo, hi in sorted(piece for s in sems for piece in s):
+            if lo < reach:
+                disjoint = False
+            elif lo > reach:
+                gapless = False
+            if hi > reach:
+                reach = hi
+        return disjoint, gapless and reach is SUP
+
+    def row_successors(self, row, letters):
+        """Destination of each of the ascending letters in one edge-table
+        row, (denotation, destination) pairs, of a deterministic complete
+        state.  The row's pieces, sorted by lower end, tile the domain, so
+        one sweep over them takes each piece's run of letters by
+        bisection, O(m log n) for m pieces and n letters after the sort."""
+        pieces = sorted(((lo, hi, dst) for sem, dst in row
+                         for lo, hi in sem), key=itemgetter(0))
+        out = []
+        i = 0
+        for _, hi, dst in pieces:
+            j = bisect_left(letters, hi, i)
+            out += [dst] * (j - i)
+            i = j
+        return out
+
+    def runs(self, pairs):
+        """Owner -> canonical interval list, from (letter, owner) pairs in
+        ascending letter order: a maximal run of one owner becomes the
+        piece [its first letter, the next run's first letter), the first
+        stretched down to dmin and the last up to SUP.  Runs of one owner
+        are never adjacent, so these are canonical."""
+        out = {}
+        owner, lo = None, self.dmin  # no owner is None
+        for a, o in pairs:
+            if o != owner:
+                if owner is not None:
+                    out.setdefault(owner, []).append((lo, a))
+                    lo = a
+                owner = o
+        if owner is not None:
+            out.setdefault(owner, []).append((lo, SUP))
+        return {o: tuple(ps) for o, ps in out.items()}
+
+    def meet_row(self, row):
+        """A row of disjoint (denotation, destination) pairs as meet reads
+        it: (lo, hi, destination) pieces sorted by lower end."""
+        return sorted(((lo, hi, dst) for sem, dst in row for lo, hi in sem),
+                      key=itemgetter(0))
+
+    def meet(self, r1, r2):
+        """(least letter, destination pair) for each non-empty intersection
+        of two rows from meet_row, ascending: one merge pass, O(m1 + m2)."""
+        out = []
+        i = j = 0
+        n1, n2 = len(r1), len(r2)
+        while i < n1 and j < n2:
+            lo1, hi1, d1 = r1[i]
+            lo2, hi2, d2 = r2[j]
+            if lo2 < hi1 and lo1 < hi2:
+                out.append((lo2 if lo2 > lo1 else lo1, (d1, d2)))
+            if hi1 <= hi2:
+                i += 1
+            else:
+                j += 1
+        return out
+
 
 @dataclass(frozen=True)
 class IntervalAlgebra(Algebra):
@@ -267,16 +427,11 @@ class IntervalAlgebra(Algebra):
     0, 1, 2, ... and inf) and interval-int (-inf, the integers and inf).
     inf is the greatest letter of both and -inf the least of interval-int;
     they are floats, so every sorted-letter sweep puts inf after and -inf
-    before the int letters.
-
-    A denotation is a canonical interval list: a tuple of (lo, hi) pairs,
-    sorted, pairwise disjoint and non-adjacent (maximal).  Both bounds live
-    in the letter order extended with SUP on top, and hi is exclusive: SUP
-    for a piece holding inf, INF for one holding every finite letter from
-    lo up."""
+    before the int letters.  In a denotation, hi is SUP for a piece
+    holding inf, and INF for one holding every finite letter from lo
+    up."""
 
     monotonic = True
-    empty = ()
     dmax = INF
 
     def __post_init__(self):
@@ -317,72 +472,6 @@ class IntervalAlgebra(Algebra):
             hi = SUP
         return ((lo, hi),) if lo < hi else ()
 
-    def full(self):
-        return ((self.dmin, SUP),)
-
-    def intersect(self, a, b):
-        """A merge sweep, O(m1 + m2), whose piece overlaps are canonical."""
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (lo1, hi1), (lo2, hi2) = a[i], b[j]
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo < hi:
-                out.append((lo, hi))
-            if hi1 <= hi2:
-                i += 1
-            else:
-                j += 1
-        return tuple(out)
-
-    def union_all(self, sems):
-        """One sort and merge pass: O(m log m) for m pieces."""
-        out = []
-        for lo, hi in sorted(piece for s in sems for piece in s):
-            if out and lo <= out[-1][1]:
-                if hi > out[-1][1]:
-                    out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-        return tuple(out)
-
-    def complement(self, a):
-        cursor = self.dmin
-        out = []
-        for lo, hi in a:
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor is not SUP:
-            out.append((cursor, SUP))
-        return tuple(out)
-
-    def min(self, a):
-        return a[0][0] if a else None
-
-    def contains(self, a, d):
-        for lo, hi in a:
-            if lo <= d and d < hi:
-                return True
-        return False
-
-    def regions(self, sems):
-        """One region per segment between consecutive endpoints."""
-        ends = sorted({self.dmin} | {x for s in sems for piece in s
-                                     for x in piece if x is not SUP})
-        return [((lo, hi),) for lo, hi in zip(ends, ends[1:] + [SUP])]
-
-    def minterms(self, sems):
-        """The runs of the regions' negated signatures: each set clears a
-        slice of its column per piece, the regions indexed by lower end."""
-        starts = [r[0][0] for r in self.regions(sems)]
-        at = dict(zip(starts + [SUP], range(len(starts) + 1)))
-        columns = [[True] * len(starts) for _ in sems]
-        for column, s in zip(columns, sems):
-            for lo, hi in s:
-                column[at[lo]:at[hi]] = [False] * (at[hi] - at[lo])
-        return self.runs(zip(starts, zip(*columns) if sems else [()]))
-
     def pieces(self, a):
         """One per canonical piece."""
         return [(piece,) for piece in a]
@@ -391,100 +480,23 @@ class IntervalAlgebra(Algebra):
         """The disjunction of the pieces' predicates (intervals_to_pred)."""
         return intervals_to_pred(a)
 
-    def partition_flags(self, sems):
-        """(pairwise disjoint, covering the domain) for one state's guard
-        denotations: one sweep over the pieces sorted by lower end,
-        O(m log m) for m pieces."""
-        disjoint = gapless = True
-        reach = self.dmin  # every letter below reach is covered
-        for lo, hi in sorted(piece for s in sems for piece in s):
-            if lo < reach:
-                disjoint = False
-            elif lo > reach:
-                gapless = False
-            if hi > reach:
-                reach = hi
-        return disjoint, gapless and reach is SUP
-
-    def row_successors(self, row, letters):
-        """Destination of each of the ascending letters in one edge-table
-        row, (denotation, destination) pairs, of a deterministic complete
-        state.  The row's pieces, sorted by lower end, tile the domain, so
-        one sweep over them takes each piece's run of letters by
-        bisection, O(m log n) for m pieces and n letters after the sort."""
-        pieces = sorted(((lo, hi, dst) for sem, dst in row
-                         for lo, hi in sem), key=itemgetter(0))
-        out = []
-        i = 0
-        for _, hi, dst in pieces:
-            j = bisect_left(letters, hi, i)
-            out += [dst] * (j - i)
-            i = j
-        return out
-
     def gap_guards(self, trees, gap):
         """(guard builder or None, denotation) pairs for the edges to a
         sink that take gap, what a state's guards leave uncovered: one per
         piece, with no guard, so it prints by to_pred.  trees is unread."""
         return [(None, piece) for piece in self.pieces(gap)]
 
-    def runs(self, pairs):
-        """Owner -> canonical interval list, from (letter, owner) pairs in
-        ascending letter order: a maximal run of one owner becomes the
-        piece [its first letter, the next run's first letter), the first
-        stretched down to dmin and the last up to SUP (so inf is in it).
-        Runs of one owner are never adjacent, so these are canonical."""
-        out = {}
-        owner, lo = None, self.dmin  # no owner is None
-        for a, o in pairs:
-            if o != owner:
-                if owner is not None:
-                    out.setdefault(owner, []).append((lo, a))
-                    lo = a
-                owner = o
-        if owner is not None:
-            out.setdefault(owner, []).append((lo, SUP))
-        return {o: tuple(ps) for o, ps in out.items()}
-
-    def by_owner(self, regions, letters, owners):
-        """Owner -> the union of its regions, given one owner per region of
-        regions() and the least letters: the owners' runs over the letters."""
-        return self.runs(zip(letters, owners))
-
-    def meet_row(self, row):
-        """A row of disjoint (denotation, destination) pairs as meet reads
-        it: (lo, hi, destination) pieces sorted by lower end."""
-        return sorted(((lo, hi, dst) for sem, dst in row for lo, hi in sem),
-                      key=itemgetter(0))
-
-    def meet(self, r1, r2):
-        """(least letter, destination pair) for each non-empty intersection
-        of two rows from meet_row, ascending: one merge pass, O(m1 + m2)."""
-        out = []
-        i = j = 0
-        n1, n2 = len(r1), len(r2)
-        while i < n1 and j < n2:
-            lo1, hi1, d1 = r1[i]
-            lo2, hi2, d2 = r2[j]
-            if lo2 < hi1 and lo1 < hi2:
-                out.append((lo2 if lo2 > lo1 else lo1, (d1, d2)))
-            if hi1 <= hi2:
-                i += 1
-            else:
-                j += 1
-        return out
-
 
 @dataclass(frozen=True)
 class PropAlgebra(Algebra):
     """The propositional algebra over k atomic propositions p0 .. p<k-1>,
     1 <= k <= 16.  A letter is a k-bit string whose bit i is the value of
-    p<i>.  A denotation is a frozenset of valuations encoded as ints, whose
-    bit order matches the lexicographic order of the letters; the
-    operations enumerate truth tables, so k is capped small."""
+    p<i>.  The letters have equal length, so they sort in the order of
+    the valuations they encode as binary numbers, and a set of valuations
+    is a canonical interval list over them: hi is the letter after the
+    last valuation of a piece, or SUP for a piece that ends at 1...1."""
 
     monotonic = False
-    empty = frozenset()
 
     def __post_init__(self):
         if self.kind != "prop":
@@ -521,90 +533,37 @@ class PropAlgebra(Algebra):
         self.parse_atom(psi)
         return _literal_set(self.k, psi.index, psi.positive)
 
-    def full(self):
-        return frozenset(range(2 ** self.k))
-
-    def intersect(self, a, b):
-        return a & b
-
-    def union_all(self, sems):
-        return frozenset().union(*sems)
-
-    def complement(self, a):
-        return self.full() - a
-
-    def min(self, a):
-        return format(min(a), "0%db" % self.k) if a else None
-
-    def contains(self, a, d):
-        return int(d, 2) in a
-
-    def regions(self, sems):
-        return list(self.minterms(sems).values())
-
-    def minterms(self, sems):
-        """One region per membership signature, keyed by its negation."""
-        by_sig = {}
-        for v in range(2 ** self.k):
-            by_sig.setdefault(tuple(v not in s for s in sems), []).append(v)
-        return {sig: frozenset(vs) for sig, vs in by_sig.items()}
+    def _cubes(self, a):
+        """(least valuation, size) of each of a's cubes, ascending: every
+        piece is tiled greedily by the largest aligned power of two that
+        fits, so each cube fixes the leading propositions."""
+        top = 2 ** self.k
+        for lo, hi in a:
+            v, end = int(lo, 2), top if hi is SUP else int(hi, 2)
+            while v < end:
+                size = v & -v or top
+                while v + size > end:
+                    size //= 2
+                yield v, size
+                v += size
 
     def pieces(self, a):
         """The largest cubes that fix the leading propositions, p0 first."""
-        vals = sorted(a)
-        out = []
-        i = 0
-        while i < len(vals):
-            v, size = vals[i], 1
-            # grow the aligned block [v, v + size) while the set fills it
-            while (v % (2 * size) == 0 and i + 2 * size <= len(vals)
-                   and vals[i + 2 * size - 1] == v + 2 * size - 1):
-                size *= 2
-            out.append(frozenset(range(v, v + size)))
-            i += size
-        return out
+        return [(_span(self.k, v, size),) for v, size in self._cubes(a)]
 
     def to_pred(self, a):
         """The disjunction of the pieces, each the conjunction of the
         literals that its least valuation gives the propositions it fixes."""
         k = self.k
-        cubes = [(min(c), k + 1 - len(c).bit_length()) for c in self.pieces(a)]
         return or_all(and_all(Lit(j, bool(v >> (k - 1 - j) & 1))
-                              for j in range(fixed)) for v, fixed in cubes)
-
-    def partition_flags(self, sems):
-        """The union: its size is the sum of the sizes exactly when no two
-        sets meet."""
-        union = self.union_all(sems)
-        return sum(map(len, sems)) == len(union), len(union) == 2 ** self.k
-
-    def row_successors(self, row, letters):
-        """Each letter is tested against the row's edges in turn."""
-        return [next(dst for sem, dst in row if self.contains(sem, a))
-                for a in letters]
+                              for j in range(k + 1 - size.bit_length()))
+                      for v, size in self._cubes(a))
 
     def gap_guards(self, trees, gap):
         """One guard, built when read: the negated disjunction of the
         state's guards, which trees() lists."""
         return [(lambda: Not(or_all(preds)) if (preds := trees()) else TOP,
                  gap)]
-
-    def by_owner(self, regions, letters, owners):
-        """The union of each owner's regions."""
-        groups = {}
-        for o, region in zip(owners, regions):
-            groups.setdefault(o, []).append(region)
-        return {o: self.union_all(rs) for o, rs in groups.items()}
-
-    def meet_row(self, row):
-        return row
-
-    def meet(self, r1, r2):
-        """Every pair of valuation sets is intersected, and the steps are
-        sorted by least letter."""
-        return sorted(((self.min(s), (d1, d2)) for s1, d1 in r1
-                       for s2, d2 in r2 if (s := s1 & s2)),
-                      key=itemgetter(0))
 
 
 INTERVAL_NAT = Algebra("interval-nat")
@@ -618,8 +577,8 @@ def prop_algebra(k):
 def denote(alg, psi):
     """The denotation of psi, and the only evaluator of predicate trees:
     psi's nodes read backwards as Polish notation, whose leaves are an
-    atom's canonical interval list or a literal's valuation set (the
-    algebra's denote_atom), with Not, And and Or mapped to the algebra's
+    atom's or a literal's canonical interval list (the algebra's
+    denote_atom), with Not, And and Or mapped to the algebra's
     complement, intersect and union_all, each run of Or nodes to one
     union_all call.  Raises ValueError on an atom of the other algebra
     family or a literal index out of range."""

@@ -84,9 +84,10 @@ def _minterm(preds, neg):
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
     minterm of the outgoing predicates (the algebra's minterms: the letters
-    on which every predicate holds or fails alike), listed with positive
-    signs first, predicate by predicate.  Each one's guard, the signed
-    conjunction of the predicates, is built when read."""
+    on which every predicate holds or fails alike, found in one sweep over
+    the predicates' pieces), listed with positive signs first, predicate
+    by predicate.  Each one's guard, the signed conjunction of the
+    predicates, is built when read."""
     alg = m.algebra
     trees, edges = m._trees, m.edges
 
@@ -119,29 +120,29 @@ def minimize(m, form="neat"):
     read as a DFA with one letter per region of its guards' common
     refinement (the algebra's regions), as integer rows that dfa_learn's
     _minimize_table minimizes, and each output denotation is the union of
-    the regions leading to one destination (the algebra's by_owner), so
-    it depends on L(m) alone, never on the input's guard syntax.
-    form=neat emits one transition per piece (an interval piece, or a
-    prop cube fixing the leading propositions), so the output is
-    deterministic; form=normalized one per state pair.  Guards print by
-    the algebra's to_pred.  Transitions leave each state ordered by
-    destination.  States are renamed s0, s1, ... in ascending-letter
-    depth-first order from the initial state."""
+    the regions leading to one destination (the runs of the destinations
+    over the regions' least letters), so it depends on L(m) alone, never
+    on the input's guard syntax.  form=neat emits one transition per
+    piece (an interval piece, or a prop cube fixing the leading
+    propositions), so the output is deterministic; form=normalized one
+    per state pair.  Guards print by the algebra's to_pred.  Transitions
+    leave each state ordered by destination.  States are renamed s0, s1,
+    ... in ascending-letter depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
     if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
     table = m.edges
-    regions = alg.regions([sem for row in table.values() for sem, _ in row])
-    letters = [alg.min(r) for r in regions]
+    letters = [alg.min(r) for r in alg.regions(
+        [sem for row in table.values() for sem, _ in row])]
     reps, rows = _minimize_table(
         m.initial, m.accepting.__contains__,
         lambda q: alg.row_successors(table[q], letters))
     names = ["s%d" % i for i in range(len(rows))]
     out = []
     for q, row in zip(names, rows):
-        sems = alg.by_owner(regions, letters, row)
+        sems = alg.runs(zip(letters, row))
         out += [((q, s, names[dst]), None) for dst in sorted(sems)
                 for s in (alg.pieces(sems[dst]) if form == "neat"
                           else [sems[dst]])]
@@ -186,9 +187,9 @@ _SINK = object()
 
 class _Rows(dict):
     """State -> search row of machine m, built on first visit and kept:
-    the (denotation, destination) pairs of its satisfiable edges, plus,
-    with complete, the uncovered remainder to _SINK, in the form that the
-    algebra's meet reads (meet_row)."""
+    the pieces of its satisfiable edges with their destinations, plus,
+    with complete, those of the uncovered remainder to _SINK, sorted by
+    lower end as the algebra's meet reads them (meet_row)."""
 
     def __init__(self, m, complete):
         super().__init__()
@@ -222,9 +223,8 @@ def includes(m1, m2, mode="subset"):
     completed machine.  The uncovered part of a state's domain goes to an
     implicit rejecting sink (on the m2 side only, for subset).  Each
     state's row is built on its first visit.  The steps out of a pair come
-    from the algebra's meet: over intervals one merge sweep over the two
-    states' sorted pieces, O(m1 + m2); over prop, every pair of valuation
-    sets is intersected."""
+    from the algebra's meet, one merge sweep over the two states' sorted
+    pieces, O(m1 + m2), over both algebras."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
     (det1, complete1), (det2, complete2) = m1._shape, m2._shape

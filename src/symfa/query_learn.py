@@ -78,7 +78,9 @@ class AdversarialPropTeacher(Oracle):
     """Teacher over the prop algebra that commits to no target: every
     answer removes at most one valuation from the undecided pool, and a
     decided one keeps its label, so a sound learner cannot be told "yes"
-    before 2^k - 1 queries."""
+    before 2^k - 1 queries.  Every word of another length than one is
+    labeled 0, and a hypothesis that accepts one is shown a shortest
+    such word first."""
 
     def __init__(self, k):
         super().__init__()
@@ -97,6 +99,11 @@ class AdversarialPropTeacher(Oracle):
         return 1 if len(w) == 1 and w[0] in self.s_plus else 0
 
     def _eq(self, hypothesis):
+        if accepts(hypothesis, ()):
+            return ((), 0)
+        w = _shortest_accepted(hypothesis, 2)
+        if w is not None:
+            return (w, 0)
         for v in self.pool:
             if accepts(hypothesis, (v,)):
                 self.pool.remove(v)
@@ -210,9 +217,10 @@ class PredicateTeacher(Oracle):
         return 1 if self.alg.contains(self._target_sem, d) else 0
 
     def _eq(self, psi):
-        sem = denote(self.alg, psi)
-        for d in self.alg.letters():
-            if (self.alg.contains(sem, d)
-                    != self.alg.contains(self._target_sem, d)):
-                return (d, self._mq(d))
-        return True
+        """The least letter on which psi and the target differ, labeled by
+        the target."""
+        alg, sem, target = self.alg, denote(self.alg, psi), self._target_sem
+        d = alg.min(alg.union_all([
+            alg.intersect(sem, alg.complement(target)),
+            alg.intersect(target, alg.complement(sem))]))
+        return True if d is None else (d, self._mq(d))

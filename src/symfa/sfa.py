@@ -16,10 +16,11 @@ NEAT_TRANSITION_CAP = 10 ** 5
 
 class Sfa:
     """A symbolic finite automaton.  Its data are its transition rows
-    (src, denotation, dst), in order, each denotation a canonical interval
-    list or a set of valuations; edges[q] lists q's rows as (denotation,
-    dst) pairs.  Sfa(algebra, states, initial, accepting, transitions)
-    takes (src, guard, dst) triples and denotes each guard once.  Parallel
+    (src, denotation, dst), in order, each denotation the algebra's
+    canonical interval list of the guard's letters, over either algebra;
+    edges[q] lists q's rows as (denotation, dst) pairs.
+    Sfa(algebra, states, initial, accepting, transitions) takes (src,
+    guard, dst) triples and denotes each guard once.  Parallel
     transitions with equal (src, denotation, dst) are one transition,
     printed by the first guard given.  A row that an operation builds
     carries a guard, a zero-argument builder of one, or None, which prints

@@ -151,9 +151,9 @@ def test_parse_format_random_roundtrip():
 
 def test_prop_denote():
     p2 = prop_algebra(2)
-    assert denote(p2, Lit(0, True)) == frozenset({2, 3})
-    assert denote(p2, And(Lit(0, True), Lit(1, True))) == frozenset({3})
-    assert denote(p2, TOP) == frozenset({0, 1, 2, 3})
+    assert denote(p2, Lit(0, True)) == (("10", SUP),)
+    assert denote(p2, And(Lit(0, True), Lit(1, True))) == (("11", SUP),)
+    assert denote(p2, TOP) == (("00", SUP),)
     assert p2.min(denote(p2, Lit(0, True))) == "10"
 
 

@@ -116,11 +116,11 @@ def test_partition_flags_match_a_scan(case):
 
 def region_row(alg, preds, owners):
     """The edges of a deterministic complete state: the regions of preds,
-    each owned by one of owners, joined per owner with by_owner."""
+    each owned by one of owners, joined per owner with runs."""
     regions = alg.regions([denote(alg, p) for p in preds])
     letters = [alg.min(r) for r in regions]
     row_owners = [owners[i % len(owners)] for i in range(len(regions))]
-    joined = alg.by_owner(regions, letters, row_owners)
+    joined = alg.runs(zip(letters, row_owners))
     for o, sem in joined.items():
         assert members(alg, sem) == set().union(*(
             members(alg, r) for r, ro in zip(regions, row_owners) if ro == o))

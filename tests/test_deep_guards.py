@@ -197,8 +197,8 @@ def test_nested_or_is_one_union():
     chain = cubes[-1]
     for cube in reversed(cubes[:-1]):
         chain = Or(cube, chain)
-    assert denote(p9, chain) == frozenset().union(
-        *(denote(p9, cube) for cube in cubes))
+    assert denote(p9, chain) == p9.union_all(
+        [denote(p9, cube) for cube in cubes])
 
 
 def test_nested_guard_repr(nested_file):

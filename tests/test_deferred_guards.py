@@ -121,8 +121,11 @@ def brute_minterms(alg, sems):
     """Negated signature -> union of the parts carrying it, each part
     tested at its least letter: the regions over intervals, and over prop
     the single valuations, which share no code with minterms."""
-    parts = (alg.regions(sems) if alg.monotonic
-             else [frozenset([v]) for v in alg.full()])
+    if alg.monotonic:
+        parts = alg.regions(sems)
+    else:
+        letters = alg.letters()
+        parts = [((a, b),) for a, b in zip(letters, letters[1:] + [SUP])]
     groups = {}
     for part in parts:
         a = alg.min(part)

@@ -1,8 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from symfa import (
-    And, BOT, Lit, Not, Or, Sfa, TOP, accepts, and_all, basic_sfa, or_all,
-    pred_equiv,
+    And, BOT, Lit, Not, Or, Sfa, TOP, accepts, and_all, basic_sfa,
+    format_pred, or_all, pred_equiv,
 )
 from symfa.algebra import prop_algebra
 from symfa.query_learn import (
@@ -137,6 +140,27 @@ def test_adversary_equivalence_branches():
     assert t.eq(basic_sfa(alg, TOP)) == (("0",), 0)
     assert t.eq(basic_sfa(alg, minterm("1"))) is True
     assert (t.mq(("0",)), t.mq(("1",))) == (0, 1)
+
+
+def test_adversary_rejects_words_of_other_lengths():
+    t = adversarial_prop_teacher(1)
+    alg = t.algebra
+    assert t.eq(basic_sfa(alg, TOP)) == (("0",), 0)
+    assert t.eq(basic_sfa(alg, BOT)) == (("1",), 1)
+    # accepts (), ('1',) and nothing else: the empty word comes first
+    both = Sfa(alg, ("a", "b", "r"), "a", ("a", "b"), (
+        ("a", minterm("1"), "b"), ("a", minterm("0"), "r"),
+        ("b", TOP, "r"), ("r", TOP, "r")))
+    assert t.eq(both) == ((), 0)
+    assert t.mq(()) == 0
+    # accepts ('1',) and ('1', '0'): a shortest longer word
+    longer = Sfa(alg, ("a", "b", "c", "r"), "a", ("b", "c"), (
+        ("a", minterm("1"), "b"), ("a", minterm("0"), "r"),
+        ("b", minterm("0"), "c"), ("b", minterm("1"), "r"),
+        ("c", TOP, "r"), ("r", TOP, "r")))
+    assert t.eq(longer) == (("1", "0"), 0)
+    assert t.mq(("1", "0")) == 0
+    assert t.eq(basic_sfa(alg, minterm("1"))) is True
 
 
 class Scripted(Oracle):
@@ -287,3 +311,84 @@ def test_oracle_counts():
     o.mq((1,))
     o.eq(None)
     assert o.query_count == 3
+
+
+# ---------------------------------------------------------------------------
+# Pinned query behaviour: counts, committed valuations and returned
+# predicates of both learners, against the adversary and, through the
+# wrapper, against seeded honest predicate teachers
+
+
+def text_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def random_prop_target(rng, k, depth=3):
+    if depth == 0 or rng.random() < 0.3:
+        return Lit(rng.randrange(k), rng.random() < 0.5)
+    op = rng.random()
+    if op < 0.2:
+        return Not(random_prop_target(rng, k, depth - 1))
+    return (And if op < 0.6 else Or)(random_prop_target(rng, k, depth - 1),
+                                     random_prop_target(rng, k, depth - 1))
+
+
+# k -> digest of format_pred of the eq-only learner's result, every
+# valuation positive
+EQ_ONLY_AGAINST_ADVERSARY = {
+    1: "f628239fd289d8f7", 2: "677564235bbaef97", 3: "44732521787fb060",
+    4: "def04dc51eecc8e1", 5: "8a28a26ba5fef20f", 6: "28737ae26fd96091",
+}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pinned_queries_against_the_adversary(k):
+    letters = [format(v, "0%db" % k) for v in range(2 ** k)]
+    t = adversarial_prop_teacher(k)
+    learned = enumerating_predicate_learner(k, t)
+    assert (t.mq_count, t.eq_count) == (2 ** k, 1)
+    assert (t.s_plus, t.s_minus) == ([], letters)
+    assert format_pred(learned) == "false"
+    t = adversarial_prop_teacher(k)
+    learned = eq_only_learner(k, t, {})
+    assert (t.mq_count, t.eq_count) == (0, 2 ** k + 1)
+    assert (t.s_plus, t.s_minus) == (letters, [])
+    assert text_digest(format_pred(learned)) == EQ_ONLY_AGAINST_ADVERSARY[k]
+
+
+# (k, seed) -> (format_pred of the target, eq-only learner's eq count,
+# digest of its counterexamples in order, digest of format_pred of the
+# result, which both learners return)
+WRAPPED = {
+    (3, 0): ("!p1 & !p1 & p1 & !p0 | !p2", 5, "18145528003beba1",
+             "2c89f422f5f6db2f"),
+    (3, 1): ("p0", 5, "9c5f18dbeb784a49", "24c1aaa7f07a59fb"),
+    (3, 2): ("p0 | !p2", 7, "feddac529b5c9839", "6e9708ee6f68b564"),
+    (4, 0): ("!p2 & !p2 & p2 & !p0 | p1", 9, "b87f384dd918aee9",
+             "9c844547dcfc6d54"),
+    (4, 1): ("p0", 9, "69c37b85e4b2a38a", "46b60973a574e00c"),
+    (4, 2): ("p0 | p2", 13, "7fc67d4b02092c88", "94a2fb537f0c7497"),
+    (5, 0): ("!p2 & !p2 & p2 & !p0 | !p4", 17, "a755b14faa1edfa4",
+             "c0065cf31ef137ed"),
+    (5, 1): ("p0", 17, "35b2f47f7c84ff53", "80fb2cca202c06cf"),
+    (5, 2): ("p0 | p2", 25, "35de37d9ee7d17b6", "d1b8fe2d9520762e"),
+}
+
+
+@pytest.mark.parametrize("k, seed", sorted(WRAPPED))
+def test_pinned_queries_through_the_wrapper(k, seed):
+    text, eqs, cex_digest, result_digest = WRAPPED[k, seed]
+    alg = prop_algebra(k)
+    target = random_prop_target(random.Random(seed), k)
+    assert format_pred(target) == text
+    oracle = PredicateTeacher(alg, target)
+    learned = algebra_learner_from_sfa_learner(
+        enumerating_predicate_learner, oracle, alg)
+    assert (oracle.mq_count, oracle.eq_count) == (2 ** k, 1)
+    assert text_digest(format_pred(learned)) == result_digest
+    oracle, labels = PredicateTeacher(alg, target), {}
+    learned = algebra_learner_from_sfa_learner(
+        lambda k, o: eq_only_learner(k, o, labels), oracle, alg)
+    assert (oracle.mq_count, oracle.eq_count) == (0, eqs)
+    assert text_digest(" ".join(labels)) == cex_digest
+    assert text_digest(format_pred(learned)) == result_digest

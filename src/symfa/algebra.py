@@ -12,6 +12,7 @@ bit-string letters, so both families denote a set the same way.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -511,7 +512,7 @@ class PropAlgebra(Algebra):
 
     def letters(self):
         """Every letter of the domain, ascending."""
-        return [format(v, "0%db" % self.k) for v in range(2 ** self.k)]
+        return list(map("".join, itertools.product("01", repeat=self.k)))
 
     def check_letter(self, d):
         if not (isinstance(d, str) and len(d) == self.k

@@ -5,9 +5,9 @@ reduction that turns an SFA learner into a predicate learner."""
 
 from __future__ import annotations
 
-import itertools
+from functools import cache, partial
 
-from .algebra import Lit, Not, TOP, and_all, denote, or_all, prop_algebra
+from .algebra import SUP, Lit, Not, TOP, and_all, denote, or_all, prop_algebra
 from .ops import _shortest_accepted, includes
 from .sfa import Sfa, accepts
 
@@ -15,12 +15,25 @@ from .sfa import Sfa, accepts
 def basic_sfa(alg, psi):
     """Three-state SFA accepting exactly the one-letter words satisfying
     psi; it always has four transitions."""
-    return Sfa(alg, ("qi", "qac", "qrj"), "qi", ("qac",), (
-        ("qi", psi, "qac"),
-        ("qi", Not(psi), "qrj"),
-        ("qac", TOP, "qrj"),
-        ("qrj", TOP, "qrj"),
-    ))
+    return _basic_sfa(alg, denote(alg, psi), lambda: psi)
+
+
+def _basic_sfa(alg, sem, guard):
+    """basic_sfa of the predicate, denoting sem, that guard returns: guard
+    is a zero-argument builder, and the trees are built when read."""
+    return Sfa._from_rows(alg, ("qi", "qac", "qrj"), "qi", ("qac",), [
+        (("qi", sem, "qac"), guard),
+        (("qi", alg.complement(sem), "qrj"), lambda: Not(guard())),
+        (("qac", alg.full(), "qrj"), TOP),
+        (("qrj", alg.full(), "qrj"), TOP),
+    ])
+
+
+def _into_accepting(m, states):
+    """The letters that lead from one of states into an accepting state of
+    m, nondeterministic or not: the union of those edges' denotations."""
+    return m.algebra.union_all([sem for q in states for sem, dst in m.edges[q]
+                                if dst in m.accepting])
 
 
 class Oracle:
@@ -99,13 +112,18 @@ class AdversarialPropTeacher(Oracle):
         return 1 if len(w) == 1 and w[0] in self.s_plus else 0
 
     def _eq(self, hypothesis):
-        if accepts(hypothesis, ()):
+        """Reads the hypothesis's one-letter language off its initial
+        state's edges, once, and scans the valuations against it."""
+        if hypothesis.algebra != self.algebra:
+            raise ValueError("algebra mismatch")
+        if hypothesis.initial in hypothesis.accepting:
             return ((), 0)
         w = _shortest_accepted(hypothesis, 2)
         if w is not None:
             return (w, 0)
+        one = _into_accepting(hypothesis, [hypothesis.initial])
         for v in self.pool:
-            if accepts(hypothesis, (v,)):
+            if self.algebra.contains(one, v):
                 self.pool.remove(v)
                 self.s_minus.append(v)
                 return ((v,), 0)
@@ -113,12 +131,10 @@ class AdversarialPropTeacher(Oracle):
             v = self.pool.pop(0)
             self.s_plus.append(v)
             return ((v,), 1)
-        for v in self.s_plus:
-            if not accepts(hypothesis, (v,)):
-                return ((v,), 1)
-        for v in self.s_minus:
-            if accepts(hypothesis, (v,)):
-                return ((v,), 0)
+        for b, decided in ((1, self.s_plus), (0, self.s_minus)):
+            for v in decided:
+                if self.algebra.contains(one, v) != b:
+                    return ((v,), b)
         return True
 
 
@@ -126,34 +142,56 @@ def adversarial_prop_teacher(k):
     return AdversarialPropTeacher(k)
 
 
-def _minterm_of(v):
-    return and_all(Lit(i, bit == "1") for i, bit in enumerate(v))
+def _minterms_or(valuations):
+    """The disjunction of the valuations' minterms, in the order given."""
+    return or_all(and_all(Lit(i, bit == "1") for i, bit in enumerate(v))
+                  for v in valuations)
 
 
 def enumerating_predicate_learner(k, oracle):
     """Sound learner for one-letter languages over the prop algebra: asks a
-    membership query per unclassified valuation, proposes the disjunction
-    of the positive minterms, and incorporates counterexamples without ever
-    re-querying a classified word."""
+    membership query per valuation, proposes the disjunction of the
+    positive minterms, and incorporates counterexamples without ever
+    re-querying a classified word.  A hypothesis's guards are denoted by
+    the runs of the labels and built only when read; the learner builds
+    the disjunction only for the predicate it returns."""
     alg = prop_algebra(k)
-    classified = {}
-    for v in alg.letters():
-        if v not in classified:
-            classified[v] = oracle.mq((v,))
+    classified = {v: oracle.mq((v,)) for v in alg.letters()}
     while True:
-        psi = or_all(_minterm_of(v) for v, b in sorted(classified.items())
-                     if b)
-        result = oracle.eq(basic_sfa(alg, psi))
+        labels = sorted(classified.items())
+        psi = cache(partial(_minterms_or, [v for v, b in labels if b]))
+        sem = alg.runs(labels).get(1, alg.empty)
+        result = oracle.eq(_basic_sfa(alg, sem, psi))
         if result is True:
-            return psi
+            return psi()
         w, b = result
         if len(w) != 1:
             raise ValueError("adversary returned a word of length %d"
                              % len(w))
         v = w[0]
-        if v in classified and classified[v] != b:
+        if classified[alg.check_letter(v)] != b:
             raise ValueError("oracle contradicted an earlier answer")
         classified[v] = b
+
+
+def _next_pair(m, letters, last):
+    """The least two-letter word of L(m) above last (from the least one
+    when last is None), or None: the first letters are taken in order,
+    each with the set of states it leads to from m's initial state, and
+    the least second letter in the union of those states' edges into
+    accepting states (found once per set) ends the search."""
+    alg, after = m.algebra, cache(partial(_into_accepting, m))
+    i, above = 0, alg.full()  # second letters allowed after letters[i]
+    if last is not None:
+        i, j = letters.index(last[0]), letters.index(last[1]) + 1
+        above = ((letters[j], SUP),) if j < len(letters) else alg.empty
+    for a in letters[i:]:
+        reached = frozenset(dst for sem, dst in m.edges[m.initial]
+                            if alg.contains(sem, a))
+        b = alg.min(alg.intersect(after(reached), above))
+        if b is not None:
+            return (a, b)
+        above = alg.full()
 
 
 def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
@@ -163,7 +201,8 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
     equivalence queries are forwarded only once the hypothesis denotes a
     one-letter-word language, otherwise the wrapper answers with the next
     accepted word of length two (ascending, never repeating), or else
-    with a shortest accepted word of length three or more."""
+    with a shortest accepted word of length three or more.  Both words
+    and the forwarded predicate are read off the hypothesis's edges."""
     if alg.monotonic:
         raise ValueError("only the prop algebra is supported here")
     letters = alg.letters()
@@ -178,18 +217,19 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
         def _eq(self, hypothesis):
             if self.query_count > budget:
                 raise RuntimeError("query budget exhausted")
-            if accepts(hypothesis, ()):
+            if hypothesis.algebra != alg:
+                raise ValueError("algebra mismatch")
+            if hypothesis.initial in hypothesis.accepting:
                 return ((), 0)
-            for w in itertools.product(letters, repeat=2):
-                if (state["last_long"] is None or w > state["last_long"]) \
-                        and accepts(hypothesis, w):
-                    state["last_long"] = w
-                    return (w, 0)
+            w = _next_pair(hypothesis, letters, state["last_long"])
+            if w is not None:
+                state["last_long"] = w
+                return (w, 0)
             w = _shortest_accepted(hypothesis, 3)
             if w is not None:
                 return (w, 0)
-            psi = or_all(_minterm_of(v) for v in letters
-                         if accepts(hypothesis, (v,)))
+            one = _into_accepting(hypothesis, [hypothesis.initial])
+            psi = _minterms_or(v for v in letters if alg.contains(one, v))
             result = algebra_oracle.eq(psi)
             if result is True:
                 state["answer"] = psi

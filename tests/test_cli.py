@@ -190,8 +190,16 @@ def test_learn_decontaminate(sample_file, tmp_path):
 
 def test_qlearn_demo(capsys):
     assert main(["qlearn", "demo", "--prop", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "k=3" in out and "lower-bound=7" in out and "ok" in out
+    assert capsys.readouterr().out == "k=3 queries=8 lower-bound=7 ok\n"
+    assert main(["qlearn", "demo", "--prop", "10"]) == 0
+    assert capsys.readouterr().out \
+        == "k=10 queries=1024 lower-bound=1023 ok\n"
+
+
+def test_qlearn_demo_refuses_k_above_10(capsys):
+    assert main(["qlearn", "demo", "--prop", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: need 1 <= k <= 10\n")
 
 
 def test_bench_roundtrip(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from symfa import (
     And, BOT, Lit, Not, Or, Sfa, TOP, accepts, and_all, basic_sfa,
     format_pred, or_all, pred_equiv,
 )
-from symfa.algebra import prop_algebra
+from symfa import query_learn
+from symfa.algebra import INTERVAL_NAT, prop_algebra
+from symfa.ops import _shortest_accepted
 from symfa.query_learn import (
-    Oracle, PredicateTeacher, adversarial_prop_teacher,
-    algebra_learner_from_sfa_learner, enumerating_predicate_learner,
-    sfa_teacher,
+    AdversarialPropTeacher, Oracle, PredicateTeacher,
+    adversarial_prop_teacher, algebra_learner_from_sfa_learner,
+    enumerating_predicate_learner, sfa_teacher,
 )
 
 
@@ -192,6 +195,10 @@ def test_enumerating_learner_takes_counterexamples():
     with pytest.raises(ValueError, match="length 2"):
         enumerating_predicate_learner(1, Scripted(member,
                                                   [(("0", "1"), 0)]))
+    # a counterexample that is no letter would make the hypothesis's
+    # denotation and its guard tree disagree
+    with pytest.raises(ValueError, match="bad prop letter"):
+        enumerating_predicate_learner(1, Scripted(member, [(("2",), 1)]))
 
 
 def test_adversary_rejects_bad_k():
@@ -392,3 +399,222 @@ def test_pinned_queries_through_the_wrapper(k, seed):
     assert (oracle.mq_count, oracle.eq_count) == (0, eqs)
     assert text_digest(" ".join(labels)) == cex_digest
     assert text_digest(format_pred(learned)) == result_digest
+
+
+# ---------------------------------------------------------------------------
+# Equivalence answers read off the hypothesis's edges agree with reference
+# teachers that run accepts on every word
+
+
+class WordByWordAdversary(AdversarialPropTeacher):
+    """The adversary whose equivalence answers run accepts on each word."""
+
+    def _eq(self, hypothesis):
+        if accepts(hypothesis, ()):
+            return ((), 0)
+        w = _shortest_accepted(hypothesis, 2)
+        if w is not None:
+            return (w, 0)
+        for v in self.pool:
+            if accepts(hypothesis, (v,)):
+                self.pool.remove(v)
+                self.s_minus.append(v)
+                return ((v,), 0)
+        if self.pool:
+            v = self.pool.pop(0)
+            self.s_plus.append(v)
+            return ((v,), 1)
+        for v in self.s_plus:
+            if not accepts(hypothesis, (v,)):
+                return ((v,), 1)
+        for v in self.s_minus:
+            if accepts(hypothesis, (v,)):
+                return ((v,), 0)
+        return True
+
+
+def word_by_word_wrapper(sfa_learner, algebra_oracle, alg):
+    """algebra_learner_from_sfa_learner with equivalence answers that run
+    accepts on each word of length two and each letter."""
+    letters = alg.letters()
+    state = {"answer": None, "last_long": None}
+
+    class Wrapper(Oracle):
+        def _mq(self, w):
+            return algebra_oracle.mq(w[0]) if len(w) == 1 else 0
+
+        def _eq(self, hypothesis):
+            if accepts(hypothesis, ()):
+                return ((), 0)
+            for w in itertools.product(letters, repeat=2):
+                if (state["last_long"] is None or w > state["last_long"]) \
+                        and accepts(hypothesis, w):
+                    state["last_long"] = w
+                    return (w, 0)
+            w = _shortest_accepted(hypothesis, 3)
+            if w is not None:
+                return (w, 0)
+            result = algebra_oracle.eq(or_all(
+                minterm(v) for v in letters if accepts(hypothesis, (v,))))
+            if result is True:
+                state["answer"] = True
+                return True
+            d, b = result
+            return ((d,), b)
+
+    result = sfa_learner(alg.k, Wrapper())
+    return state["answer"] or result
+
+
+def random_letter_set(rng, letters, p=0.4):
+    return or_all(minterm(v) for v in letters if rng.random() < p)
+
+
+def random_hypothesis(rng, alg, accepted=None):
+    """A small SFA, nondeterministic in general, of one of three kinds: a
+    random machine, which may accept () or longer words; a chain whose
+    two-letter words are many; or a machine whose initial state's edges,
+    with overlapping guards, lead to dead ends, some accepting, which
+    accepts the one-letter words of accepted when it is given."""
+    letters = alg.letters()
+    states = ["s%d" % i for i in range(rng.randint(3, 4))]
+    kind = rng.randrange(3) if accepted is None else 2
+    if kind == 0:
+        rows = [(q, random_letter_set(rng, letters), rng.choice(states))
+                for q in states for _ in range(rng.randint(0, 3))]
+        accepting = [q for q in states if rng.random() < 0.4]
+    elif kind == 1:
+        rows = [("s0", random_letter_set(rng, letters, 0.7), "s1"),
+                ("s1", random_letter_set(rng, letters, 0.7), "s2"),
+                ("s0", random_letter_set(rng, letters), "s1")]
+        accepting = ["s2"] + [q for q in states if rng.random() < 0.2]
+    else:
+        if accepted is None:
+            accepted = [v for v in letters if rng.random() < 0.4]
+        halves = [[v for v in accepted if rng.random() < 0.7]
+                  for _ in range(2)]
+        rows = [("s0", or_all(map(minterm, half)), dst)
+                for half, dst in zip(halves, ("s1", "s2"))]
+        rows += [("s0", or_all(map(minterm, set(accepted) - set(halves[0])
+                                   - set(halves[1]))), "s1"),
+                 ("s0", random_letter_set(rng, letters), states[-1])]
+        accepting = ["s1", "s2"]
+    return Sfa(alg, states, "s0", accepting, rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adversary_answers_as_word_by_word_runs(k):
+    rng, kinds = random.Random(k), set()
+    for _ in range(40):
+        new, old = adversarial_prop_teacher(k), WordByWordAdversary(k)
+        for _ in range(2 ** k + 4):
+            if rng.random() < 0.2:
+                w = tuple(rng.choice(new.pool or ["1" * k])
+                          for _ in range(rng.randint(0, 2)))
+                assert new.mq(w) == old.mq(w)
+            # now and then, the labels the adversary committed to, or
+            # those with one more valuation
+            accepted = None
+            if not new.pool and rng.random() < 0.5:
+                accepted = new.s_plus + [
+                    v for v in new.s_minus if rng.random() < 0.1]
+            h = random_hypothesis(rng, new.algebra, accepted)
+            answer = new.eq(h)
+            assert answer == old.eq(h)
+            assert (new.pool, new.s_plus, new.s_minus) \
+                == (old.pool, old.s_plus, old.s_minus)
+            kinds.add(answer if answer is True else
+                      (min(len(answer[0]), 2), answer[1], bool(new.pool)))
+    # every branch of the answer was taken: (), two-letter and longer
+    # words, pool valuations labeled 0 and 1, and decided ones of both
+    assert kinds == {True, (0, 0, True), (0, 0, False), (2, 0, True),
+                     (2, 0, False), (1, 0, True), (1, 1, True),
+                     (1, 0, False), (1, 1, False)}
+
+
+class RecordingTeacher(PredicateTeacher):
+    """An honest predicate teacher that records the text of each
+    predicate it is asked about."""
+
+    def __init__(self, alg, target):
+        super().__init__(alg, target)
+        self.asked = []
+
+    def _eq(self, psi):
+        self.asked.append(format_pred(psi))
+        return super()._eq(psi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wrapper_answers_as_word_by_word_runs(k):
+    rng, alg = random.Random(k), prop_algebra(k)
+    pairs_after_pairs = forwarded = 0
+    for _ in range(60):
+        hypotheses = [random_hypothesis(rng, alg) for _ in range(8)]
+        target = random_letter_set(rng, alg.letters())
+        runs = []
+        for wrapper in (algebra_learner_from_sfa_learner,
+                        word_by_word_wrapper):
+            answers, oracle = [], RecordingTeacher(alg, target)
+
+            def probing_learner(k, o):
+                for h in hypotheses:
+                    answers.append(o.eq(h))
+                    if answers[-1] is True:
+                        break
+                return BOT
+
+            wrapper(probing_learner, oracle, alg)
+            runs.append((answers, oracle.asked))
+        assert runs[0] == runs[1]
+        forwarded += len(runs[0][1])
+        lengths = [len(a[0]) for a in runs[0][0] if a is not True]
+        pairs_after_pairs += sum(
+            1 for m, n in zip(lengths, lengths[1:]) if m == n == 2)
+    # the search for a two-letter word often starts above an earlier one,
+    # and many hypotheses reach the predicate oracle
+    assert pairs_after_pairs > 5 and forwarded > 100
+
+
+@pytest.mark.parametrize("other", [prop_algebra(2), INTERVAL_NAT])
+def test_teachers_refuse_a_hypothesis_over_another_algebra(other):
+    alg = prop_algebra(3)
+    with pytest.raises(ValueError):
+        adversarial_prop_teacher(3).eq(basic_sfa(other, TOP))
+
+    def probing_learner(k, oracle):
+        oracle.eq(basic_sfa(other, TOP))
+
+    with pytest.raises(ValueError):
+        algebra_learner_from_sfa_learner(
+            probing_learner, PredicateTeacher(alg, TOP), alg)
+
+
+def test_queries_run_no_word_and_build_only_answers(monkeypatch):
+    # neither teacher runs the hypothesis on a word, and the disjunction
+    # of minterms is built only for a predicate that is returned or
+    # forwarded to the predicate oracle
+    calls = {"accepts": 0, "or_all": 0}
+
+    def counted(name):
+        fn = getattr(query_learn, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(query_learn, name, wrapper)
+
+    counted("accepts")
+    counted("or_all")
+    t = adversarial_prop_teacher(10)
+    assert format_pred(enumerating_predicate_learner(10, t)) == "false"
+    assert (t.mq_count, t.eq_count) == (1024, 1)
+    assert calls == {"accepts": 0, "or_all": 1}
+    calls.update(accepts=0, or_all=0)
+    alg = prop_algebra(5)
+    oracle = PredicateTeacher(alg, random_prop_target(random.Random(0), 5))
+    algebra_learner_from_sfa_learner(enumerating_predicate_learner, oracle,
+                                     alg)
+    assert (oracle.mq_count, oracle.eq_count) == (32, 1)
+    assert calls == {"accepts": 0, "or_all": 2}

@@ -48,6 +48,11 @@ class _Sup:
 
 SUP = _Sup()
 
+# The destination of the stretches of a state's domain that its guards
+# leave uncovered, in Algebra.sweep: a fresh object, so it equals no state
+# name, None included.
+GAP = object()
+
 # ---------------------------------------------------------------------------
 # Predicate parse trees
 
@@ -256,13 +261,15 @@ class Algebra:
     sets: disjoint non-empty regions covering the domain, on each of
     which every set is constant, by least letter), minterms (each negated
     membership signature over some sets mapped to the union of the
-    regions that carry it), runs, and the per-state halves of classify,
-    transition tables, minimize and includes.  The families supply their
-    letters (check_letter, parse_letter, dmin), their atoms (parse_atom
-    and denote_atom, the leaves of parse_pred and denote), pieces (the
-    denotations of the basic predicates that split a set: disjoint and
-    ascending), to_pred (the one print rule: the disjunction of the
-    pieces' basic predicates) and gap_guards (complete_sfa's half).
+    regions that carry it), runs, sweep (one state's pieces in letter
+    order, each uncovered stretch a GAP piece: the one layout that
+    classify, complete_sfa, transition tables, minimize and includes
+    read), and the passes over it, row_successors and meet.  The families
+    supply their letters (check_letter, parse_letter, dmin), their atoms
+    (parse_atom and denote_atom, the leaves of parse_pred and denote),
+    pieces (the denotations of the basic predicates that split a set:
+    disjoint and ascending), to_pred (the one print rule: the disjunction
+    of the pieces' basic predicates) and gap_guards (complete_sfa's half).
     monotonic tells the families apart where only one is accepted."""
 
     kind: str
@@ -349,29 +356,33 @@ class Algebra:
                 column[at[lo]:at[hi]] = [False] * (at[hi] - at[lo])
         return self.runs(zip(starts, zip(*columns) if sems else [()]))
 
-    def partition_flags(self, sems):
-        """(pairwise disjoint, covering the domain) for one state's guard
-        denotations: one sweep over the pieces sorted by lower end,
-        O(m log m) for m pieces."""
-        disjoint = gapless = True
-        reach = self.dmin  # every letter below reach is covered
-        for lo, hi in sorted(piece for s in sems for piece in s):
+    def sweep(self, row):
+        """One state's letter-order layout, (pieces, overlap), from its
+        row of (denotation, destination) pairs: the (lo, hi, destination)
+        pieces sorted by lower end, with each stretch that no piece
+        covers put in its place as (lo, hi, GAP), and whether two pieces
+        share a letter.  The GAP stretches are the canonical complement
+        of the row's union.  One sort, O(m log m) for m pieces."""
+        # every letter below reach is covered
+        out, overlap, reach = [], False, self.dmin
+        for lo, hi, dst in sorted(((lo, hi, dst) for sem, dst in row
+                                   for lo, hi in sem), key=itemgetter(0)):
             if lo < reach:
-                disjoint = False
+                overlap = True
             elif lo > reach:
-                gapless = False
+                out.append((reach, lo, GAP))
+            out.append((lo, hi, dst))
             if hi > reach:
                 reach = hi
-        return disjoint, gapless and reach is SUP
+        if reach is not SUP:
+            out.append((reach, SUP, GAP))
+        return out, overlap
 
-    def row_successors(self, row, letters):
-        """Destination of each of the ascending letters in one edge-table
-        row, (denotation, destination) pairs, of a deterministic complete
-        state.  The row's pieces, sorted by lower end, tile the domain, so
-        one sweep over them takes each piece's run of letters by
-        bisection, O(m log n) for m pieces and n letters after the sort."""
-        pieces = sorted(((lo, hi, dst) for sem, dst in row
-                         for lo, hi in sem), key=itemgetter(0))
+    def row_successors(self, pieces, letters):
+        """Destination of each of the ascending letters in the swept
+        pieces of a deterministic complete state: they tile the domain in
+        order, so one pass takes each piece's run of letters by
+        bisection, O(m log n) for m pieces and n letters."""
         out = []
         i = 0
         for _, hi, dst in pieces:
@@ -398,15 +409,10 @@ class Algebra:
             out.setdefault(owner, []).append((lo, SUP))
         return {o: tuple(ps) for o, ps in out.items()}
 
-    def meet_row(self, row):
-        """A row of disjoint (denotation, destination) pairs as meet reads
-        it: (lo, hi, destination) pieces sorted by lower end."""
-        return sorted(((lo, hi, dst) for sem, dst in row for lo, hi in sem),
-                      key=itemgetter(0))
-
     def meet(self, r1, r2):
         """(least letter, destination pair) for each non-empty intersection
-        of two rows from meet_row, ascending: one merge pass, O(m1 + m2)."""
+        of two swept rows without overlap, ascending: one merge pass,
+        O(m1 + m2)."""
         out = []
         i = j = 0
         n1, n2 = len(r1), len(r2)

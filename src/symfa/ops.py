@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 from functools import partial
 
-from .algebra import And, Not, and_all
+from .algebra import GAP, SUP, And, Not, and_all
 from .dfa_learn import _first_word, _minimize_table
 from .sfa import Sfa, _fresh_state, complete_sfa
 
@@ -118,27 +118,28 @@ def determinize(m):
 def minimize(m, form="neat"):
     """Minimal-state deterministic complete SFA for L(m), canonical.  m is
     read as a DFA with one letter per region of its guards' common
-    refinement (the algebra's regions), as integer rows that dfa_learn's
+    refinement (the lower ends of its swept pieces), as integer rows, one
+    pass over each state's pieces (row_successors), that dfa_learn's
     _minimize_table minimizes, and each output denotation is the union of
     the regions leading to one destination (the runs of the destinations
-    over the regions' least letters), so it depends on L(m) alone, never
-    on the input's guard syntax.  form=neat emits one transition per
-    piece (an interval piece, or a prop cube fixing the leading
-    propositions), so the output is deterministic; form=normalized one
-    per state pair.  Guards print by the algebra's to_pred.  Transitions
-    leave each state ordered by destination.  States are renamed s0, s1,
-    ... in ascending-letter depth-first order from the initial state."""
+    over the letters), so it depends on L(m) alone, never on the input's
+    guard syntax.  form=neat emits one transition per piece (an interval
+    piece, or a prop cube fixing the leading propositions), so the output
+    is deterministic; form=normalized one per state pair.  Guards print
+    by the algebra's to_pred.  Transitions leave each state ordered by
+    destination.  States are renamed s0, s1, ... in ascending-letter
+    depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
         raise ValueError("form must be neat or normalized")
     if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
-    table = m.edges
-    letters = [alg.min(r) for r in alg.regions(
-        [sem for row in table.values() for sem, _ in row])]
+    swept = m._swept
+    letters = sorted({lo for pieces, _ in swept.values()
+                      for lo, _, _ in pieces})
     reps, rows = _minimize_table(
         m.initial, m.accepting.__contains__,
-        lambda q: alg.row_successors(table[q], letters))
+        lambda q: alg.row_successors(swept[q][0], letters))
     names = ["s%d" % i for i in range(len(rows))]
     out = []
     for q, row in zip(names, rows):
@@ -179,38 +180,6 @@ def _shortest_accepted(m, min_len=0):
                        and pair[0] in m.accepting, steps)
 
 
-# The implicit rejecting sink of a virtually completed machine: it takes
-# the part of each state's domain that the state's guards leave uncovered.
-# A fresh object, so it equals no state of the input, whatever its name.
-_SINK = object()
-
-
-class _Rows(dict):
-    """State -> search row of machine m, built on first visit and kept:
-    the pieces of its satisfiable edges with their destinations, plus,
-    with complete, those of the uncovered remainder to _SINK, sorted by
-    lower end as the algebra's meet reads them (meet_row)."""
-
-    def __init__(self, m, complete):
-        super().__init__()
-        self.m, self.complete = m, complete
-        if complete:
-            self[_SINK] = self._build(((m.algebra.full(), _SINK),))
-
-    def __missing__(self, q):
-        row = self[q] = self._build(self.m.edges[q])
-        return row
-
-    def _build(self, edges):
-        alg = self.m.algebra
-        row = [(sem, dst) for sem, dst in edges if sem]
-        if self.complete:
-            gap = alg.complement(alg.union_all([s for s, _ in row]))
-            if gap:
-                row.append((gap, _SINK))
-        return alg.meet_row(row)
-
-
 def includes(m1, m2, mode="subset"):
     """mode=subset: True iff L(m1) <= L(m2); mode=equiv: True iff equal.
     On failure returns a shortest witness word, least letter by letter:
@@ -220,15 +189,16 @@ def includes(m1, m2, mode="subset"):
     The search runs on the fly over the pairs of states that the two
     machines reach together, breadth first, and returns at the first pair
     that tells the languages apart; it builds no product, complement or
-    completed machine.  The uncovered part of a state's domain goes to an
-    implicit rejecting sink (on the m2 side only, for subset).  Each
-    state's row is built on its first visit.  The steps out of a pair come
-    from the algebra's meet, one merge sweep over the two states' sorted
-    pieces, O(m1 + m2), over both algebras."""
+    completed machine.  Both machines are completed virtually: the GAP
+    pieces of a state's sweep lead to GAP, an implicit rejecting sink
+    that keeps every letter.  In subset mode a pair (GAP, q2) never tells
+    the languages apart and leads only to such pairs, so it changes no
+    witness.  The steps out of a pair come from the algebra's meet, one
+    merge sweep over the two states' swept pieces, O(m1 + m2), over both
+    algebras."""
     if mode not in ("subset", "equiv"):
         raise ValueError("mode must be subset or equiv")
-    (det1, complete1), (det2, complete2) = m1._shape, m2._shape
-    if not det1 or not det2:
+    if not (m1._shape[0] and m2._shape[0]):
         raise ValueError("includes needs deterministic inputs")
     if m1.algebra != m2.algebra:
         raise ValueError("algebra mismatch")
@@ -239,12 +209,13 @@ def includes(m1, m2, mode="subset"):
     else:
         def tells_apart(pair):
             return (pair[0] in f1) != (pair[1] in f2)
-    # a complete machine has no uncovered part to route to the sink
-    rows1 = _Rows(m1, mode == "equiv" and not complete1)
-    rows2 = _Rows(m2, not complete2)
-    meet = m1.algebra.meet
+    # GAP, the virtual sink, is no state, so .get gives it its own sweep,
+    # which keeps every letter in GAP
+    sink = ([(m1.algebra.dmin, SUP, GAP)], False)
+    swept1, swept2, meet = m1._swept, m2._swept, m1.algebra.meet
     w = _first_word((m1.initial, m2.initial), tells_apart,
-                    lambda pair: meet(rows1[pair[0]], rows2[pair[1]]))
+                    lambda pair: meet(swept1.get(pair[0], sink)[0],
+                                      swept2.get(pair[1], sink)[0]))
     return True if w is None else w
 
 

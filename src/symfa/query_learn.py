@@ -93,7 +93,8 @@ class AdversarialPropTeacher(Oracle):
     decided one keeps its label, so a sound learner cannot be told "yes"
     before 2^k - 1 queries.  Every word of another length than one is
     labeled 0, and a hypothesis that accepts one is shown a shortest
-    such word first."""
+    such word first.  A membership query on a word with a letter outside
+    the algebra raises ValueError."""
 
     def __init__(self, k):
         super().__init__()
@@ -109,6 +110,9 @@ class AdversarialPropTeacher(Oracle):
         if len(w) == 1 and w[0] in self.pool:
             self.pool.remove(w[0])
             self.s_minus.append(w[0])
+        else:  # the pool holds letters only
+            for d in w:
+                self.algebra.check_letter(d)
         return 1 if len(w) == 1 and w[0] in self.s_plus else 0
 
     def _eq(self, hypothesis):
@@ -245,7 +249,9 @@ def algebra_learner_from_sfa_learner(sfa_learner, algebra_oracle, alg,
 
 class PredicateTeacher(Oracle):
     """Honest predicate-level oracle over the prop algebra.  The target is
-    denoted once, at construction, and each proposal once per query."""
+    denoted once, at construction, and each proposal once per query.  A
+    membership query on a value that is no letter of the algebra raises
+    ValueError."""
 
     def __init__(self, alg, target):
         super().__init__()
@@ -254,7 +260,8 @@ class PredicateTeacher(Oracle):
         self._target_sem = denote(alg, target)
 
     def _mq(self, d):
-        return 1 if self.alg.contains(self._target_sem, d) else 0
+        return 1 if self.alg.contains(self._target_sem,
+                                      self.alg.check_letter(d)) else 0
 
     def _eq(self, psi):
         """The least letter on which psi and the target differ, labeled by

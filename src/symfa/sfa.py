@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    Algebra, And, Interval, Lit, Not, Pred, Top, _nodes, denote,
+    GAP, Algebra, And, Interval, Lit, Not, Pred, Top, _nodes, denote,
     format_letter, format_pred, or_all, parse_pred, pred_size,
 )
 
@@ -28,7 +28,9 @@ class Sfa:
     are built on its first read.  Two machines are equal when their
     algebra, states, initial state, accepting set and ordered rows are,
     however their guards are written.  A machine is never changed once
-    built, so what it computes on first use is kept."""
+    built, so what it computes on first use is kept: its guard trees, its
+    flags, and its sweep, each state's pieces laid out in letter order
+    once (Algebra.sweep), which every reader of that order shares."""
 
     def __init__(self, algebra, states, initial, accepting, transitions):
         rows = []
@@ -104,16 +106,22 @@ class Sfa:
             self.transitions)
 
     @cached_property
+    def _swept(self):
+        """State -> the algebra's sweep of its row, (pieces, overlap),
+        computed once for every state on first use: the letter-order
+        layout that the shape flags, the sink's gaps, transition tables,
+        minimize and includes read."""
+        sweep = self.algebra.sweep
+        return {q: sweep(row) for q, row in self.edges.items()}
+
+    @cached_property
     def _shape(self):
-        """(deterministic, complete), computed on first use: the two flags
-        that the operations check, without the others' guard walks."""
-        flags = self.algebra.partition_flags
-        deterministic = complete = True
-        for row in self.edges.values():
-            disjoint, covering = flags([s for s, _ in row])
-            deterministic = deterministic and disjoint
-            complete = complete and covering
-        return deterministic, complete
+        """(deterministic, complete), computed on first use: no state's
+        pieces overlap, and none leaves a GAP."""
+        swept = self._swept.values()
+        return (not any(overlap for _, overlap in swept),
+                all(dst is not GAP for pieces, _ in swept
+                    for _, _, dst in pieces))
 
     @cached_property
     def flags(self):
@@ -162,11 +170,12 @@ def accepts(m, w):
 def transition_table(m, letters):
     """(state, letter) -> destination for every state of a deterministic
     complete m: the one edge whose guard holds the letter, found by the
-    algebra's row_successors over the ascending letters."""
+    algebra's row_successors over each state's swept pieces and the
+    ascending letters."""
     order = sorted(set(letters))
     table = {}
-    for q, row in m.edges.items():
-        dst_of = dict(zip(order, m.algebra.row_successors(row, order)))
+    for q, (pieces, _) in m._swept.items():
+        dst_of = dict(zip(order, m.algebra.row_successors(pieces, order)))
         table.update(((q, a), dst_of[a]) for a in letters)
     return table
 
@@ -243,13 +252,14 @@ def _fresh_state(taken, base="sink"):
 
 def complete_sfa(m):
     """Add a rejecting sink covering the uncovered part of each state's
-    outgoing predicates.  On neat interval input the new transitions are the
-    gap intervals, at most one more than the state's out-degree."""
+    outgoing predicates: the GAP pieces of the state's sweep.  On neat
+    interval input the new transitions are the gap intervals, at most one
+    more than the state's out-degree."""
     alg = m.algebra
     sink = _fresh_state(set(m.states))
     extra = []
     for q in m.states:
-        gap = alg.complement(alg.union_all([s for s, _ in m.edges[q]]))
+        gap = tuple((lo, hi) for lo, hi, dst in m._swept[q][0] if dst is GAP)
         if gap:
             extra += [((q, s, sink), p) for p, s in alg.gap_guards(
                 lambda q=q: [p for p, _ in m.out(q)], gap)]

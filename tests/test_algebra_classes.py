@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from symfa import And, BOT, INF, Interval, Lit, Not, Sfa, TOP
 from symfa.algebra import (
-    INTERVAL_INT, INTERVAL_NAT, Algebra, IntervalAlgebra, PropAlgebra,
-    denote, format_letter, prop_algebra,
+    GAP, INTERVAL_INT, INTERVAL_NAT, SUP, Algebra, IntervalAlgebra,
+    PropAlgebra, denote, format_letter, prop_algebra,
 )
 from symfa.ops import equiv
 from symfa.sfa_learn import char_sfa, infer_sfa
@@ -107,11 +107,34 @@ def test_pieces_split_the_set(case):
 
 @given(cases(0, 4))
 def test_partition_flags_match_a_scan(case):
+    """sweep lays a state's row out in letter order: its own pieces sorted
+    by lower end, and the stretches that none covers as canonical GAP
+    pieces, which hold exactly the letters outside the union."""
     alg, preds = case
     sets = [truth(alg, p) for p in preds]
-    flags = alg.partition_flags([denote(alg, p) for p in preds])
+    sems = [denote(alg, p) for p in preds]
+    pieces, overlap = alg.sweep([(s, i) for i, s in enumerate(sems)])
+    gaps = [(lo, hi) for lo, hi, dst in pieces if dst is GAP]
+    flags = (not overlap, not gaps)
     assert flags == (disjoint(sets),
                      set().union(*sets) == set(sample_letters(alg)))
+    los = [lo for lo, _, _ in pieces]
+    assert los == sorted(los)
+    assert ({piece for piece in pieces if piece[2] is not GAP}
+            == {(lo, hi, i) for i, s in enumerate(sems) for lo, hi in s})
+    assert len(pieces) - len(gaps) == sum(map(len, sems))
+    # canonical: non-empty, ascending, never adjacent
+    assert all(lo < hi for lo, hi in gaps)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(gaps, gaps[1:]))
+    assert (members(alg, tuple(gaps))
+            == set(sample_letters(alg)) - set().union(*sets))
+    if not overlap:
+        # the pieces and the GAP stretches tile the domain, in order
+        ends = [alg.dmin] + [hi for _, hi, _ in pieces]
+        assert los == ends[:-1] and ends[-1] is SUP
+        assert all(len([1 for lo, hi, _ in pieces
+                        if alg.contains(((lo, hi),), d)]) == 1
+                   for d in sample_letters(alg))
 
 
 def region_row(alg, preds, owners):
@@ -134,7 +157,7 @@ def test_row_successors_match_a_scan(case, owners):
     letters = sorted(sample_letters(alg))
     expected = [next(o for s, o in row if d in members(alg, s))
                 for d in letters]
-    assert alg.row_successors(row, letters) == expected
+    assert alg.row_successors(alg.sweep(row)[0], letters) == expected
 
 
 @given(st.sampled_from(ALGEBRAS).flatmap(lambda alg: st.tuples(
@@ -143,12 +166,16 @@ def test_row_successors_match_a_scan(case, owners):
     st.lists(st.sampled_from("xyz"), min_size=1), st.booleans())
 def test_meet_matches_a_pairwise_scan(case, owners, gapped):
     alg, preds1, preds2 = case
-    # with gapped, the first edge of each row goes, so rows need not cover
+    # with gapped, the first edge of each row goes, so rows need not cover;
+    # what a row leaves uncovered meets the other row as GAP
     rows = [region_row(alg, preds, owners)[gapped:]
             for preds in (preds1, preds2)]
-    common = {(d1, d2): members(alg, s1) & members(alg, s2)
-              for s1, d1 in rows[0] for s2, d2 in rows[1]}
-    steps = alg.meet(alg.meet_row(rows[0]), alg.meet_row(rows[1]))
+    every = set(sample_letters(alg))
+    sides = [[(members(alg, s), d) for s, d in row]
+             + [(every - set().union(*(members(alg, s) for s, _ in row)),
+                 GAP)] for row in rows]
+    common = {(d1, d2): c1 & c2 for c1, d1 in sides[0] for c2, d2 in sides[1]}
+    steps = alg.meet(alg.sweep(rows[0])[0], alg.sweep(rows[1])[0])
     # a step per non-empty intersection, or per piece of one over intervals
     assert [a for a, _ in steps] == sorted(a for a, _ in steps)
     assert all(a in common[pair] for a, pair in steps)

@@ -290,6 +290,48 @@ def test_state_named_sink():
     assert includes(one_not_p1, everything_p0) == ("000",)
 
 
+def test_state_named_none():
+    """The virtual sink is no state name: a machine with a state named
+    None classifies, completes and compares like a renamed copy."""
+    def pair(name):
+        # incomplete on both states, so the gaps come into play
+        partial = Sfa(INTERVAL_NAT, (name, "a"), name, ("a",), (
+            (name, Interval(0, 5), "a"),
+            ("a", Interval(3, INF), name),
+        ))
+        total = Sfa(INTERVAL_NAT, (name, "a"), name, ("a",), (
+            (name, Interval(0, INF), "a"),
+            ("a", Interval(0, INF), name),
+        ))
+        return partial, total
+
+    def renamed(m):
+        return Sfa(m.algebra, ["z" if q is None else q for q in m.states],
+                   "z" if m.initial is None else m.initial,
+                   ["z" if q is None else q for q in m.accepting],
+                   [("z" if s is None else s, p, "z" if d is None else d)
+                    for s, p, d in m.transitions])
+
+    machines, copies = pair(None), pair("z")
+    assert [classify(m) for m in machines] == [classify(m)
+                                               for m in copies]
+    assert not classify(machines[0]).complete
+    assert classify(machines[1]).complete
+    assert [renamed(complete_sfa(m)) for m in machines] == [
+        complete_sfa(m) for m in copies]
+    others = [*copies, exact_target(random.Random(4), 3)]
+    for m, copy in zip(machines, copies):
+        for other in others:
+            for mode in ("subset", "equiv"):
+                assert includes(m, other, mode) == includes(copy, other,
+                                                            mode)
+                assert includes(other, m, mode) == includes(other, copy,
+                                                            mode)
+    assert includes(machines[0], copies[0], "equiv") is True
+    assert includes(machines[0], machines[1]) is True
+    assert includes(machines[1], machines[0]) == (5,)
+
+
 @pytest.mark.parametrize("alg1, alg2", [
     (INTERVAL_NAT, INTERVAL_INT), (prop_algebra(3), prop_algebra(4)),
 ])

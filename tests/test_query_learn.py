@@ -216,6 +216,29 @@ def test_predicate_teacher():
     assert d in ("10", "11") and b == 1
 
 
+def test_teachers_refuse_membership_queries_on_non_letters():
+    p2 = prop_algebra(2)
+    for target in (Lit(0, True), TOP):
+        t = PredicateTeacher(p2, target)
+        for d in ("zzz", "1", "011", ("10",)):
+            with pytest.raises(ValueError, match="bad prop letter"):
+                t.mq(d)
+    adversary = adversarial_prop_teacher(2)
+    for w in (("zzz",), ("1",), ("10", "2")):
+        with pytest.raises(ValueError, match="bad prop letter"):
+            adversary.mq(w)
+    assert adversary.pool == ["00", "01", "10", "11"]
+    # the wrapper forwards a one-letter word's letter to the predicate
+    # oracle, which refuses it
+
+    def probing_learner(k, oracle):
+        oracle.mq(("zzz",))
+
+    with pytest.raises(ValueError, match="bad prop letter"):
+        algebra_learner_from_sfa_learner(
+            probing_learner, PredicateTeacher(p2, TOP), p2)
+
+
 def test_wrapper_end_to_end():
     p2 = prop_algebra(2)
     for target in (And(Lit(0, True), Lit(1, True)), TOP, Lit(1, False)):

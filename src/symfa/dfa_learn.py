@@ -6,8 +6,9 @@ words, prefix-tree automata)."""
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
+from operator import itemgetter
 
 from .algebra import format_letter
 from .sfa import sample_dict
@@ -75,17 +76,23 @@ class SampleIndex:
     are numbered below it.  The learner asks its queries on class ids:
     cls(w) is a word's class, same(x, y) the memoized class-pair test, and
     agrees_with a search over (class, state) pairs.  No tree node is kept:
-    tree() unfolds the tree for the builders that read nodes.  Each
-    distinct sample letter is checked with the algebra's check_letter
-    before anything is sorted, so a letter outside the algebra raises
-    ValueError rather than failing a comparison."""
+    tree() unfolds the tree for the builders that read nodes.  Every
+    sample letter that is no int is checked with the algebra's
+    check_letter before anything is sorted, and every distinct letter of
+    the built classes after, so a letter outside the algebra raises
+    ValueError rather than failing a comparison, also where it equals a
+    letter of the algebra (True and 1.0 equal 1)."""
 
     def __init__(self, sample, algebra):
-        self.words = sample_dict(sample)
-        letters = set(chain.from_iterable(self.words))
-        for d in letters:
+        pairs = sample.items() if isinstance(sample, dict) else list(sample)
+        self.words = words = sample_dict(pairs)
+        # an int letter is checked by its value, as a distinct letter of
+        # the built index; a letter of another type may equal an int (True,
+        # 1.0) and share its edge, so it is checked itself, before the sort,
+        # in the given words where sample_dict folded one into an equal one
+        given = words if len(words) == len(pairs) else (w for w, _ in pairs)
+        for d in {d for w in given for d in w if type(d) is not int}:
             algebra.check_letter(d)
-        self._letters = tuple(sorted(letters))
         # one walk of the words in ascending order, each resumed from its
         # longest common prefix with the word before; a node left is done
         ids = {(-1,): 0}
@@ -96,31 +103,58 @@ class SampleIndex:
                 key = tuple(path.pop())
                 path[-1].append((prev[j - 1], ids.setdefault(key, len(ids))))
 
-        for w, b in sorted(self.words.items()):
-            # prev < w, so w is no proper prefix of prev and w[i] exists
-            i, n = 0, len(prev)
-            while i < n and prev[i] == w[i]:
-                i += 1
-            if i < n:  # else prev is a prefix of w, and no node is left
-                leave(i)
-            for _ in w[i:]:
-                path.append([-1])
+        for w, b in sorted(words.items(), key=itemgetter(0)):
+            n = len(prev)
+            if n and len(w) == n and prev[:-1] == w[:-1]:
+                # a sibling: any extension of prev would sort between the
+                # two, so prev's node is a leaf, keyed by its label alone
+                key = (path[-1][0],)
+                path[-2].append((prev[-1], ids.setdefault(key, len(ids))))
+            else:
+                # where w extends prev, no node is left; else prev < w, so
+                # w is no proper prefix of prev and w[i] exists
+                i = n if w[:n] == prev else 0
+                if i < n:
+                    while prev[i] == w[i]:
+                        i += 1
+                    leave(i)
+                for _ in w[i:]:
+                    path.append([-1])
             path[-1][0] = b
             prev = w
         leave(0)
         self._set_classes(ids, ids.setdefault(tuple(path[0]), len(ids)))
+        for d in self._letters:
+            algebra.check_letter(d)
 
     def _set_classes(self, ids, root):
+        """Take the classes of ids, keyed in id order, and the root's
+        class; the letters are those on edges reachable from the root."""
         self._root, self._known = root, {}
         self._class_label = [key[0] for key in ids]
-        self._class_kids = [dict(key[1:]) for key in ids]
+        self._class_kids = kids = [dict(key[1:]) for key in ids]
+        letters, reached = set(), {root}
+        for x in range(len(kids) - 1, 0, -1):  # parents before children
+            if x in reached:
+                letters.update(kids[x])
+                reached.update(kids[x].values())
+        self._letters = tuple(sorted(letters))
+
+    @cached_property
+    def words(self):
+        """The sample as a dict of word to label.  A cut index (restrict)
+        builds it on first read: the sample words over its letters, in the
+        sample's order."""
+        letters, words = self._cut
+        return {w: b for w, b in words.items() if letters.issuperset(w)}
 
     def restrict(self, letters):
-        """The index of the sample words over letters, a set, in the
-        sample's order: this one when every sample letter is among them,
-        else this one with each edge on another letter cut.  One pass over
-        the classes in id order keys each anew without those edges and
-        edges into class 0."""
+        """The index of the sample words over letters, a set: this one
+        when every sample letter is among them, else this one with each
+        edge on another letter cut.  One pass over the classes in id order
+        keys each anew without those edges and edges into class 0, so the
+        root's class is 0 exactly when no word is kept.  The kept words are
+        listed only when words is read."""
         if letters.issuperset(self._letters):
             return self
         ids, new = {(-1,): 0}, []
@@ -131,10 +165,7 @@ class SampleIndex:
                     key.append((a, new[c]))
             new.append(ids.setdefault(tuple(key), len(ids)))
         sub = SampleIndex.__new__(SampleIndex)
-        sub.words = {w: b for w, b in self.words.items()
-                     if letters.issuperset(w)}
-        used = set(chain.from_iterable(sub.words))
-        sub._letters = tuple(a for a in self._letters if a in used)
+        sub._cut = (frozenset(letters), self.words)
         sub._set_classes(ids, new[self._root])
         return sub
 
@@ -263,6 +294,31 @@ def distinguishing_word(d, q1, q2):
     return w
 
 
+def _separators(d):
+    """distinguishing_word of every ordered pair of states that some word
+    tells apart, as one dict keyed by the pair, built layer by layer.
+    Layer 0 holds the pairs of different acceptance.  A pair still open at
+    layer k takes the least letter whose successor pair was resolved
+    before layer k, followed by that pair's word: a shorter word would
+    have resolved it sooner, and a least first letter, then a least rest,
+    make the least word of that length."""
+    states, delta, accepting, sep = d.states, d.delta, d.accepting, {}
+    pending = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]]
+    found = [(p, q, ()) for p, q in pending
+             if (p in accepting) != (q in accepting)]
+    while found:  # the pairs of one layer
+        for p, q, v in found:
+            sep[p, q] = sep[q, p] = v
+        pending, found = [pq for pq in pending if pq not in sep], []
+        for p, q in pending:
+            for a in d.alphabet:
+                v = sep.get((delta[p, a], delta[q, a]))
+                if v is not None:
+                    found.append((p, q, (a,) + v))
+                    break
+    return sep
+
+
 def char_dfa(d):
     """Characteristic sample of a minimal complete DFA: labeled
     (S.E) u (S.Sigma.E) for S the lex access words and E the pairwise
@@ -273,11 +329,13 @@ def char_dfa(d):
     every access word v that reaches a different state (some suffix e
     has u.a.e and v.e both labeled, with different labels).
 
-    Every word is s.e or s.a.e, whose label is that of e read from the
-    state s or s.a reaches, so the labels are tabulated once per state
-    and suffix, |Q|.|E| runs, and the words are listed in the order of
-    the loops over S, then Sigma, then E.  The dict is returned as built:
-    its labels are 0 and 1 and its words tuples by construction."""
+    E lists the distinguishing_word of each pair of access words in
+    order, each once, all read off one table (_separators).  Every word
+    is s.e or s.a.e, whose label is that of e read from the state s or
+    s.a reaches, so the labels are tabulated once per state and suffix,
+    |Q|.|E| runs, and the words are listed in the order of the loops over
+    S, then Sigma, then E.  The dict is returned as built: its labels are
+    0 and 1 and its words tuples by construction."""
     if d.accepting == set(d.states):
         return {(): 1}
     if not d.accepting:
@@ -285,13 +343,15 @@ def char_dfa(d):
     access = lex_access_words(d)
     s_words = sorted(access.values())
     by_word = {w: q for q, w in access.items()}
-    e_words = [()]
-    for i in range(len(s_words)):
-        for j in range(i + 1, len(s_words)):
-            v = distinguishing_word(d, by_word[s_words[i]],
-                                    by_word[s_words[j]])
-            if v not in e_words:
-                e_words.append(v)
+    sep, e_words = _separators(d), {(): None}
+    for i, s in enumerate(s_words):
+        for t in s_words[i + 1:]:
+            v = sep.get((by_word[s], by_word[t]))
+            if v is None:
+                raise ValueError("states %r and %r are not distinguishable"
+                                 % (by_word[s], by_word[t]))
+            e_words.setdefault(v)
+    e_words = list(e_words)
     # fate[q][i]: the label of e_words[i] read from q
     fate = {q: [1 if d.run(e, q) in d.accepting else 0 for e in e_words]
             for q in d.states}
@@ -363,26 +423,28 @@ def _grow(idx, letters):
     its class.  Each next row is the least extension r.a of a row (a among
     letters) that no row matches (SampleIndex.same): candidates leave a
     heap keyed by word, and since rows only grow, the first one left
-    unmatched is adopted.  One that is no sample prefix matches every row
-    and is never pushed.  A letter that the caller appends to letters
-    while a row is out extends every row.  Neighbouring letters mostly
-    lead to the same row, so the row that the last dropped candidate
-    matched is tried first."""
+    unmatched is adopted.  Matching depends on the class alone, and a
+    class once matched stays matched, so each class is tried once: a
+    candidate of a settled class (class 0, that of every word that is no
+    sample prefix, a row's or a dropped candidate's) is neither pushed
+    nor tried.  A letter that the caller appends to letters while a row
+    is out extends every row."""
     same, kids = idx.same, idx._class_kids
-    rows, heap, hint, n = [], [((), idx._root)], None, 0
+    rows, heap, n = [], [((), idx._root)], 0
+    settled = {0}
 
     def push(r, y, over):
         for a in over:
             c = kids[y].get(a, 0)
-            if c:
+            if c not in settled:
                 heappush(heap, (r + (a,), c))
 
     while heap:
         w, x = heappop(heap)
-        if hint is not None and same(x, hint):
+        if x in settled:
             continue
-        hint = next((y for _, y in rows if same(x, y)), None)
-        if hint is not None:
+        settled.add(x)
+        if any(same(x, y) for _, y in rows):
             continue
         yield w, x
         new, n = letters[n:], len(letters)
@@ -435,24 +497,27 @@ def _grow_rows(idx, algebra, alphabet):
     if any(labels[cls[r]] < 0 for r in rows):
         return None
     # rows are pairwise separated, so a row matches itself only
-    for a in alphabet:
-        x = kids[cls[()]].get(a, 0)
+    root = kids[cls[()]]
+    for x in {root.get(a, 0) for a in alphabet}:
         if sum(same(x, cls[r2]) for r2 in rows) != 1:
             return None
     # prefer staying in the source state, then the most specific (longest,
-    # then lexicographically least) matching row
+    # then lexicographically least) matching row, sought once per class
     preferred = sorted(rows, key=lambda r2: (-len(r2), r2))
     names = {r: _word_id(r) for r in rows}
-    delta = {}
+    delta, best = {}, {}
     for r in rows:
         for a in alphabet:
             x = kids[cls[r]].get(a, 0)
             if same(x, cls[r]):
                 tgt = r
+            elif x in best:
+                tgt = best[x]
             else:
-                tgt = next((r2 for r2 in preferred if same(x, cls[r2])), None)
-                if tgt is None:
-                    return None
+                tgt = best[x] = next(
+                    (r2 for r2 in preferred if same(x, cls[r2])), None)
+            if tgt is None:
+                return None
             delta[names[r], a] = names[tgt]
     accepting = [names[r] for r in rows if labels[cls[r]] == 1]
     out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],

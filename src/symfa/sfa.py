@@ -346,10 +346,9 @@ def sample_dict(pairs):
     for w, b in pairs:
         if b not in (0, 1):
             raise ValueError("label must be 0 or 1, not %r" % (b,))
-        w, b = tuple(w), int(b)
-        if out.get(w, b) != b:
+        w = tuple(w)
+        if out.setdefault(w, int(b)) != b:
             raise ValueError("inconsistent sample at word %r" % (w,))
-        out[w] = b
     return out
 
 

@@ -296,7 +296,7 @@ def infer_sfa(alg, sample):
     (_agrees) checks the rest."""
     idx = _checked_index(alg, sample)
     sub = idx.restrict(_kept_letters(alg, idx))
-    rows = _grow_rows(sub, alg, sub.letters()) if sub.words else None
+    rows = _grow_rows(sub, alg, sub.letters()) if sub._root else None
     if rows is not None:
         candidate = generalize_dfa(rows)
         if sub is idx or _agrees(candidate, idx):

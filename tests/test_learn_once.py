@@ -2,8 +2,9 @@
 that walked the whole sample with agrees on both paths (wherever that
 order returns no prefix tree), one class search of the full index as the
 only check of the removed words, char_dfa's per-state labels against the
-per-word loop, the cleaned index cut from the full one, and letters
-outside the algebra rejected before anything is sorted."""
+per-word loop, its separator table against distinguishing_word, the
+cleaned index cut from the full one, and letters outside the algebra
+rejected before anything is sorted."""
 
 import random
 
@@ -13,7 +14,8 @@ from hypothesis import given
 from symfa import sfa_learn
 from symfa.algebra import INTERVAL_INT, INTERVAL_NAT
 from symfa.dfa_learn import (
-    SampleIndex, _grow_rows, char_dfa, distinguishing_word, lex_access_words,
+    Dfa, SampleIndex, _grow_rows, _separators, char_dfa, distinguishing_word,
+    lex_access_words,
 )
 from symfa.generate import random_sfa
 from symfa.sfa import format_sfa, sample_dict
@@ -24,7 +26,7 @@ from symfa.sfa_learn import (
 
 from conftest import (
     TWO_STATE_SAMPLE, assert_fallback, interval_samples, minimal_target,
-    random_noise_for_sfa,
+    random_dfa, random_noise_for_sfa,
 )
 
 
@@ -243,6 +245,30 @@ def test_char_dfa_items_equal_the_old_loop(seed):
                 e_words.append(v)
     assert list(sample.items()) == list(
         ref_char_dfa_labels(d, s_words, e_words).items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_separator_table_is_distinguishing_word(seed):
+    rng = random.Random(seed)
+    if seed < 36:
+        d = random_dfa(rng, max_states=2 + seed // 3, max_alpha=1 + seed % 4)
+    else:  # the learn workloads' sizes
+        d = concretize_sfa(minimal_target(4 * (seed - 34), seed))
+    sep = _separators(d)
+    pairs = [(p, q) for p in d.states for q in d.states if p != q]
+    assert len(sep) == len(pairs)  # a minimal DFA: every pair told apart
+    for p, q in pairs:
+        assert sep[p, q] == distinguishing_word(d, p, q)
+
+
+def test_separator_table_leaves_out_equivalent_states():
+    # q1 and q2 accept the same language; q0 rejects () and accepts (0,)
+    d = Dfa(INTERVAL_NAT, [0], ["q0", "q1", "q2"], "q0", ["q1", "q2"],
+            {("q0", 0): "q1", ("q1", 0): "q2", ("q2", 0): "q1"})
+    assert _separators(d) == {("q0", "q1"): (), ("q1", "q0"): (),
+                              ("q0", "q2"): (), ("q2", "q0"): ()}
+    with pytest.raises(ValueError, match="not distinguishable"):
+        char_dfa(d)
 
 
 # ---------------------------------------------------------------------------

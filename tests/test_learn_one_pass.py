@@ -1,8 +1,9 @@
 """The one-pass learner: letter checks on the sample walk, a differential
 against the quadratic row search it replaced, the paper's round trip at
-a size where that search took seconds, and a gate on the row search's
+sizes where that search took seconds, and gates on the row search's
 query count."""
 
+import random
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from symfa.sfa_learn import agrees, char_sfa, decontaminate, infer_sfa
 
 from conftest import (
     TWO_STATE_SAMPLE, build_two_state_target, interval_samples, minimal_target,
+    random_noise_for_sfa,
 )
 
 
@@ -33,6 +35,23 @@ def test_bad_letters_are_rejected(word):
         infer_sfa(INTERVAL_NAT, sample)
     with pytest.raises(ValueError):
         agrees(build_two_state_target(), sample)
+
+
+@pytest.mark.parametrize("sample", [
+    [((1, 5), 1), ((True, 6), 0), ((2,), 1)],
+    [((1, 5), 1), ((1.0, 6), 0), ((2,), 1)],
+    # a word equal to an earlier one, which the sample's dict keeps
+    [((1,), 1), ((True,), 1), ((2,), 0)],
+])
+def test_a_bad_letter_equal_to_a_letter_is_rejected(sample):
+    # True == 1 == 1.0: a set of the letters keeps 1 alone, and an index
+    # that checked that set learned a state named w:True.6 from the first
+    with pytest.raises(ValueError, match="bad interval letter"):
+        infer_sfa(INTERVAL_NAT, sample)
+    with pytest.raises(ValueError, match="bad interval letter"):
+        decontaminate(INTERVAL_NAT, sample)
+    with pytest.raises(ValueError, match="bad interval letter"):
+        prefix_tree_dfa(sample, INTERVAL_NAT)
 
 
 def test_inf_is_a_letter():
@@ -180,7 +199,7 @@ def test_frontier_matches_quadratic_search(case):
 
 
 # ---------------------------------------------------------------------------
-# The round trip at n = 32, and the row search's query count
+# The round trip at n = 32 and n = 64, and the row search's query count
 
 
 def test_round_trip_32_states():
@@ -194,6 +213,46 @@ def test_round_trip_32_states():
     # a gate: the quadratic row search took 4.3-7.2 s for this call on a
     # 2-vCPU host, the one-pass learner 1.0-1.5 s
     assert elapsed < 3.5
+
+
+def test_round_trip_64_states():
+    # the characteristic sample (441,850 words) plus 30 new words that the
+    # target labels, so decontamination cuts the index and the candidate
+    # is checked against the whole sample
+    target = minimal_target(64, 64)
+    sample = char_sfa(target)
+    rng, noise = random.Random(64), {}
+    while len(noise) < 30:
+        noise.update((w, b) for w, b in random_noise_for_sfa(
+            rng, target, 30 - len(noise)).items() if w not in sample)
+    sample.update(noise)
+    t0 = time.perf_counter()
+    learned = infer_sfa(INTERVAL_NAT, sample)
+    elapsed = time.perf_counter() - t0
+    assert includes(learned, target, "equiv") is True
+    # a gate: this call took 1.6-2.1 s on a 2-vCPU host, 2.7-3.6 s with
+    # the node-by-node index walk and the per-candidate row search, and
+    # the word-by-word learner took over 5 s at this size
+    assert elapsed < 4.5
+
+
+def test_row_search_asks_once_per_class(monkeypatch):
+    # SampleIndex.same calls of one infer_sfa: 1,680 when row growing
+    # tries each class once and the transition search runs once per
+    # class, 6,482 when each candidate and each (row, letter) pair was
+    # searched on its own
+    calls = []
+    same = SampleIndex.same
+
+    def counted(self, x, y):
+        calls.append(None)
+        return same(self, x, y)
+
+    monkeypatch.setattr(SampleIndex, "same", counted)
+    target = minimal_target(16, 16)
+    learned = infer_sfa(INTERVAL_NAT, char_sfa(target))
+    assert includes(learned, target, "equiv") is True
+    assert len(calls) < 2000
 
 
 def test_row_search_query_count(monkeypatch):

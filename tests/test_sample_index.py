@@ -1,17 +1,22 @@
 """SampleIndex answers sample equivalence from its subtree classes: equiv
 and the class-id test same(cls(w1), cls(w2)) against a brute-force search
 for a conflicting extension, on full and restricted indices; restrict
-against a fresh index; the class search of agrees_with against one
-flipped label; a word thousands of letters long; and the memory the index
-retains and infer_sfa peaks at on a characteristic sample."""
+against a fresh index; the classes of the walk against the walk it
+replaced, and the cut index's lazy words, letters and root; the class
+search of agrees_with against one flipped label; a word thousands of
+letters long; and the memory the index retains and infer_sfa peaks at on
+a characteristic sample."""
 
+import random
 import tracemalloc
+from itertools import chain
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from symfa.algebra import INTERVAL_NAT
+from symfa.algebra import INTERVAL_NAT, prop_algebra
 from symfa.dfa_learn import SampleIndex
-from symfa.sfa import transition_table
+from symfa.sfa import sample_dict, transition_table
 from symfa.sfa_learn import _agrees, agrees, char_sfa, infer_sfa
 
 from conftest import interval_samples, minimal_target, samples
@@ -59,6 +64,106 @@ def test_restrict_equals_a_fresh_index(case, data):
     for p in prefixes:
         for q in prefixes:
             assert sub.equiv(p, q) == fresh.equiv(p, q)
+
+
+# ---------------------------------------------------------------------------
+# The classes against the walk that built them before the sibling and
+# extension fast paths: every word resumed from its longest common prefix
+# with the word before, found letter by letter
+
+
+def ref_classes(sample):
+    """(root class, labels, children) of the sample's classes, numbered as
+    the letter-by-letter walk registers them."""
+    ids = {(-1,): 0}
+    path, prev = [[-1]], ()
+
+    def leave(i):
+        for j in range(len(prev), i, -1):
+            key = tuple(path.pop())
+            path[-1].append((prev[j - 1], ids.setdefault(key, len(ids))))
+
+    for w, b in sorted(sample_dict(sample).items()):
+        i, n = 0, len(prev)
+        while i < n and prev[i] == w[i]:
+            i += 1
+        if i < n:
+            leave(i)
+        for _ in w[i:]:
+            path.append([-1])
+        path[-1][0] = b
+        prev = w
+    leave(0)
+    root = ids.setdefault(tuple(path[0]), len(ids))
+    return root, [key[0] for key in ids], [list(key[1:]) for key in ids]
+
+
+def assert_classes_are_the_reference(sample, alg):
+    idx = SampleIndex(sample, alg)
+    assert (idx._root, idx._class_label,
+            [list(kids.items()) for kids in idx._class_kids]) \
+        == ref_classes(sample)
+
+
+def assert_lazy_restrict(idx, kept):
+    """The cut index's words are the eager comprehension, in order, its
+    letters are theirs, and its root's class is 0 exactly when none is
+    kept."""
+    words = {w: b for w, b in idx.words.items() if kept.issuperset(w)}
+    sub = idx.restrict(kept)
+    assert (sub._root == 0) == (not words)
+    assert sub.letters() == tuple(sorted(set(chain.from_iterable(words))))
+    assert list(sub.words.items()) == list(words.items())
+
+
+P2 = prop_algebra(2)
+EDGE_SAMPLES = [
+    (INTERVAL_NAT, {(): 1}),  # only the empty word
+    (INTERVAL_NAT, {(3, 1): 0}),  # one word
+    (INTERVAL_NAT, {(): 0, (1,): 1, (1, 2): 0, (1, 2, 3): 1}),  # a chain
+    # a word, its extension, then a sibling of each
+    (INTERVAL_NAT, {(1, 2): 1, (1, 2, 5): 0, (1, 2, 6): 1, (1, 3): 0}),
+    # siblings of different lengths, and a long word after short ones
+    (INTERVAL_NAT, {(1, 2): 1, (1, 3, 4): 0, (1, 5): 1, (1, 5, 0, 0): 0,
+                    (2,): 1}),
+    # one-letter siblings, one of them extended
+    (INTERVAL_NAT, {(0,): 1, (1,): 1, (2,): 0, (2, 0): 1, (3,): 0}),
+    (P2, {("00",): 1, ("01",): 0, ("01", "11"): 1, ("10",): 1,
+          ("11", "00"): 0, ("11", "01"): 1}),
+]
+
+
+@pytest.mark.parametrize("alg, sample", EDGE_SAMPLES)
+def test_classes_match_the_reference_walk_on_edge_cases(alg, sample):
+    assert_classes_are_the_reference(sample, alg)
+    idx = SampleIndex(sample, alg)
+    letters = idx.letters()
+    for k in range(len(letters) + 1):
+        assert_lazy_restrict(idx, set(letters[:k]))
+        assert_lazy_restrict(idx, set(letters[k:]))
+
+
+@given(samples(), st.data())
+def test_classes_match_the_reference_walk(case, data):
+    alg, sample = case
+    assert_classes_are_the_reference(sample, alg)
+    idx = SampleIndex(sample, alg)
+    kept = set(data.draw(st.sets(st.sampled_from(idx.letters())))
+               if idx.letters() else ())
+    assert_lazy_restrict(idx, kept)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_classes_match_the_reference_walk_on_prop_samples(seed):
+    rng = random.Random(seed)
+    alg = prop_algebra(rng.randint(1, 3))
+    sample = {tuple(rng.choice(alg.letters())
+                    for _ in range(rng.randint(0, 5))): rng.randint(0, 1)
+              for _ in range(rng.randint(1, 40))}
+    assert_classes_are_the_reference(sample, alg)
+    idx = SampleIndex(sample, alg)
+    assert_lazy_restrict(idx, set(rng.sample(idx.letters(),
+                                             len(idx.letters()) // 2)))
 
 
 def dfa_search(idx, m):

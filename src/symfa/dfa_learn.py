@@ -179,8 +179,12 @@ class SampleIndex:
         q-th sample prefix in ascending order, kids[q] maps each letter to
         a child in ascending letter order, label[q] is the prefix's label
         (-1 if no sample word), and up[q] is (parent, letter), None at 0."""
+        return self._unfold()[:3]
+
+    def _unfold(self):
+        """tree()'s three lists and a fourth, each node's class."""
         ckids, clabel = self._class_kids, self._class_label
-        kids, label, up = [], [], []
+        kids, up, cls = [], [], []
         stack = [(self._root, None)]
         while stack:
             x, link = stack.pop()
@@ -188,11 +192,11 @@ class SampleIndex:
             if link is not None:
                 kids[link[0]][link[1]] = q
             kids.append({})
-            label.append(clabel[x])
             up.append(link)
+            cls.append(x)
             for a, c in reversed(ckids[x].items()):
                 stack.append((c, (q, a)))
-        return kids, label, up
+        return kids, [clabel[x] for x in cls], up, cls
 
     def cls(self, w):
         """The class of word w, read letter by letter off the classes'
@@ -483,7 +487,9 @@ def infer_dfa(sample, algebra, alphabet=None):
 def _grow_rows(idx, algebra, alphabet):
     """infer_dfa's row growing over the non-empty sample of idx: the DFA on
     _grow's rows, or None where infer_dfa falls back to the prefix
-    tree.  Every query reads class ids: an extension r.a's class is one
+    tree.  _grow is read lazily, and a row whose class is unlabeled (no
+    sample word) returns None as it comes out, so no row is grown past
+    it.  Every query reads class ids: an extension r.a's class is one
     lookup among the class children of r's class.  A DFA returned has
     passed the closing search of idx.agrees_with from (root's class,
     initial state), so it agrees with every sample word;
@@ -491,22 +497,24 @@ def _grow_rows(idx, algebra, alphabet):
     check of the cleaned words, which the generalized rows send where
     the DFA does."""
     same, kids, labels = idx.same, idx._class_kids, idx._class_label
-    # each class is represented by its least access word
-    cls = dict(_grow(idx, alphabet))
-    rows = sorted(cls)
-    if any(labels[cls[r]] < 0 for r in rows):
-        return None
+    # each class is represented by its least access word; the rows come
+    # in ascending order, and the first unlabeled one ends the growing
+    cls = {}
+    for r, x in _grow(idx, alphabet):
+        if labels[x] < 0:
+            return None
+        cls[r] = x
     # rows are pairwise separated, so a row matches itself only
     root = kids[cls[()]]
     for x in {root.get(a, 0) for a in alphabet}:
-        if sum(same(x, cls[r2]) for r2 in rows) != 1:
+        if sum(same(x, y) for y in cls.values()) != 1:
             return None
     # prefer staying in the source state, then the most specific (longest,
     # then lexicographically least) matching row, sought once per class
-    preferred = sorted(rows, key=lambda r2: (-len(r2), r2))
-    names = {r: _word_id(r) for r in rows}
+    preferred = sorted(cls, key=lambda r2: (-len(r2), r2))
+    names = {r: _word_id(r) for r in cls}
     delta, best = {}, {}
-    for r in rows:
+    for r in cls:
         for a in alphabet:
             x = kids[cls[r]].get(a, 0)
             if same(x, cls[r]):
@@ -519,8 +527,8 @@ def _grow_rows(idx, algebra, alphabet):
             if tgt is None:
                 return None
             delta[names[r], a] = names[tgt]
-    accepting = [names[r] for r in rows if labels[cls[r]] == 1]
-    out = Dfa(algebra, alphabet, [names[r] for r in rows], names[()],
+    accepting = [names[r] for r in cls if labels[cls[r]] == 1]
+    out = Dfa(algebra, alphabet, list(names.values()), names[()],
               accepting, delta)
     if not idx.agrees_with(out.initial, out.accepting.__contains__,
                            lambda q, a: delta[q, a]):

@@ -4,7 +4,7 @@ generalizing, sample decontamination, and the char_sfa / infer_sfa pair."""
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .algebra import intervals_to_pred, min_model
 from .dfa_learn import (
@@ -177,13 +177,17 @@ def _agrees(m, idx):
 
 class _RedBlue:
     """Red-blue state merging (RPNI; Oncina and Garcia 1992) on idx's
-    prefix tree, unfolded for it (SampleIndex.tree).  Node classes are a
-    union-find forest, rep, whose roots hold their class's label and
-    children; up holds each node's parent and the letter leading to it."""
+    prefix tree, unfolded for it with each node's index class
+    (SampleIndex._unfold).  Node classes are a union-find forest, rep,
+    whose roots hold their class's label and children; up holds each
+    node's parent and the letter leading to it.  Each trial first asks
+    the index whether the sample tells the two nodes' subtrees apart
+    (same, whose memo the letter scan and row growing filled too)."""
 
     def __init__(self, idx):
-        self.kids, self.label, self.up = idx.tree()
+        self.kids, self.label, self.up, self.cls = idx._unfold()
         self.rep = list(range(len(self.kids)))
+        self.same = idx.same
 
     def name(self, q):
         """_word_id of node q's access word, read up the parent links."""
@@ -202,10 +206,16 @@ class _RedBlue:
         """Fold class b into class r, uniting the classes they reach over
         each word; each union removes a class, so the fold ends.  Returns
         the children handed to classes in red, or None at a pair labeled 0
-        and 1, once the log of (table, key, old value) has undone it."""
-        kids, label = self.kids, self.label
-        if label[self.find(r)] + label[self.find(b)] == 1:  # 0 and 1
+        and 1, once the log of undo calls has been replayed backwards.
+        A successful fold leaves the quotient deterministic, so it unites
+        r.e with b.e for every word e that leads from both nodes to tree
+        nodes: where the sample tells the subtrees of nodes r and b apart,
+        the fold would fail, and None is returned before any write.  The
+        worklist's first pair, the two classes, fails with nothing written
+        too, when they are labeled 0 and 1."""
+        if not self.same(self.cls[r], self.cls[b]):
             return None
+        kids, label = self.kids, self.label
         log, new, work = [], [], [(r, b)]
         while work:
             x, y = map(self.find, work.pop())
@@ -213,21 +223,18 @@ class _RedBlue:
                 continue
             if label[y] >= 0 and label[x] != label[y]:
                 if label[x] >= 0:
-                    for table, key, old in reversed(log):
-                        if old is None:
-                            del table[key]
-                        else:
-                            table[key] = old
+                    for undo, *args in reversed(log):
+                        undo(*args)
                     return None
-                log.append((label, x, -1))
+                log.append((label.__setitem__, x, -1))
                 label[x] = label[y]
-            log.append((self.rep, y, y))
+            log.append((self.rep.__setitem__, y, y))
             self.rep[y] = x
             for a, c in kids[y].items():
                 if a in kids[x]:
                     work.append((kids[x][a], c))
                 else:
-                    log.append((kids[x], a, None))
+                    log.append((kids[x].pop, a))
                     kids[x][a] = c
                     if x in red:
                         new.append(c)
@@ -241,8 +248,7 @@ class _RedBlue:
         reaches, so the new blues are the children a merge hands to red
         classes, or a promoted node's; a heap keeps them."""
         red = {0: None}  # in promotion order
-        blues = list(self.kids[0].values())
-        heapify(blues)
+        blues = sorted(self.kids[0].values())  # a sorted list is a heap
         while blues:
             b = heappop(blues)
             for r in red:
@@ -285,11 +291,15 @@ def _merged(alg, idx):
 def infer_sfa(alg, sample):
     """Infer an SFA: decontaminate, infer a concrete DFA, generalize.
     Given any consistent superset of char_sfa(M), the result recognizes
-    L(M).  Where row growing gives up, or the cleaned sample's result
-    disagrees with a removed word, the full sample's merged_prefix_tree
-    is returned.  A letter outside alg raises ValueError before any sort.
-    The stages share the sample's one index: the cleaned one is cut from
-    it (SampleIndex.restrict), or is it when no letter is dropped.  No
+    L(M).  Where row growing gives up (at the first unlabeled row, in
+    dfa_learn._grow_rows), or the cleaned sample's result disagrees with
+    a removed word, the full sample's merged_prefix_tree is returned.  A
+    letter outside alg raises ValueError before any sort.  The stages
+    share the sample's one index: the cleaned one is cut from it
+    (SampleIndex.restrict), or is it when no letter is dropped.  The
+    merger's class checks (_RedBlue.merge) reuse the answers that same
+    memoized on the full index for the letter scan, and for row growing
+    where no letter was dropped.  No
     word is walked: row growing ends with a search of its index's (class,
     state) pairs (dfa_learn._grow_rows), and where words were removed,
     one search of the full index's pairs against the candidate's edges

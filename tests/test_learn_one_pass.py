@@ -1,7 +1,7 @@
 """The one-pass learner: letter checks on the sample walk, a differential
 against the quadratic row search it replaced, the paper's round trip at
-sizes where that search took seconds, and gates on the row search's
-query count."""
+sizes where that search took seconds, gates on the row search's query
+count, and row growing that stops at its first unlabeled row."""
 
 import random
 import time
@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import example, given
 
-from symfa import INF, accepts, includes
+from symfa import INF, accepts, dfa_learn, includes
 from symfa.algebra import INTERVAL_NAT
 from symfa.dfa_learn import (
     Dfa, SampleIndex, _word_id, infer_dfa, prefix_tree_dfa,
@@ -271,3 +271,24 @@ def test_row_search_query_count(monkeypatch):
     learned = infer_sfa(INTERVAL_NAT, char_sfa(target))
     assert includes(learned, target, "equiv") is True
     assert len(calls) < 7500
+
+
+def test_row_growing_stops_at_its_first_unlabeled_row(monkeypatch):
+    # the rows are (), (0,) and (0, 0); (0,) is no sample word, so the
+    # prefix tree is returned, and (0, 0) is never grown
+    sample = {(): 1, (0, 0): 0, (0, 0, 0): 1}
+    idx = SampleIndex(sample, INTERVAL_NAT)
+    assert [w for w, _ in dfa_learn._grow(idx, (0,))] == [(), (0,), (0, 0)]
+    pulled = []
+    grow = dfa_learn._grow
+
+    def spy(idx, letters):
+        for w, x in grow(idx, letters):
+            pulled.append(w)
+            yield w, x
+
+    monkeypatch.setattr(dfa_learn, "_grow", spy)
+    assert dfa_learn._grow_rows(idx, INTERVAL_NAT, (0,)) is None
+    assert pulled == [(), (0,)]
+    assert infer_dfa(sample, INTERVAL_NAT) \
+        == prefix_tree_dfa(sample, INTERVAL_NAT)

@@ -696,7 +696,9 @@ class _PredParser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise ValueError("expected %r, found %r" % (expected, tok))
+            raise ValueError("expected %s, found %s" % (
+                "an endpoint" if expected is None else repr(expected),
+                "the end of the predicate" if tok is None else repr(tok)))
         self.pos += 1
         return tok
 
@@ -752,7 +754,8 @@ class _PredParser:
             return self.alg.parse_atom(Interval(lo, hi))
         if tok is not None and tok.startswith("p"):
             return self.alg.parse_atom(Lit(int(tok[1:])))
-        raise ValueError("unexpected token %r" % (tok,))
+        raise ValueError("unexpected end of the predicate" if tok is None
+                         else "unexpected token %r" % (tok,))
 
 
 def parse_pred(alg, text):

@@ -3,7 +3,7 @@
 Exit codes: decision subcommands use 0 for a true verdict, 1 for false,
 2 for usage or input errors and for any other failure, which is reported
 as one "error:" line on stderr.  Everything else uses 0 on success and 2
-on error.
+on error.  Each subcommand's parser binds its handler as args.run.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import partial
 
 from .algebra import Algebra
 from .generate import random_sfa
@@ -32,18 +33,13 @@ def _parse_algebra(text):
     return Algebra(text)
 
 
-def _read_sfa(path):
+def _read(path, parse=parse_sfa):
     with open(path, encoding="utf-8") as fh:
-        return parse_sfa(fh.read())
-
-
-def _read_sample(path, alg):
-    with open(path, encoding="utf-8") as fh:
-        return parse_sample(alg, fh.read())
+        return parse(fh.read())
 
 
 def _write(path, text):
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -51,71 +47,84 @@ def _write(path, text):
 
 
 def build_parser():
+    # -o is left unset when absent, so that op takes it both before and
+    # after its kind; the top parser's default fills it in
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", default=argparse.SUPPRESS)
+    alg = argparse.ArgumentParser(add_help=False)
+    alg.add_argument("--algebra", default="interval-nat",
+                     help="interval-nat | interval-int | prop:<k>")
     parser = argparse.ArgumentParser(
         prog="symfa",
         description="Symbolic finite automata: transformations, "
                     "operations, decision procedures and learning.")
+    parser.set_defaults(output="-")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform", help="rewrite an SFA to a special form")
+    p = sub.add_parser("transform", parents=[out],
+                       help="rewrite an SFA to a special form")
     p.add_argument("kind", choices=["neat", "normalize", "feasible",
                                     "complete", "determinize", "minimize"])
     p.add_argument("input")
-    p.add_argument("-o", "--output", default="-")
     p.add_argument("--form", choices=["neat", "normalized"], default="neat",
                    help="target form for minimize")
+    p.set_defaults(run=_transform)
 
-    p = sub.add_parser("op", help="binary/unary automata operations")
-    p.add_argument("kind", choices=["product", "union", "complement"])
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output", default="-")
+    p = sub.add_parser("op", parents=[out],
+                       help="binary/unary automata operations")
+    osub = p.add_subparsers(dest="kind", required=True)
+    for kind, arity, fn in (("product", 2, product),
+                            ("union", 2, partial(product, mode="union")),
+                            ("complement", 1, complement)):
+        q = osub.add_parser(kind, parents=[out])
+        q.add_argument("inputs", nargs=arity)
+        q.set_defaults(run=partial(_op, fn))
 
     p = sub.add_parser("decide", help="decision procedures")
     dsub = p.add_subparsers(dest="question", required=True)
     q = dsub.add_parser("empty")
     q.add_argument("input")
+    q.set_defaults(run=_decide_empty)
     q = dsub.add_parser("member")
     q.add_argument("input")
     q.add_argument("word", help="space-separated letters, quoted; empty "
                                 "string for the empty word")
-    q = dsub.add_parser("include")
-    q.add_argument("left")
-    q.add_argument("right")
-    q = dsub.add_parser("equiv")
-    q.add_argument("left")
-    q.add_argument("right")
+    q.set_defaults(run=_decide_member)
+    for question, mode in (("include", "subset"), ("equiv", "equiv")):
+        q = dsub.add_parser(question)
+        q.add_argument("left")
+        q.add_argument("right")
+        q.set_defaults(run=partial(_decide_includes, mode))
 
     p = sub.add_parser("learn", help="passive learning pipeline")
     lsub = p.add_subparsers(dest="step", required=True)
-    q = lsub.add_parser("char")
+    q = lsub.add_parser("char", parents=[out])
     q.add_argument("model")
-    q.add_argument("-o", "--output", default="-")
-    q = lsub.add_parser("infer")
-    q.add_argument("sample")
-    q.add_argument("-o", "--output", default="-")
-    q.add_argument("--algebra", default="interval-nat",
-                   help="interval-nat | interval-int | prop:<k>")
-    q = lsub.add_parser("decontaminate")
-    q.add_argument("sample")
-    q.add_argument("-o", "--output", default="-")
-    q.add_argument("--algebra", default="interval-nat")
+    q.set_defaults(run=_learn_char)
+    for step, learner, fmt in (("infer", infer_sfa, format_sfa),
+                               ("decontaminate", decontaminate,
+                                format_sample)):
+        q = lsub.add_parser(step, parents=[out, alg])
+        q.add_argument("sample")
+        q.set_defaults(run=partial(_learn, learner, fmt))
 
     p = sub.add_parser("qlearn", help="query-learning experiments")
-    qsub = p.add_subparsers(dest="experiment", required=True)
-    q = qsub.add_parser("demo")
+    q = p.add_subparsers(dest="experiment", required=True).add_parser("demo")
     q.add_argument("--prop", type=int, required=True, metavar="K")
+    q.set_defaults(run=_qlearn)
 
     p = sub.add_parser("bench", help="property experiments")
-    bsub = p.add_subparsers(dest="experiment", required=True)
-    q = bsub.add_parser("roundtrip")
+    q = p.add_subparsers(dest="experiment",
+                         required=True).add_parser("roundtrip")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--count", type=int, default=20)
     q.add_argument("--max-states", type=int, default=6)
+    q.set_defaults(run=_bench)
 
     return parser
 
 
-def _cmd_transform(args):
+def _transform(args):
     fn = {
         "neat": to_neat,
         "normalize": to_normalized,
@@ -123,63 +132,51 @@ def _cmd_transform(args):
         "complete": complete_sfa,
         "determinize": determinize,
     }.get(args.kind, lambda m: minimize(m, args.form))
-    _write(args.output, format_sfa(fn(_read_sfa(args.input))))
+    _write(args.output, format_sfa(fn(_read(args.input))))
     return 0
 
 
-def _cmd_op(args):
-    if args.kind == "complement":
-        if len(args.inputs) != 1:
-            raise ValueError("complement takes one input")
-        out = complement(_read_sfa(args.inputs[0]))
-    else:
-        if len(args.inputs) != 2:
-            raise ValueError("%s takes two inputs" % args.kind)
-        mode = "intersect" if args.kind == "product" else "union"
-        out = product(_read_sfa(args.inputs[0]), _read_sfa(args.inputs[1]),
-                      mode)
-    _write(args.output, format_sfa(out))
+def _op(fn, args):
+    _write(args.output, format_sfa(fn(*map(_read, args.inputs))))
     return 0
 
 
-def _cmd_decide(args):
-    if args.question == "empty":
-        verdict = is_empty(_read_sfa(args.input))
-        print("empty" if verdict else "nonempty")
-        return 0 if verdict else 1
-    if args.question == "member":
-        m = _read_sfa(args.input)
-        w = parse_word(m.algebra, args.word)
-        verdict = accepts(m, w)
-        print("member" if verdict else "nonmember")
-        return 0 if verdict else 1
-    left = _read_sfa(args.left)
-    right = _read_sfa(args.right)
-    mode = "subset" if args.question == "include" else "equiv"
-    result = includes(left, right, mode)
-    if result is True:
-        print("yes")
-        return 0
-    print("no")
-    print("counterexample: %s" % (format_word(result) or "(empty word)"))
-    return 1
+def _verdict(holds, yes, no):
+    print(yes if holds else no)
+    return 0 if holds else 1
 
 
-def _cmd_learn(args):
-    if args.step == "char":
-        m = _read_sfa(args.model)
-        _write(args.output, format_sample(char_sfa(m)))
-        return 0
+def _decide_empty(args):
+    return _verdict(is_empty(_read(args.input)), "empty", "nonempty")
+
+
+def _decide_member(args):
+    m = _read(args.input)
+    return _verdict(accepts(m, parse_word(m.algebra, args.word)),
+                    "member", "nonmember")
+
+
+def _decide_includes(mode, args):
+    result = includes(_read(args.left), _read(args.right), mode)
+    code = _verdict(result is True, "yes", "no")
+    if code:
+        print("counterexample: %s" % (format_word(result) or "(empty word)"))
+    return code
+
+
+def _learn_char(args):
+    _write(args.output, format_sample(char_sfa(_read(args.model))))
+    return 0
+
+
+def _learn(learner, fmt, args):
     alg = _parse_algebra(args.algebra)
-    sample = _read_sample(args.sample, alg)
-    if args.step == "infer":
-        _write(args.output, format_sfa(infer_sfa(alg, sample)))
-    else:
-        _write(args.output, format_sample(decontaminate(alg, sample)))
+    sample = _read(args.sample, partial(parse_sample, alg))
+    _write(args.output, fmt(learner(alg, sample)))
     return 0
 
 
-def _cmd_qlearn(args):
+def _qlearn(args):
     k = args.prop
     teacher = adversarial_prop_teacher(k)
     enumerating_predicate_learner(k, teacher)
@@ -191,7 +188,7 @@ def _cmd_qlearn(args):
     return 0 if issued >= bound else 1
 
 
-def _cmd_bench(args):
+def _bench(args):
     if args.count < 0 or args.max_states < 1:
         raise ValueError("need --count >= 0 and --max-states >= 1")
     rng = random.Random(args.seed)
@@ -206,30 +203,17 @@ def _cmd_bench(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "op":
-            return _cmd_op(args)
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "learn":
-            return _cmd_learn(args)
-        if args.command == "qlearn":
-            return _cmd_qlearn(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return args.run(args)
     except Exception as exc:
         # bad input (ValueError, OSError) or a failure inside the library:
         # one line, and exit 2 so that no failure reads as a verdict of 1
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

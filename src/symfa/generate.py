@@ -19,7 +19,7 @@ def random_sfa(rng, max_states=6, max_out=4, max_endpoint=1000,
     trans = []
     for q in states:
         if endpoint_pool is not None:
-            pool = [e for e in endpoint_pool if e > alg.dmin]
+            pool = [e for e in endpoint_pool if alg.dmin < e < INF]
             cuts = sorted(rng.sample(pool, min(rng.randint(0, max_out - 1),
                                                len(pool))))
         else:

@@ -76,35 +76,41 @@ def complement(m):
                           frozenset(c.states) - c.accepting, c._rows.items())
 
 
-def _minterm(preds, neg):
-    """The conjunction of preds, each negated where neg is true."""
-    return and_all([Not(p) if n else p for p, n in zip(preds, neg)])
+def _minterm(m, subset, sems, neg):
+    """The conjunction of the distinct guards out of subset's states, in
+    first-seen order, each negated where neg, the signs of sems, gives its
+    denotation a negative sign."""
+    sign = dict(zip(sems, neg))
+    trees = {p: sign[sem] for q in sorted(subset)
+             for p, (sem, _) in zip(m._trees[q], m.edges[q])}
+    return and_all([Not(p) if n else p for p, n in trees.items()])
 
 
 def determinize(m):
     """Subset construction; per subset state, one transition per satisfiable
-    minterm of the outgoing predicates (the algebra's minterms: the letters
-    on which every predicate holds or fails alike, found in one sweep over
-    the predicates' pieces), listed with positive signs first, predicate
-    by predicate.  Each one's guard, the signed conjunction of the
-    predicates, is built when read."""
+    minterm of the outgoing denotations (the algebra's minterms: the
+    letters on which every denotation holds or fails alike, found in one
+    sweep over their pieces), listed with positive signs first, denotation
+    by denotation.  Each one's guard, the signed conjunction of the
+    subset's guards, is built when read, so determinize reads no guard
+    tree of m until then."""
     alg = m.algebra
-    trees, edges = m._trees, m.edges
 
     def steps(subset):
-        groups = {}  # guard tree -> (denotation, destinations)
+        groups = {}  # denotation -> destinations
         for q in sorted(subset):
-            for p, (sem, d) in zip(trees[q], edges[q]):
-                groups.setdefault(p, (sem, set()))[1].add(d)
-        preds = list(groups)
+            for sem, d in m.edges[q]:
+                groups.setdefault(sem, set()).add(d)
+        sems = list(groups)
         # keyed by negated signature: sorting puts positive signs first
-        minterms = alg.minterms([sem for sem, _ in groups.values()])
+        minterms = alg.minterms(sems)
         for neg in sorted(minterms):
             if all(neg):
                 continue
             target = frozenset().union(*(
-                ds for (_, ds), n in zip(groups.values(), neg) if not n))
-            yield minterms[neg], partial(_minterm, preds, neg), target
+                ds for ds, n in zip(groups.values(), neg) if not n))
+            yield (minterms[neg], partial(_minterm, m, subset, sems, neg),
+                   target)
 
     return _reachable(alg, frozenset([m.initial]),
                       lambda subset: "{%s}" % ",".join(sorted(subset)),

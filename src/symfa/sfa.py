@@ -312,7 +312,8 @@ def parse_sfa(text):
             elif parts[0] == "trans":
                 if len(parts) < 4:
                     raise ValueError("expected trans SRC DST PREDICATE")
-                raw_trans.append((parts[1], parts[2], line.split(None, 3)[3]))
+                raw_trans.append((lineno, parts[1], parts[2],
+                                  line.split(None, 3)[3]))
             else:
                 raise ValueError("unknown directive %r" % parts[0])
         except ValueError as exc:
@@ -321,8 +322,12 @@ def parse_sfa(text):
         raise ValueError("missing algebra directive")
     if initial is None:
         raise ValueError("missing initial directive")
-    trans = [(src, parse_pred(alg, ptext), dst)
-             for src, dst, ptext in raw_trans]
+    trans = []
+    for lineno, src, dst, ptext in raw_trans:
+        try:
+            trans.append((src, parse_pred(alg, ptext), dst))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from exc
     return Sfa(alg, states, initial, accepting, trans)
 
 

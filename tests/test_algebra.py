@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from symfa import (
@@ -138,6 +139,19 @@ def test_parse_precedence():
     assert contains(INTERVAL_NAT, psi, 17)
     assert not contains(INTERVAL_NAT, psi, 7)
     assert not contains(INTERVAL_NAT, psi, 12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[0,", "expected an endpoint, found the end of the predicate"),
+    ("[0,5", "expected ')', found the end of the predicate"),
+    ("p0 &", "unexpected end of the predicate"),
+    ("(p0", "expected ')', found the end of the predicate"),
+    ("", "unexpected end of the predicate"),
+])
+def test_parse_error_names_the_end_of_the_predicate(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_pred(prop_algebra(2) if "p" in text else INTERVAL_NAT, text)
+    assert str(exc.value) == message
 
 
 def test_parse_format_random_roundtrip():

@@ -1,3 +1,8 @@
+import argparse
+import hashlib
+import os
+import shlex
+
 import pytest
 
 from symfa import (
@@ -5,7 +10,7 @@ from symfa import (
     parse_sfa, product,
 )
 from symfa.algebra import INTERVAL_NAT
-from symfa.cli import main
+from symfa.cli import build_parser, main
 
 from conftest import (
     TWO_STATE_SAMPLE, build_two_state_target, build_four_state_target,
@@ -241,3 +246,118 @@ def test_bench_rejects_bad_sizes(capsys, args):
     assert main(["bench", "roundtrip", *args]) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("pred", ["p7", "p0 &"])
+def test_bad_trans_predicate_names_its_line(tmp_path, capsys, pred):
+    bad = tmp_path / "bad.sfa"
+    bad.write_text("algebra prop 2\nstates a\ninitial a\ntrans a a %s\n"
+                   % pred)
+    assert main(["transform", "neat", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4:") and len(err.splitlines()) == 1
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) of every leaf subcommand under parser."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_subcommand_has_a_handler_and_help(capsys):
+    leaves = dict(leaf_parsers(build_parser()))
+    assert sorted(leaves) == [
+        ("bench", "roundtrip"), ("decide", "empty"), ("decide", "equiv"),
+        ("decide", "include"), ("decide", "member"), ("learn", "char"),
+        ("learn", "decontaminate"), ("learn", "infer"), ("op", "complement"),
+        ("op", "product"), ("op", "union"), ("qlearn", "demo"),
+        ("transform",)]
+    for path, leaf in leaves.items():
+        assert callable(leaf.get_default("run"))
+        assert main([*path, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: symfa %s " % " ".join(path))
+
+
+@pytest.mark.parametrize("args", [
+    ["op", "product", "a.sfa"], ["op", "union"],
+    ["op", "complement", "a.sfa", "b.sfa"],
+])
+def test_op_arity_is_a_usage_error(capsys, args):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage: symfa")
+
+
+NFA_TEXT = """\
+algebra interval-nat
+states a b c
+initial a
+accepting c
+trans a b [0,10)
+trans a c [5,20) | [30,40)
+trans a a [3,3)
+trans b c [0,inf)
+trans b b [0,10) & ![2,4)
+trans c a [100,inf)
+"""
+
+# Each form of README's "Command line" block, run on the files that
+# readme_dir writes: the exit code and the first 16 hex digits of the
+# sha256 of stdout followed by the file OUT.  "op -o OUT ..." gives -o
+# before the op's kind.
+README_FORMS = {
+    'transform neat nfa.sfa -o OUT': (0, '8c85b02ebf21020e'),
+    'transform normalize nfa.sfa -o OUT': (0, '81546be7871f24d1'),
+    'transform feasible nfa.sfa -o OUT': (0, '78ecd1a5087cb099'),
+    'transform complete nfa.sfa -o OUT': (0, '61c18f8dd9ea91dd'),
+    'transform determinize nfa.sfa -o OUT': (0, 'af1332e2b06dc5aa'),
+    'transform minimize two.sfa -o OUT': (0, '6fb73623f6fe55ac'),
+    'transform minimize four.sfa --form normalized': (0, '28dfef464d4b5302'),
+    'op product two.sfa four.sfa -o OUT': (0, 'e4c9aa82cd58dc03'),
+    'op union two.sfa four.sfa -o OUT': (0, '33232b3e8b02d8ef'),
+    'op complement four.sfa -o OUT': (0, 'f66c1b63b045b7bb'),
+    'op -o OUT complement four.sfa': (0, 'f66c1b63b045b7bb'),
+    'decide empty two.sfa': (1, '40256081e57301cf'),
+    'decide member two.sfa "0 100"': (0, '9a630df58958568e'),
+    'decide member two.sfa "100"': (1, 'a1900be91b9debd8'),
+    'decide include two.sfa four.sfa': (1, '0a077c5919434ac0'),
+    'decide equiv two.sfa four.sfa': (1, '78a42c0da10401f5'),
+    'decide equiv two.sfa two.sfa': (0, '5040625b1fb6fa4a'),
+    'learn char two.sfa -o OUT': (0, '062cac5994a08ffa'),
+    'learn infer sample.txt --algebra interval-nat -o OUT':
+        (0, '64464fb25edadfe6'),
+    'learn decontaminate noisy.txt -o OUT': (0, '062cac5994a08ffa'),
+    'qlearn demo --prop 3': (0, '23edb2d1a6f0e094'),
+    'bench roundtrip --seed 0 --count 20': (0, 'f4c7b5ce75fff5ee'),
+}
+
+
+@pytest.fixture
+def readme_dir(tmp_path, monkeypatch):
+    texts = {
+        "two.sfa": format_sfa(build_two_state_target()),
+        "four.sfa": format_sfa(build_four_state_target()),
+        "nfa.sfa": NFA_TEXT,
+        "sample.txt": format_sample(TWO_STATE_SAMPLE),
+        "noisy.txt": format_sample(TWO_STATE_SAMPLE) + "- 150\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("form", sorted(README_FORMS))
+def test_readme_forms_keep_their_output(readme_dir, capsys, form):
+    code = main(shlex.split(form))
+    printed = capsys.readouterr().out
+    if os.path.exists("OUT"):
+        with open("OUT", encoding="utf-8") as fh:
+            printed += fh.read()
+    digest = hashlib.sha256(printed.encode()).hexdigest()[:16]
+    assert (code, digest) == README_FORMS[form]

@@ -106,6 +106,20 @@ def test_prop_complete_builds_no_minterm(and_all_calls):
 
 
 @pytest.mark.parametrize("m", [NFA, PROP_NFA], ids=["interval", "prop"])
+def test_determinize_of_determinize_builds_no_minterm(m, and_all_calls):
+    """determinize groups guards by denotation, so it reads its input's
+    trees only when its own minterms are built."""
+    det = ops.determinize(m)
+    again = ops.determinize(det)
+    assert and_all_calls == []
+    text = format_sfa(again)
+    assert and_all_calls
+    built = Sfa(det.algebra, det.states, det.initial, det.accepting,
+                det.transitions)
+    assert text == format_sfa(ops.determinize(built))
+
+
+@pytest.mark.parametrize("m", [NFA, PROP_NFA], ids=["interval", "prop"])
 def test_determinize_calls_no_contains(m, monkeypatch):
     def refuse(self, a, d):
         raise AssertionError("contains called")

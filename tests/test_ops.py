@@ -9,7 +9,7 @@ from symfa import (
     complete_sfa, denote, determinize, equiv, includes, is_empty, minimize,
     product,
 )
-from symfa.algebra import INTERVAL_NAT, prop_algebra, Lit
+from symfa.algebra import INTERVAL_INT, INTERVAL_NAT, prop_algebra, Lit
 from symfa.generate import random_sfa
 
 from conftest import (
@@ -312,3 +312,15 @@ def test_ops_against_concrete_walk():
             assert accepts(inter, w) == (a1 and a2)
             assert accepts(union, w) == (a1 or a2)
             assert accepts(comp, w) == (not a1)
+
+
+@pytest.mark.parametrize("alg", [INTERVAL_NAT, INTERVAL_INT])
+def test_random_sfa_takes_no_cut_at_inf(alg):
+    """A cut at inf in endpoint_pool would make [x,inf), closed at the
+    top, overlap [inf,inf); the generator keeps only cuts below inf."""
+    for seed in range(50):
+        m = random_sfa(random.Random(seed), alg=alg,
+                       endpoint_pool=[3, 9, INF])
+        flags = classify(m)
+        assert flags.deterministic and flags.complete and flags.feasible
+        assert {p.hi for _, p, _ in m.transitions} <= {3, 9, INF}

@@ -650,7 +650,7 @@ def min_model(alg, psi):
 _TOKEN_RE = re.compile(r"""
     \s*(
       \[ | \) | \( | , | & | \| | ! |
-      -?\d+ | -inf | inf | true | false | p\d+
+      -?[0-9]+ | -inf | inf | true | false | p[0-9]+
     )""", re.VERBOSE)
 
 
@@ -669,11 +669,16 @@ def _tokenize(text):
 
 
 def _parse_endpoint(tok):
+    """The endpoint or interval letter that tok spells: inf, -inf or an
+    ASCII integer, -?[0-9]+ (int alone would take 1_000, +5 and other
+    scripts' digits)."""
     if tok == "inf":
         return INF
     if tok == "-inf":
         return NEG_INF
-    return int(tok)
+    if re.fullmatch("-?[0-9]+", tok):
+        return int(tok)
+    raise ValueError("expected an endpoint, found %r" % (tok,))
 
 
 class _PredParser:

@@ -11,7 +11,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from .algebra import format_letter
-from .sfa import sample_dict
+from .sfa import _minimize_table, sample_dict
 
 
 class Dfa:
@@ -537,9 +537,9 @@ def _grow_rows(idx, algebra, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Concrete minimization and search: the partition-refinement core, also
-# behind ops.minimize, and the shortest-word search, also behind ops'
-# emptiness and inclusion checks
+# Concrete minimization, on the partition-refinement core that Sfa's
+# minimal table shares (sfa._minimize_table), and the shortest-word
+# search, also behind ops' emptiness and inclusion checks
 
 
 def minimize_dfa(d):
@@ -553,52 +553,6 @@ def minimize_dfa(d):
                [names[i] for i, q in enumerate(reps) if q in d.accepting],
                {(names[i], a): names[j] for i, row in enumerate(rows)
                 for a, j in zip(alphabet, row)})
-
-
-def _minimize_table(initial, accepting, successors):
-    """The minimal complete DFA of the states reachable from initial, as
-    integer rows.  successors(q) lists q's destinations, one per letter,
-    in ascending letter order; accepting(q) tells acceptance.  The
-    reachable states are numbered breadth first, each gets one row of
-    successor numbers, and Moore refinement splits blocks by (own block,
-    successor blocks) until their number stops growing.  The blocks are
-    then numbered 0, 1, ... in ascending-letter depth-first order from
-    the initial state's block (iterative, so long chains cannot exhaust
-    the call stack).  Returns (reps, rows): a state of each block, and
-    each block's successor blocks, one per letter."""
-    index = {initial: 0}
-    states = [initial]
-    rows = []
-    for q in states:
-        row = successors(q)
-        for dst in dict.fromkeys(row):
-            if dst not in index:
-                index[dst] = len(states)
-                states.append(dst)
-        rows.append(list(map(index.__getitem__, row)))
-    block = [accepting(q) for q in states]
-    count = len(set(block))
-    while True:
-        get = block.__getitem__
-        ids = {}
-        block = [ids.setdefault((b, *map(get, row)), len(ids))
-                 for b, row in zip(block, rows)]
-        if len(ids) == count:
-            break
-        count = len(ids)
-    rep = {}
-    for q, b in enumerate(block):
-        rep.setdefault(b, q)
-    name = {}
-    stack = [block[0]]
-    while stack:
-        b = stack.pop()
-        if b not in name:
-            name[b] = len(name)
-            stack.extend(map(block.__getitem__, reversed(rows[rep[b]])))
-    firsts = [rep[b] for b in name]
-    return ([states[q] for q in firsts],
-            [[name[block[j]] for j in rows[q]] for q in firsts])
 
 
 def dfa_equiv(d1, d2):

@@ -8,7 +8,7 @@ import operator
 from functools import partial
 
 from .algebra import GAP, SUP, And, Not, and_all
-from .dfa_learn import _first_word, _minimize_table
+from .dfa_learn import _first_word
 from .sfa import Sfa, _fresh_state, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
@@ -122,17 +122,15 @@ def determinize(m):
 
 
 def minimize(m, form="neat"):
-    """Minimal-state deterministic complete SFA for L(m), canonical.  m is
-    read as a DFA with one letter per region of its guards' common
-    refinement (the lower ends of its swept pieces), as integer rows, one
-    pass over each state's pieces (row_successors), that dfa_learn's
-    _minimize_table minimizes, and each output denotation is the union of
-    the regions leading to one destination (the runs of the destinations
-    over the letters), so it depends on L(m) alone, never on the input's
-    guard syntax.  form=neat emits one transition per piece (an interval
-    piece, or a prop cube fixing the leading propositions), so the output
-    is deterministic; form=normalized one per state pair.  Guards print
-    by the algebra's to_pred.  Transitions leave each state ordered by
+    """Minimal-state deterministic complete SFA for L(m), canonical: a
+    fresh machine on the minimal table that m keeps (Sfa._minimal), so
+    the two forms of one machine share one refinement.  Each output
+    denotation is the union of the regions leading to one destination,
+    so it depends on L(m) alone, never on the input's guard syntax.
+    form=neat emits one transition per piece (an interval piece, or a
+    prop cube fixing the leading propositions), so the output is
+    deterministic; form=normalized one per state pair.  Guards print by
+    the algebra's to_pred.  Transitions leave each state ordered by
     destination.  States are renamed s0, s1, ... in ascending-letter
     depth-first order from the initial state."""
     if form not in ("neat", "normalized"):
@@ -140,22 +138,12 @@ def minimize(m, form="neat"):
     if not all(m._shape):
         raise ValueError("minimize needs a deterministic complete input")
     alg = m.algebra
-    swept = m._swept
-    letters = sorted({lo for pieces, _ in swept.values()
-                      for lo, _, _ in pieces})
-    reps, rows = _minimize_table(
-        m.initial, m.accepting.__contains__,
-        lambda q: alg.row_successors(swept[q][0], letters))
-    names = ["s%d" % i for i in range(len(rows))]
-    out = []
-    for q, row in zip(names, rows):
-        sems = alg.runs(zip(letters, row))
-        out += [((q, s, names[dst]), None) for dst in sorted(sems)
-                for s in (alg.pieces(sems[dst]) if form == "neat"
-                          else [sems[dst]])]
-    return Sfa._from_rows(alg, names, names[0],
-                          [names[i] for i, q in enumerate(reps)
-                           if q in m.accepting], out)
+    names, accepting, runs = m._minimal
+    split = alg.pieces if form == "neat" else lambda sem: [sem]
+    return Sfa._from_rows(alg, names, names[0], accepting,
+                          [((q, s, dst), None)
+                           for q, row in zip(names, runs)
+                           for dst, sem in row.items() for s in split(sem)])
 
 
 # ---------------------------------------------------------------------------

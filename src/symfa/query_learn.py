@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from functools import cache, partial
 
-from .algebra import SUP, Lit, Not, TOP, and_all, denote, or_all, prop_algebra
+from .algebra import (
+    SUP, Lit, Not, TOP, _span, and_all, denote, or_all, prop_algebra,
+)
 from .ops import _shortest_accepted, includes
 from .sfa import Sfa, accepts
 
@@ -117,8 +119,14 @@ class AdversarialPropTeacher(Oracle):
 
     def _eq(self, hypothesis):
         """Reads the hypothesis's one-letter language off its initial
-        state's edges, once, and scans the valuations against it."""
-        if hypothesis.algebra != self.algebra:
+        state's edges, once, and scans the pool against it.  Once the pool
+        is empty, s_plus and s_minus split the letters between them, so
+        the language agrees with every decided label exactly when it is
+        the denotation of s_plus: one compare, and the ordered scan of
+        s_plus, then s_minus, runs only to find the witness when the two
+        differ."""
+        alg = self.algebra
+        if hypothesis.algebra != alg:
             raise ValueError("algebra mismatch")
         if hypothesis.initial in hypothesis.accepting:
             return ((), 0)
@@ -127,7 +135,7 @@ class AdversarialPropTeacher(Oracle):
             return (w, 0)
         one = _into_accepting(hypothesis, [hypothesis.initial])
         for v in self.pool:
-            if self.algebra.contains(one, v):
+            if alg.contains(one, v):
                 self.pool.remove(v)
                 self.s_minus.append(v)
                 return ((v,), 0)
@@ -135,10 +143,12 @@ class AdversarialPropTeacher(Oracle):
             v = self.pool.pop(0)
             self.s_plus.append(v)
             return ((v,), 1)
-        for b, decided in ((1, self.s_plus), (0, self.s_minus)):
-            for v in decided:
-                if self.algebra.contains(one, v) != b:
-                    return ((v,), b)
+        if one != alg.union_all([(_span(alg.k, int(v, 2), 1),)
+                                 for v in self.s_plus]):
+            for b, decided in ((1, self.s_plus), (0, self.s_minus)):
+                for v in decided:
+                    if alg.contains(one, v) != b:
+                        return ((v,), b)
         return True
 
 

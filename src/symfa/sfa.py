@@ -29,8 +29,9 @@ class Sfa:
     algebra, states, initial state, accepting set and ordered rows are,
     however their guards are written.  A machine is never changed once
     built, so what it computes on first use is kept: its guard trees, its
-    flags, and its sweep, each state's pieces laid out in letter order
-    once (Algebra.sweep), which every reader of that order shares."""
+    flags, its sweep, each state's pieces laid out in letter order once
+    (Algebra.sweep), which every reader of that order shares, and its
+    minimal table, which minimize emits in either form."""
 
     def __init__(self, algebra, states, initial, accepting, transitions):
         rows = []
@@ -124,6 +125,32 @@ class Sfa:
                     for _, _, dst in pieces))
 
     @cached_property
+    def _minimal(self):
+        """The minimal table of a deterministic complete machine, computed
+        once on first use, after the caller has checked the flags: the
+        state names s0, s1, ..., the accepting names, and each state's
+        runs {destination: denotation}, by ascending destination number.
+        The machine is read as a DFA with one letter per region of its
+        guards' common refinement (the lower ends of its swept pieces), as
+        integer rows, one pass over each state's pieces (row_successors),
+        that _minimize_table minimizes; a destination's denotation is the
+        union of the regions leading to it (the algebra's runs), so it
+        depends on the language alone, never on the guards' syntax."""
+        alg, swept = self.algebra, self._swept
+        letters = sorted({lo for pieces, _ in swept.values()
+                          for lo, _, _ in pieces})
+        reps, rows = _minimize_table(
+            self.initial, self.accepting.__contains__,
+            lambda q: alg.row_successors(swept[q][0], letters))
+        names = ["s%d" % i for i in range(len(rows))]
+        runs = []
+        for row in rows:
+            sems = alg.runs(zip(letters, row))
+            runs.append({names[dst]: sems[dst] for dst in sorted(sems)})
+        return (names, [names[i] for i, q in enumerate(reps)
+                        if q in self.accepting], runs)
+
+    @cached_property
     def flags(self):
         """SfaFlags, computed on first use (see classify)."""
         deterministic, complete = self._shape
@@ -178,6 +205,53 @@ def transition_table(m, letters):
         dst_of = dict(zip(order, m.algebra.row_successors(pieces, order)))
         table.update(((q, a), dst_of[a]) for a in letters)
     return table
+
+
+def _minimize_table(initial, accepting, successors):
+    """The minimal complete DFA of the states reachable from initial, as
+    integer rows: the refinement core of Sfa._minimal and
+    dfa_learn.minimize_dfa.  successors(q) lists q's destinations, one
+    per letter, in ascending letter order; accepting(q) tells acceptance.
+    The reachable states are numbered breadth first, each gets one row of
+    successor numbers, and Moore refinement splits blocks by (own block,
+    successor blocks) until their number stops growing.  The blocks are
+    then numbered 0, 1, ... in ascending-letter depth-first order from
+    the initial state's block (iterative, so long chains cannot exhaust
+    the call stack).  Returns (reps, rows): a state of each block, and
+    each block's successor blocks, one per letter."""
+    index = {initial: 0}
+    states = [initial]
+    rows = []
+    for q in states:
+        row = successors(q)
+        for dst in dict.fromkeys(row):
+            if dst not in index:
+                index[dst] = len(states)
+                states.append(dst)
+        rows.append(list(map(index.__getitem__, row)))
+    block = [accepting(q) for q in states]
+    count = len(set(block))
+    while True:
+        get = block.__getitem__
+        ids = {}
+        block = [ids.setdefault((b, *map(get, row)), len(ids))
+                 for b, row in zip(block, rows)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    rep = {}
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    name = {}
+    stack = [block[0]]
+    while stack:
+        b = stack.pop()
+        if b not in name:
+            name[b] = len(name)
+            stack.extend(map(block.__getitem__, reversed(rows[rep[b]])))
+    firsts = [rep[b] for b in name]
+    return ([states[q] for q in firsts],
+            [[name[block[j]] for j in rows[q]] for q in firsts])
 
 
 def _is_basic(pred):

@@ -154,6 +154,35 @@ def test_parse_error_names_the_end_of_the_predicate(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, found", [
+    ("[(,5)", "("), ("[0,p1)", "p1"), ("[true,5)", "true"), ("[0,)", ")"),
+    ("[,5)", ","),
+])
+def test_parse_error_names_the_bad_endpoint(text, found):
+    with pytest.raises(ValueError) as exc:
+        parse_pred(INTERVAL_NAT, text)
+    assert str(exc.value) == "expected an endpoint, found %r" % found
+
+
+@pytest.mark.parametrize("text", ["[\u0663,5)", "[0,\uff15)", "p\u0661"])
+def test_parse_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="bad predicate syntax"):
+        parse_pred(prop_algebra(2) if "p" in text else INTERVAL_NAT, text)
+
+
+@pytest.mark.parametrize("alg", [INTERVAL_NAT, INTERVAL_INT])
+def test_letters_take_only_the_grammar_endpoints(alg):
+    for tok in ["1_000", "+5", "\u0663", "5.0", "0x5", "", "-"]:
+        with pytest.raises(ValueError) as exc:
+            alg.parse_letter(tok)
+        assert str(exc.value) == "expected an endpoint, found %r" % tok
+    assert [alg.parse_letter(tok) for tok in ["0", "007", "1000", "inf"]] \
+        == [0, 7, 1000, INF]
+    if alg is INTERVAL_INT:
+        assert alg.parse_letter("-12") == -12
+        assert alg.parse_letter("-inf") == NEG_INF
+
+
 def test_parse_format_random_roundtrip():
     rng = random.Random(2)
     from symfa.generate import random_pred

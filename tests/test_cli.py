@@ -258,6 +258,28 @@ def test_bad_trans_predicate_names_its_line(tmp_path, capsys, pred):
     assert err.startswith("error: line 4:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("pred, found", [("[(,5)", "("), ("[0,)", ")")])
+def test_bad_endpoint_exits_2(tmp_path, capsys, pred, found):
+    bad = tmp_path / "bad.sfa"
+    bad.write_text("algebra interval-nat\nstates a\ninitial a\n"
+                   "trans a a %s\n" % pred)
+    assert main(["transform", "neat", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: expected an endpoint, found %r\n" % found)
+
+
+@pytest.mark.parametrize("letter", ["1_000", "+5", "\u0663"])
+def test_non_grammar_letter_exits_2(tmp_path, capsys, model_file, letter):
+    assert main(["decide", "member", model_file, "0 %s" % letter]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected an endpoint, found %r\n" % letter)
+    sample = tmp_path / "sample.txt"
+    sample.write_text("+ 1\n- 3 %s\n" % letter)
+    assert main(["learn", "infer", str(sample)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: expected an endpoint, found %r\n" % letter)
+
+
 def leaf_parsers(parser, path=()):
     """(command path, parser) of every leaf subcommand under parser."""
     subs = [action for action in parser._actions

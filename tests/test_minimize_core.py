@@ -3,10 +3,12 @@ checked against reference copies of the dict-keyed versions they
 replaced: minimize_dfa on random complete Dfas, and ops.minimize in both
 forms (text and edge table) over every algebra family.  Also: the
 operations read only the deterministic and complete flags, ops.minimize
-builds no Dfa."""
+builds no Dfa, and one machine's two forms share one refinement."""
 
+import operator
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from symfa import (
@@ -15,7 +17,7 @@ from symfa import (
 )
 from symfa import dfa_learn, sfa
 from symfa.query_learn import SfaTeacher
-from symfa.algebra import INTERVAL_NAT, or_all
+from symfa.algebra import INTERVAL_NAT, Interval, or_all
 from symfa.dfa_learn import Dfa, minimize_dfa
 from symfa.sfa import Sfa, format_sfa
 
@@ -212,6 +214,65 @@ def test_minimize_builds_no_dfa(monkeypatch):
         for form in ("neat", "normalized"):
             minimize(m, form)
     assert built == []
+
+
+def fresh_copy(m):
+    """m's rows in a new machine, which keeps none of m's tables."""
+    return Sfa._from_rows(m.algebra, m.states, m.initial, m.accepting,
+                          m._rows.items())
+
+
+def spy_minimize_table(monkeypatch):
+    calls = []
+    real = sfa._minimize_table
+    monkeypatch.setattr(sfa, "_minimize_table",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("forms", [("neat", "normalized"),
+                                   ("normalized", "neat")])
+def test_both_forms_share_one_minimal_table(monkeypatch, forms):
+    rng = random.Random(28)
+    inputs = [exact_target(rng, 6), build_four_state_target()]
+    for n in (4, 6):
+        a, b = exact_target(rng, n), exact_target(rng, n)
+        inputs += [product(a, b, "union"),
+                   complete_sfa(determinize(nfa_union(a, b)))]
+    inputs += [complete_sfa(determinize(random_prop_nfa(rng, k)))
+               for k in (3, 4, 5, 6)]
+    calls = spy_minimize_table(monkeypatch)
+    for m in inputs:
+        del calls[:]
+        outs = [minimize(m, form) for form in forms + forms]
+        assert len(calls) == 1
+        # a fresh machine on each call, equal to the first of its form
+        assert outs[:2] == outs[2:]
+        assert not any(map(operator.is_, outs[:2], outs[2:]))
+        again = [minimize(fresh_copy(m), form) for form in forms]
+        assert len(calls) == 3
+        assert list(map(format_sfa, outs[:2])) == list(map(format_sfa, again))
+
+
+def test_minimize_errors_read_no_table(monkeypatch):
+    rng = random.Random(28)
+    nfa = nfa_union(exact_target(rng, 4), exact_target(rng, 4))
+    gapped = Sfa(INTERVAL_NAT, ["a"], "a", ["a"],
+                 [("a", Interval(0, 5), "a")])
+    done = exact_target(rng, 4)
+    calls = spy_minimize_table(monkeypatch)
+    assert not classify(nfa).deterministic
+    assert classify(gapped).deterministic and not classify(gapped).complete
+    for m in (nfa, gapped, done):
+        with pytest.raises(ValueError, match="^form must be neat or "
+                                             "normalized$"):
+            minimize(m, "tidy")
+    for m in (nfa, gapped):
+        for form in ("neat", "normalized"):
+            with pytest.raises(ValueError, match="^minimize needs a "
+                               "deterministic complete input$"):
+                minimize(m, form)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from symfa import (
     format_pred, or_all, pred_equiv,
 )
 from symfa import query_learn
-from symfa.algebra import INTERVAL_NAT, prop_algebra
+from symfa.algebra import INTERVAL_NAT, Algebra, prop_algebra
 from symfa.ops import _shortest_accepted
 from symfa.query_learn import (
     AdversarialPropTeacher, Oracle, PredicateTeacher,
@@ -553,6 +553,54 @@ def test_adversary_answers_as_word_by_word_runs(k):
     assert kinds == {True, (0, 0, True), (0, 0, False), (2, 0, True),
                      (2, 0, False), (1, 0, True), (1, 1, True),
                      (1, 0, False), (1, 1, False)}
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_adversary_closes_as_word_by_word_runs(k):
+    """Membership queries decide all but a few valuations, equivalence
+    queries the rest, and then hypotheses near the committed labels meet
+    the closing compare."""
+    rng, kinds = random.Random(k), set()
+    for _ in range(12):
+        new, old = adversarial_prop_teacher(k), WordByWordAdversary(k)
+        for v in rng.sample(new.pool, len(new.pool) - rng.randint(0, 3)):
+            assert new.mq((v,)) == old.mq((v,))
+        for _ in range(10):
+            accepted = None
+            if not new.pool and rng.random() < 0.8:
+                accepted = [v for v in new.s_plus if rng.random() < 0.9] + [
+                    v for v in new.s_minus if rng.random() < 0.02]
+            h = random_hypothesis(rng, new.algebra, accepted)
+            answer = new.eq(h)
+            assert answer == old.eq(h)
+            assert (new.pool, new.s_plus, new.s_minus) \
+                == (old.pool, old.s_plus, old.s_minus)
+            kinds.add(answer if answer is True else
+                      (min(len(answer[0]), 2), answer[1], bool(new.pool)))
+    assert {True, (1, 0, False), (1, 1, False)} <= kinds
+
+
+def test_closing_eq_on_an_agreeing_hypothesis_scans_no_letter(monkeypatch):
+    teacher = adversarial_prop_teacher(10)
+    alg = teacher.algebra
+    plus = set(random.Random(10).sample(alg.letters(), 3))
+    for v in alg.letters():
+        if v not in plus:
+            teacher.mq((v,))
+    while teacher.pool:
+        teacher.eq(basic_sfa(alg, BOT))
+    assert set(teacher.s_plus) == plus
+    calls = []
+    real = Algebra.contains
+    monkeypatch.setattr(Algebra, "contains",
+                        lambda *args: calls.append(args) or real(*args))
+    assert teacher.eq(basic_sfa(alg, or_all(map(minterm, plus)))) is True
+    assert calls == []
+    # a disagreeing hypothesis is still shown the first decided valuation
+    # it gets wrong, s_plus before s_minus
+    wrong = sorted(plus)[1:] + [teacher.s_minus[5]]
+    assert teacher.eq(basic_sfa(alg, or_all(map(minterm, wrong)))) \
+        == ((teacher.s_plus[0],), 1)
 
 
 class RecordingTeacher(PredicateTeacher):

@@ -237,6 +237,13 @@ def _literal_set(k, index, positive):
                  for v in range(size if positive else 0, 2 ** k, 2 * size))
 
 
+@functools.lru_cache(maxsize=None)
+def _prop_letters(k):
+    """Every k-bit letter, ascending, as a tuple: built once per k, so the
+    callers of PropAlgebra.letters share one build."""
+    return tuple(map("".join, itertools.product("01", repeat=k)))
+
+
 # ---------------------------------------------------------------------------
 # The algebras
 
@@ -517,8 +524,9 @@ class PropAlgebra(Algebra):
         return "prop %d" % self.k
 
     def letters(self):
-        """Every letter of the domain, ascending."""
-        return list(map("".join, itertools.product("01", repeat=self.k)))
+        """Every letter of the domain, ascending: a fresh list, copied
+        from the one tuple per k that _prop_letters keeps."""
+        return list(_prop_letters(self.k))
 
     def check_letter(self, d):
         if not (isinstance(d, str) and len(d) == self.k
@@ -541,22 +549,27 @@ class PropAlgebra(Algebra):
         return _literal_set(self.k, psi.index, psi.positive)
 
     def _cubes(self, a):
-        """(least valuation, size) of each of a's cubes, ascending: every
-        piece is tiled greedily by the largest aligned power of two that
-        fits, so each cube fixes the leading propositions."""
-        top = 2 ** self.k
+        """(lo, hi, least valuation, size) of each of a's cubes, ascending:
+        one walk tiles every piece greedily by the largest aligned power
+        of two that fits, so each cube fixes the leading propositions.  lo
+        and hi are the cube's bounding letters: a bound that ends a piece
+        of a is that piece's own, and each one inside a piece is
+        formatted once, for the two cubes it separates."""
+        fmt, top = "0%db" % self.k, 2 ** self.k
         for lo, hi in a:
             v, end = int(lo, 2), top if hi is SUP else int(hi, 2)
             while v < end:
                 size = v & -v or top
                 while v + size > end:
                     size //= 2
-                yield v, size
-                v += size
+                mid = hi if v + size == end else format(v + size, fmt)
+                yield lo, mid, v, size
+                lo, v = mid, v + size
 
     def pieces(self, a):
-        """The largest cubes that fix the leading propositions, p0 first."""
-        return [(_span(self.k, v, size),) for v, size in self._cubes(a)]
+        """The largest cubes that fix the leading propositions, p0 first,
+        each the piece between its two bounding letters from _cubes."""
+        return [((lo, hi),) for lo, hi, _, _ in self._cubes(a)]
 
     def to_pred(self, a):
         """The disjunction of the pieces, each the conjunction of the
@@ -564,7 +577,7 @@ class PropAlgebra(Algebra):
         k = self.k
         return or_all(and_all(Lit(j, bool(v >> (k - 1 - j) & 1))
                               for j in range(k + 1 - size.bit_length()))
-                      for v, size in self._cubes(a))
+                      for _, _, v, size in self._cubes(a))
 
     def gap_guards(self, trees, gap):
         """One guard, built when read: the negated disjunction of the

@@ -96,7 +96,13 @@ class AdversarialPropTeacher(Oracle):
     before 2^k - 1 queries.  Every word of another length than one is
     labeled 0, and a hypothesis that accepts one is shown a shortest
     such word first.  A membership query on a word with a letter outside
-    the algebra raises ValueError."""
+    the algebra raises ValueError.
+
+    pool (the undecided letters, ascending), s_plus and s_minus (the
+    letters labeled 1 and 0, in the order decided) read as fresh lists.
+    Each is kept in an insertion-ordered dict used as an ordered set, so
+    a membership query finds its letter in O(1), in any order of
+    queries."""
 
     def __init__(self, k):
         super().__init__()
@@ -104,18 +110,31 @@ class AdversarialPropTeacher(Oracle):
             raise ValueError("need 1 <= k <= 10")
         self.k = k
         self.algebra = prop_algebra(k)
-        self.pool = list(self.algebra.letters())
-        self.s_plus = []
-        self.s_minus = []
+        self._pool = dict.fromkeys(self.algebra.letters())
+        self._plus, self._minus = {}, {}
+
+    pool = property(lambda self: list(self._pool))
+    s_plus = property(lambda self: list(self._plus))
+    s_minus = property(lambda self: list(self._minus))
+
+    def _decide(self, v, b):
+        """Take the pool letter v out of the pool with label b, and answer
+        with it."""
+        del self._pool[v]
+        (self._plus if b else self._minus)[v] = None
+        return ((v,), b)
 
     def _mq(self, w):
-        if len(w) == 1 and w[0] in self.pool:
-            self.pool.remove(w[0])
-            self.s_minus.append(w[0])
-        else:  # the pool holds letters only
-            for d in w:
-                self.algebra.check_letter(d)
-        return 1 if len(w) == 1 and w[0] in self.s_plus else 0
+        if len(w) == 1 and isinstance(w[0], str):
+            if w[0] in self._pool:  # _decide(w[0], 0), inlined: 2^k calls
+                del self._pool[w[0]]
+                self._minus[w[0]] = None
+                return 0
+            if w[0] in self._plus:
+                return 1
+        for d in w:  # the pool holds letters only
+            self.algebra.check_letter(d)
+        return 0
 
     def _eq(self, hypothesis):
         """Reads the hypothesis's one-letter language off its initial
@@ -134,18 +153,14 @@ class AdversarialPropTeacher(Oracle):
         if w is not None:
             return (w, 0)
         one = _into_accepting(hypothesis, [hypothesis.initial])
-        for v in self.pool:
-            if alg.contains(one, v):
-                self.pool.remove(v)
-                self.s_minus.append(v)
-                return ((v,), 0)
-        if self.pool:
-            v = self.pool.pop(0)
-            self.s_plus.append(v)
-            return ((v,), 1)
+        v = next((v for v in self._pool if alg.contains(one, v)), None)
+        if v is not None:
+            return self._decide(v, 0)
+        if self._pool:
+            return self._decide(next(iter(self._pool)), 1)
         if one != alg.union_all([(_span(alg.k, int(v, 2), 1),)
-                                 for v in self.s_plus]):
-            for b, decided in ((1, self.s_plus), (0, self.s_minus)):
+                                 for v in self._plus]):
+            for b, decided in ((1, self._plus), (0, self._minus)):
                 for v in decided:
                     if alg.contains(one, v) != b:
                         return ((v,), b)
@@ -168,11 +183,13 @@ def enumerating_predicate_learner(k, oracle):
     positive minterms, and incorporates counterexamples without ever
     re-querying a classified word.  A hypothesis's guards are denoted by
     the runs of the labels and built only when read; the learner builds
-    the disjunction only for the predicate it returns."""
+    the disjunction only for the predicate it returns.  The labels are
+    read in the order the letters were asked, ascending, which updates in
+    place keep."""
     alg = prop_algebra(k)
     classified = {v: oracle.mq((v,)) for v in alg.letters()}
     while True:
-        labels = sorted(classified.items())
+        labels = classified.items()
         psi = cache(partial(_minterms_or, [v for v, b in labels if b]))
         sem = alg.runs(labels).get(1, alg.empty)
         result = oracle.eq(_basic_sfa(alg, sem, psi))

@@ -1,11 +1,13 @@
-"""The runtime imports nothing outside the standard library, and every
-name a runtime module imports is used in it."""
+"""The runtime imports nothing outside the standard library, every name
+a runtime module imports is used in it, and the runtime and the
+benchmark parse as the oldest Python that pyproject.toml allows."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "symfa"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symfa"
 
 
 def test_runtime_imports_are_stdlib_only():
@@ -23,6 +25,18 @@ def test_runtime_imports_are_stdlib_only():
             outside += ["%s: %s" % (path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_runtime_and_benchmark_parse_as_python_3_10():
+    # no syntax of a later release than the oldest one allowed
+    assert 'requires-python = ">=3.10"' in (
+        ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    paths = [path for top in (SRC, ROOT / "perfbench")
+             for path in sorted(top.rglob("*.py"))]
+    assert len(paths) > len(list(SRC.glob("*.py")))
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def test_every_imported_name_is_used():

@@ -13,7 +13,7 @@ import random
 import sys
 from functools import partial
 
-from .algebra import Algebra
+from .algebra import INTERVAL_INT, INTERVAL_NAT, Algebra
 from .generate import random_sfa
 from .ops import complement, determinize, equiv, includes, is_empty, \
     minimize, product
@@ -25,12 +25,6 @@ from .sfa import (
 from .sfa_learn import char_sfa, decontaminate, infer_sfa
 from .query_learn import adversarial_prop_teacher, \
     enumerating_predicate_learner
-
-
-def _parse_algebra(text):
-    if text.startswith("prop:"):
-        return Algebra("prop", int(text.split(":", 1)[1]))
-    return Algebra(text)
 
 
 def _read(path, parse=parse_sfa):
@@ -52,8 +46,8 @@ def build_parser():
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--output", default=argparse.SUPPRESS)
     alg = argparse.ArgumentParser(add_help=False)
-    alg.add_argument("--algebra", default="interval-nat",
-                     help="interval-nat | interval-int | prop:<k>")
+    alg.add_argument("--algebra", type=Algebra, default=INTERVAL_NAT,
+                     choices=(INTERVAL_NAT, INTERVAL_INT))
     parser = argparse.ArgumentParser(
         prog="symfa",
         description="Symbolic finite automata: transformations, "
@@ -170,9 +164,8 @@ def _learn_char(args):
 
 
 def _learn(learner, fmt, args):
-    alg = _parse_algebra(args.algebra)
-    sample = _read(args.sample, partial(parse_sample, alg))
-    _write(args.output, fmt(learner(alg, sample)))
+    sample = _read(args.sample, partial(parse_sample, args.algebra))
+    _write(args.output, fmt(learner(args.algebra, sample)))
     return 0
 
 

@@ -5,13 +5,12 @@ words, prefix-tree automata)."""
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
 
 from .algebra import format_letter
-from .sfa import _minimize_table, sample_dict
+from .sfa import _first_word, _minimize_table, sample_dict
 
 
 class Dfa:
@@ -495,7 +494,16 @@ def _grow_rows(idx, algebra, alphabet):
     initial state), so it agrees with every sample word;
     sfa_learn.infer_sfa relies on this search as its only agreement
     check of the cleaned words, which the generalized rows send where
-    the DFA does."""
+    the DFA does.
+
+    Once _grow is drained, the rows are closed, as in L* (Angluin 1987):
+    every extension r.a of a row matches some row.  _grow ends only when
+    its heap is empty, and it pushes every extension r.a of every row
+    unless that class is already settled.  A class is settled only as a
+    row's class, as a class that some row matched, or as class 0, which
+    same matches to every row; and rows are only ever appended.  So some
+    row matches every transition's class, and the check that each first
+    letter matches exactly one row fails only where two or more do."""
     same, kids, labels = idx.same, idx._class_kids, idx._class_label
     # each class is represented by its least access word; the rows come
     # in ascending order, and the first unlabeled one ends the growing
@@ -522,10 +530,8 @@ def _grow_rows(idx, algebra, alphabet):
             elif x in best:
                 tgt = best[x]
             else:
-                tgt = best[x] = next(
-                    (r2 for r2 in preferred if same(x, cls[r2])), None)
-            if tgt is None:
-                return None
+                tgt = best[x] = next(r2 for r2 in preferred
+                                     if same(x, cls[r2]))
             delta[names[r], a] = names[tgt]
     accepting = [names[r] for r in cls if labels[cls[r]] == 1]
     out = Dfa(algebra, alphabet, list(names.values()), names[()],
@@ -537,20 +543,19 @@ def _grow_rows(idx, algebra, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Concrete minimization, on the partition-refinement core that Sfa's
-# minimal table shares (sfa._minimize_table), and the shortest-word
-# search, also behind ops' emptiness and inclusion checks
+# Concrete minimization and equivalence, on the partition-refinement
+# core and the shortest-word search that the symbolic layer shares
+# (sfa._minimize_table and sfa._first_word)
 
 
 def minimize_dfa(d):
     """Minimal complete DFA for d's language, states renamed s0, s1, ...
     in ascending-letter depth-first order (see _minimize_table)."""
     alphabet, delta = d.alphabet, d.delta
-    reps, rows = _minimize_table(d.initial, d.accepting.__contains__,
-                                 lambda q: [delta[q, a] for a in alphabet])
-    names = ["s%d" % i for i in range(len(rows))]
-    return Dfa(d.algebra, alphabet, names, names[0],
-               [names[i] for i, q in enumerate(reps) if q in d.accepting],
+    names, accepting, rows = _minimize_table(
+        d.initial, d.accepting.__contains__,
+        lambda q: [delta[q, a] for a in alphabet])
+    return Dfa(d.algebra, alphabet, names, names[0], accepting,
                {(names[i], a): names[j] for i, row in enumerate(rows)
                 for a, j in zip(alphabet, row)})
 
@@ -578,29 +583,3 @@ def _separating_word(d1, q1, d2, q2):
 
     return _first_word((q1, q2), lambda p: (p[0] in f1) != (p[1] in f2),
                        steps)
-
-
-def _first_word(start, accepting, steps):
-    """Breadth-first search from start for a state where accepting holds.
-    steps(q) lists (letter, successor) pairs by ascending letter, and a
-    successor is claimed by the first pair that reaches it, so the word
-    found is shortest, and least letter by letter among the shortest
-    ones.  None when no such state is reachable."""
-    if accepting(start):
-        return ()
-    back = {start: None}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for a, dst in steps(q):
-            if dst in back:
-                continue
-            back[dst] = (q, a)
-            if accepting(dst):
-                word = [a]
-                while back[q] is not None:
-                    q, a = back[q]
-                    word.append(a)
-                return tuple(reversed(word))
-            queue.append(dst)
-    return None

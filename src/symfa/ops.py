@@ -8,8 +8,7 @@ import operator
 from functools import partial
 
 from .algebra import GAP, SUP, And, Not, and_all
-from .dfa_learn import _first_word
-from .sfa import Sfa, _fresh_state, complete_sfa
+from .sfa import Sfa, _first_word, _fresh_state, complete_sfa
 
 _ACCEPT = {"intersect": operator.and_, "union": operator.or_}
 

@@ -179,30 +179,29 @@ def _minterms_or(valuations):
 
 def enumerating_predicate_learner(k, oracle):
     """Sound learner for one-letter languages over the prop algebra: asks a
-    membership query per valuation, proposes the disjunction of the
-    positive minterms, and incorporates counterexamples without ever
-    re-querying a classified word.  A hypothesis's guards are denoted by
-    the runs of the labels and built only when read; the learner builds
-    the disjunction only for the predicate it returns.  The labels are
-    read in the order the letters were asked, ascending, which updates in
-    place keep."""
+    membership query per valuation, then proposes the disjunction of the
+    positive minterms.  Once every valuation is classified, no
+    counterexample can teach it anything, so it proposes that one
+    hypothesis, the same object, until the oracle accepts it, and asks no
+    further membership query; a counterexample of another length than
+    one, or one whose label differs from the answer already given,
+    raises ValueError.  The hypothesis's guards are denoted by the runs
+    of the labels and built only when read; the learner builds the
+    disjunction only for the predicate it returns.  The labels are read
+    in the order the letters were asked, ascending."""
     alg = prop_algebra(k)
     classified = {v: oracle.mq((v,)) for v in alg.letters()}
-    while True:
-        labels = classified.items()
-        psi = cache(partial(_minterms_or, [v for v, b in labels if b]))
-        sem = alg.runs(labels).get(1, alg.empty)
-        result = oracle.eq(_basic_sfa(alg, sem, psi))
-        if result is True:
-            return psi()
+    labels = classified.items()
+    psi = cache(partial(_minterms_or, [v for v, b in labels if b]))
+    hypothesis = _basic_sfa(alg, alg.runs(labels).get(1, alg.empty), psi)
+    while (result := oracle.eq(hypothesis)) is not True:
         w, b = result
         if len(w) != 1:
             raise ValueError("adversary returned a word of length %d"
                              % len(w))
-        v = w[0]
-        if classified[alg.check_letter(v)] != b:
+        if classified[alg.check_letter(w[0])] != b:
             raise ValueError("oracle contradicted an earlier answer")
-        classified[v] = b
+    return psi()
 
 
 def _next_pair(m, letters, last):

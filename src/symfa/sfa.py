@@ -3,6 +3,7 @@ transformations to special forms, and the text file formats."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,16 +140,14 @@ class Sfa:
         alg, swept = self.algebra, self._swept
         letters = sorted({lo for pieces, _ in swept.values()
                           for lo, _, _ in pieces})
-        reps, rows = _minimize_table(
+        names, accepting, rows = _minimize_table(
             self.initial, self.accepting.__contains__,
             lambda q: alg.row_successors(swept[q][0], letters))
-        names = ["s%d" % i for i in range(len(rows))]
         runs = []
         for row in rows:
             sems = alg.runs(zip(letters, row))
             runs.append({names[dst]: sems[dst] for dst in sorted(sems)})
-        return (names, [names[i] for i, q in enumerate(reps)
-                        if q in self.accepting], runs)
+        return names, accepting, runs
 
     @cached_property
     def flags(self):
@@ -217,8 +216,9 @@ def _minimize_table(initial, accepting, successors):
     successor blocks) until their number stops growing.  The blocks are
     then numbered 0, 1, ... in ascending-letter depth-first order from
     the initial state's block (iterative, so long chains cannot exhaust
-    the call stack).  Returns (reps, rows): a state of each block, and
-    each block's successor blocks, one per letter."""
+    the call stack).  Returns (names, accepting, rows): the blocks named
+    s0, s1, ... in that order, the names of the accepting blocks, and each
+    block's successor block numbers, one per letter."""
     index = {initial: 0}
     states = [initial]
     rows = []
@@ -250,8 +250,37 @@ def _minimize_table(initial, accepting, successors):
             name[b] = len(name)
             stack.extend(map(block.__getitem__, reversed(rows[rep[b]])))
     firsts = [rep[b] for b in name]
-    return ([states[q] for q in firsts],
+    names = ["s%d" % i for i in range(len(firsts))]
+    return (names, [s for s, q in zip(names, firsts) if accepting(states[q])],
             [[name[block[j]] for j in rows[q]] for q in firsts])
+
+
+def _first_word(start, accepting, steps):
+    """Breadth-first search from start for a state where accepting holds.
+    steps(q) lists (letter, successor) pairs by ascending letter, and a
+    successor is claimed by the first pair that reaches it, so the word
+    found is shortest, and least letter by letter among the shortest
+    ones.  None when no such state is reachable.  The shortest-word
+    search of ops' emptiness and inclusion checks and of
+    dfa_learn._separating_word."""
+    if accepting(start):
+        return ()
+    back = {start: None}
+    queue = deque([start])
+    while queue:
+        q = queue.popleft()
+        for a, dst in steps(q):
+            if dst in back:
+                continue
+            back[dst] = (q, a)
+            if accepting(dst):
+                word = [a]
+                while back[q] is not None:
+                    q, a = back[q]
+                    word.append(a)
+                return tuple(reversed(word))
+            queue.append(dst)
+    return None
 
 
 def _is_basic(pred):

@@ -95,6 +95,29 @@ def test_min_model():
     assert min_model(INTERVAL_NAT, Interval(100, INF)) == 100
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: to_canonical_intervals(prop_algebra(2), TOP), ValueError,
+     "canonical intervals need an interval algebra"),
+    (lambda: min_model(prop_algebra(2), TOP), ValueError,
+     "min_model needs a monotonic (interval) algebra"),
+    (lambda: INTERVAL_NAT.letters(), ValueError,
+     "interval domains are infinite"),
+    (lambda: INTERVAL_NAT.check_letter(NEG_INF), ValueError,
+     "-inf is not a natural letter"),
+    # Lit(-1) passes parse_atom; its denotation has no such literal
+    (lambda: denote(prop_algebra(2), Lit(-1)), ValueError,
+     "literal index out of range: -1"),
+    (lambda: denote(INTERVAL_NAT, And(TOP, 3)), TypeError,
+     "not a predicate: 3"),
+    (lambda: format_pred(Or(TOP, "x")), TypeError, "not a predicate: 'x'"),
+], ids=["canonical-prop", "min-model-prop", "nat-letters", "nat-neg-inf",
+        "literal-index", "denote-non-pred", "format-non-pred"])
+def test_calls_outside_their_domain_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_is_sat_and_equiv():
     assert not is_sat(INTERVAL_NAT, And(Interval(0, 10), Interval(10, 20)))
     assert is_sat(INTERVAL_NAT, Interval(10, 11))
@@ -131,6 +154,8 @@ def test_parse_format_prop():
     assert contains(p2, psi, "10")
     assert not contains(p2, psi, "11")
     assert parse_pred(p2, format_pred(psi)) == psi
+    # trailing blanks are no token
+    assert parse_pred(p2, "p0 ") == Lit(0)
 
 
 def test_parse_precedence():

@@ -230,6 +230,11 @@ def test_constructors_build_the_family_class():
     for bad in (("bogus",), ("prop", 0), ("prop", 17), ("interval-nat", 2)):
         with pytest.raises(ValueError):
             Algebra(*bad)
+    # a family class called directly checks its kind too
+    with pytest.raises(ValueError, match="^unknown algebra kind"):
+        PropAlgebra("interval-nat", 2)
+    with pytest.raises(ValueError, match="^unknown algebra kind"):
+        IntervalAlgebra("prop")
 
 
 def test_inf_is_a_letter_of_the_round_trip():

@@ -193,6 +193,48 @@ def test_learn_decontaminate(sample_file, tmp_path):
     assert parse_sample(INTERVAL_NAT, out.read_text()) == TWO_STATE_SAMPLE
 
 
+@pytest.mark.parametrize("step", ["infer", "decontaminate"])
+@pytest.mark.parametrize("value", ["prop:2", "prop", "prop 2", "bogus"])
+def test_algebra_other_than_interval_is_a_usage_error(sample_file, capsys,
+                                                      step, value):
+    # the learners need a monotonic algebra, so --algebra offers no other
+    assert main(["learn", step, sample_file, "--algebra", value]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage: symfa learn %s " % step)
+    assert "argument --algebra" in err.splitlines()[-1]
+
+
+NEGATIVE_LAST = """\
+algebra interval-int
+states a b
+initial a
+accepting b
+trans a b [-inf,0)
+trans a a [0,inf)
+trans b b [-inf,0)
+trans b a [0,inf)
+"""
+
+
+@pytest.mark.parametrize("step", ["infer", "decontaminate"])
+def test_learn_over_interval_int(tmp_path, capsys, step):
+    model = tmp_path / "model.sfa"
+    model.write_text(NEGATIVE_LAST)
+    sample = tmp_path / "char.txt"
+    assert main(["learn", "char", str(model), "-o", str(sample)]) == 0
+    assert "-inf" in sample.read_text()
+    out = tmp_path / "out"
+    assert main(["learn", step, str(sample), "--algebra", "interval-int",
+                 "-o", str(out)]) == 0
+    if step == "infer":
+        assert main(["decide", "equiv", str(out), str(model)]) == 0
+    else:
+        assert out.read_text() == sample.read_text()
+    # interval-nat, the default, has no negative letter
+    assert main(["learn", step, str(sample)]) == 2
+    assert "-inf is not a natural letter" in capsys.readouterr().err
+
+
 def test_qlearn_demo(capsys):
     assert main(["qlearn", "demo", "--prop", "3"]) == 0
     assert capsys.readouterr().out == "k=3 queries=8 lower-bound=7 ok\n"

@@ -47,8 +47,25 @@ def test_lex_access_words_unreachable():
 def test_distinguishing_word():
     d = two_state_dfa()
     assert distinguishing_word(d, "q0", "q1") == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^states are identical$"):
         distinguishing_word(d, "q0", "q0")
+    twins = Dfa(INTERVAL_NAT, (0,), ("a", "b"), "a", (),
+                {("a", 0): "b", ("b", 0): "a"})
+    with pytest.raises(ValueError, match="not distinguishable"):
+        distinguishing_word(twins, "a", "b")
+
+
+@pytest.mark.parametrize("states, initial, accepting, delta, message", [
+    (("a", "a"), "a", (), {("a", 0): "a"}, "duplicate state ids"),
+    (("a",), "b", (), {("a", 0): "a"}, "initial state not in states"),
+    (("a",), "a", ("b",), {("a", 0): "a"}, "accepting states not in states"),
+    (("a",), "a", (), {}, "transition map not total at ('a', 0)"),
+    (("a",), "a", (), {("a", 0): "b"}, "transition target not in states"),
+], ids=["duplicate", "initial", "accepting", "total", "target"])
+def test_dfa_validation(states, initial, accepting, delta, message):
+    with pytest.raises(ValueError) as exc:
+        Dfa(INTERVAL_NAT, (0,), states, initial, accepting, delta)
+    assert str(exc.value) == message
 
 
 def test_char_dfa_two_state():
@@ -150,6 +167,16 @@ def test_sample_letters_are_checked_against_the_algebra(learn, sample):
     # letter of the Dfa's alphabet, over interval-nat
     with pytest.raises(ValueError):
         learn(sample, INTERVAL_NAT)
+
+
+@pytest.mark.parametrize("learn", [infer_dfa, prefix_tree_dfa])
+def test_given_alphabet_must_hold_the_sample_letters(learn):
+    sample = {(0,): 1, (5,): 0}
+    assert learn(sample, INTERVAL_NAT, alphabet=(0, 5, 9)).alphabet \
+        == (0, 5, 9)
+    with pytest.raises(ValueError, match="^sample uses letters outside "
+                                         "the given alphabet$"):
+        learn(sample, INTERVAL_NAT, alphabet=(0, 1))
 
 
 def test_prefix_tree_shape():

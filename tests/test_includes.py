@@ -332,6 +332,22 @@ def test_state_named_none():
     assert includes(machines[1], machines[0]) == (5,)
 
 
+ONE = Sfa(INTERVAL_NAT, ("q",), "q", ("q",), ())
+NFA = Sfa(INTERVAL_NAT, ("a", "b"), "a", ("b",), (
+    ("a", Interval(0, 10), "b"), ("a", Interval(5, 20), "a")))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((ONE, ONE, "superset"), "mode must be subset or equiv"),
+    ((NFA, ONE), "includes needs deterministic inputs"),
+    ((ONE, NFA, "equiv"), "includes needs deterministic inputs"),
+], ids=["mode", "nfa-left", "nfa-right"])
+def test_includes_refuses_bad_input(args, message):
+    with pytest.raises(ValueError) as exc:
+        includes(*args)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("alg1, alg2", [
     (INTERVAL_NAT, INTERVAL_INT), (prop_algebra(3), prop_algebra(4)),
 ])

@@ -1,7 +1,8 @@
 """The one-pass learner: letter checks on the sample walk, a differential
 against the quadratic row search it replaced, the paper's round trip at
 sizes where that search took seconds, gates on the row search's query
-count, and row growing that stops at its first unlabeled row."""
+count, row growing that stops at its first unlabeled row, and rows that
+are closed once row growing is drained."""
 
 import random
 import time
@@ -19,8 +20,9 @@ from symfa.sfa_learn import agrees, char_sfa, decontaminate, infer_sfa
 
 from conftest import (
     TWO_STATE_SAMPLE, build_two_state_target, interval_samples, minimal_target,
-    random_noise_for_sfa,
+    random_noise_for_sfa, samples,
 )
+from test_state_merging import random_samples
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +294,24 @@ def test_row_growing_stops_at_its_first_unlabeled_row(monkeypatch):
     assert pulled == [(), (0,)]
     assert infer_dfa(sample, INTERVAL_NAT) \
         == prefix_tree_dfa(sample, INTERVAL_NAT)
+
+
+def assert_rows_closed(alg, sample):
+    """Once _grow is drained, every extension r.a of every row r matches
+    some row, so _grow_rows finds a target for every transition."""
+    idx = SampleIndex(sample, alg)
+    rows = list(dfa_learn._grow(idx, idx.letters()))
+    for _, x in rows:
+        for a in idx.letters():
+            c = idx._class_kids[x].get(a, 0)
+            assert any(idx.same(c, y) for _, y in rows)
+
+
+def test_grown_rows_are_closed_on_seeded_samples():
+    for sample in random_samples():
+        assert_rows_closed(INTERVAL_NAT, sample)
+
+
+@given(samples())
+def test_grown_rows_are_closed(case):
+    assert_rows_closed(*case)

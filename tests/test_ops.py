@@ -49,6 +49,25 @@ def test_complement():
     assert equiv(complement(m), one_letter_machine(10, 20)) is True
 
 
+ONE = Sfa(INTERVAL_NAT, ("q",), "q", ("q",), (("q", TOP, "q"),))
+GAPPED = Sfa(INTERVAL_NAT, ("q",), "q", ("q",), (("q", Interval(0, 5), "q"),))
+PROP_ONE = Sfa(prop_algebra(2), ("q",), "q", ("q",), (("q", TOP, "q"),))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((ONE, ONE, "xor"), "mode must be intersect or union"),
+    ((ONE, GAPPED, "union"),
+     "union product needs deterministic complete inputs"),
+    ((GAPPED, ONE, "union"),
+     "union product needs deterministic complete inputs"),
+    ((ONE, PROP_ONE), "algebra mismatch"),
+], ids=["mode", "incomplete-right", "incomplete-left", "algebras"])
+def test_product_refuses_bad_input(args, message):
+    with pytest.raises(ValueError) as exc:
+        product(*args)
+    assert str(exc.value) == message
+
+
 def test_complement_rejects_nondeterministic():
     m = Sfa(INTERVAL_NAT, ("a", "b"), "a", ("b",), (
         ("a", Interval(0, 10), "b"),

@@ -202,6 +202,34 @@ def test_enumerating_learner_takes_counterexamples():
         enumerating_predicate_learner(1, Scripted(member, [(("2",), 1)]))
 
 
+class Recording(Scripted):
+    """Scripted, and records each hypothesis proposed with the number of
+    membership queries asked before it."""
+
+    def __init__(self, member, script):
+        super().__init__(member, script)
+        self.proposed = []
+
+    def _eq(self, hypothesis):
+        self.proposed.append((hypothesis, self.mq_count))
+        return super()._eq(hypothesis)
+
+
+def test_enumerating_learner_proposes_one_hypothesis():
+    # once every valuation is labeled, a counterexample teaches nothing:
+    # the same object is proposed again, and no letter is asked again
+    def member(w):
+        return 1 if w[0] in ("01", "11") else 0
+
+    oracle = Recording(member, [(("11",), 1), (("00",), 0), True])
+    learned = enumerating_predicate_learner(2, oracle)
+    assert pred_equiv(prop_algebra(2), learned, Lit(1))
+    (first, asked), *rest = oracle.proposed
+    assert asked == 4 and len(rest) == 2
+    assert all(h is first and n == 4 for h, n in rest)
+    assert (oracle.mq_count, oracle.eq_count) == (4, 3)
+
+
 def test_adversary_rejects_bad_k():
     with pytest.raises(ValueError):
         adversarial_prop_teacher(0)
@@ -247,6 +275,31 @@ def test_wrapper_end_to_end():
         learned = algebra_learner_from_sfa_learner(
             enumerating_predicate_learner, oracle, p2)
         assert pred_equiv(p2, learned, target)
+
+
+def test_wrapper_needs_the_prop_algebra():
+    with pytest.raises(ValueError, match="^only the prop algebra is "
+                                         "supported here$"):
+        algebra_learner_from_sfa_learner(
+            enumerating_predicate_learner,
+            PredicateTeacher(INTERVAL_NAT, TOP), INTERVAL_NAT)
+
+
+def test_wrapper_answers_other_lengths_itself():
+    # a word of another length than one is labeled 0 without asking the
+    # predicate-level oracle
+    alg = prop_algebra(2)
+    teacher = PredicateTeacher(alg, TOP)
+    answers = []
+
+    def learner(k, oracle):
+        answers.extend(oracle.mq(w) for w in [(), ("00", "11"), ("11",)])
+        return enumerating_predicate_learner(k, oracle)
+
+    learned = algebra_learner_from_sfa_learner(learner, teacher, alg)
+    assert answers == [0, 0, 1]
+    assert pred_equiv(alg, learned, TOP)
+    assert teacher.mq_count == 1 + 4
 
 
 def test_wrapper_screens_out_bad_hypotheses():

@@ -7,6 +7,7 @@ from symfa import (
     make_feasible, or_all, parse_pred, parse_sample, parse_sfa, pred_equiv,
     prop_algebra, sample_dict, size_metrics, to_neat, to_normalized,
 )
+from symfa import sfa
 from symfa.algebra import INTERVAL_NAT
 from symfa.ops import equiv
 
@@ -65,6 +66,18 @@ def test_to_neat_splits_disjunctions():
     assert equiv(complete_sfa(neat), complete_sfa(m)) is True
     a_preds = [p for src, p, dst in neat.transitions if src == "a"]
     assert len(a_preds) == 2
+
+
+def test_to_neat_stops_past_its_cap(monkeypatch):
+    # three pieces, one transition each, are more than a cap of two
+    m = Sfa(INTERVAL_NAT, ("a",), "a", (), (
+        ("a", Or(Interval(0, 5), Or(Interval(7, 9), Interval(20, 30))),
+         "a"),))
+    assert len(to_neat(m).transitions) == 3
+    monkeypatch.setattr(sfa, "NEAT_TRANSITION_CAP", 2)
+    with pytest.raises(ValueError, match="^neat expansion exceeds 2 "
+                                         "transitions$"):
+        to_neat(m)
 
 
 def test_prop_to_neat_splits_into_disjoint_cubes():
@@ -173,6 +186,13 @@ def test_format_parse_roundtrip(two_state_target):
 def test_parse_sfa_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_sfa("algebra interval-nat\nbogus directive\n")
+    with pytest.raises(ValueError, match="^line 2: expected \\+ or -$"):
+        parse_sample(INTERVAL_NAT, "+ 1\n* 2\n")
+    for text, missing in (("states a\ninitial a\n", "algebra"),
+                          ("algebra interval-nat\nstates a\n", "initial")):
+        with pytest.raises(ValueError, match="^missing %s directive$"
+                                             % missing):
+            parse_sfa(text)
 
 
 def test_parse_sfa_prop():
@@ -216,6 +236,11 @@ def test_transition_validation():
         Sfa(INTERVAL_NAT, ("a",), "a", ("b",), ())
     with pytest.raises(ValueError):
         Sfa(INTERVAL_NAT, ("a",), "a", (), (("a", TOP, "b"),))
+    with pytest.raises(ValueError, match="^transition label is not a "
+                                         "predicate$"):
+        Sfa(INTERVAL_NAT, ("a",), "a", (), (("a", "[0,5)", "a"),))
+    with pytest.raises(ValueError, match="^duplicate state ids$"):
+        Sfa(INTERVAL_NAT, ("a", "a"), "a", (), ())
 
 
 def test_accepts_rejects_bool_letters(two_state_target):

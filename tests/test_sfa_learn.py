@@ -61,6 +61,18 @@ def test_generalize_rejects_prop():
         generalize_alg(prop_algebra(2), [{"00"}])
 
 
+@pytest.mark.parametrize("trans, message", [
+    ((("q", Interval(0, 5), "q"),),
+     "concretize_sfa needs a deterministic complete input"),
+    ((("q", TOP, "q"), ("q", Interval(5, 5), "q")),
+     "concretize_sfa needs a feasible input"),
+], ids=["incomplete", "infeasible"])
+def test_concretize_sfa_refuses_bad_input(trans, message):
+    with pytest.raises(ValueError) as exc:
+        concretize_sfa(Sfa(INTERVAL_NAT, ("q",), "q", ("q",), trans))
+    assert str(exc.value) == message
+
+
 def test_concretize_sfa(two_state_target):
     d = concretize_sfa(two_state_target)
     assert d.alphabet == (0, 100, 200)
